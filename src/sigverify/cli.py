@@ -197,6 +197,10 @@ def cmd_learn_descriptor(args) -> int:
     if model.ae.line_search_failed:
         print("warning: line search failed before the iteration budget; "
               "the model is the last accepted iterate", file=sys.stderr)
+    elif not model.ae.converged:
+        print("warning: training stopped unconverged at the iteration budget "
+              f"(ae.max_iter={cfg['ae.max_iter']}): the gradient is still above "
+              f"ae.grad_tol={cfg['ae.grad_tol']:g}", file=sys.stderr)
     print(f"trained on {len(unlabeled)} signatures: whitened patch dim "
           f"{model.whitening.output_dim}, hidden {model.hidden}, "
           f"final cost {model.ae.final_cost:.6f}, "

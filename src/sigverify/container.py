@@ -23,6 +23,7 @@ Metadata keys and array names are written in sorted order, so a given
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -104,9 +105,16 @@ def read_container(path):
         name = r.take(name_len).decode("utf-8")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}Q") if ndim else ()
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        count = math.prod(shape)  # a Python int: cannot wrap
+        if 8 * count > len(payload) - r.pos:
+            raise ContainerError(f"{path}: array {name!r} of shape {shape} needs "
+                                 f"{8 * count} bytes, only {len(payload) - r.pos} remain")
         raw = r.take(8 * count)
-        arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        try:
+            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # e.g. a zero-size shape with a huge dimension
+            raise ContainerError(f"{path}: array {name!r} has unusable shape "
+                                 f"{shape}: {exc}") from None
     if r.pos != len(payload):
         raise ContainerError(f"{path}: {len(payload) - r.pos} unexpected "
                              "trailing bytes")

@@ -14,7 +14,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import Corpus
 from .descriptor import DescriptorModel, describe
@@ -179,6 +178,8 @@ def eer(curve: RocCurve) -> float:
 
 def auc(scores: ScoreSet) -> float:
     """P(genuine score < forgery score) + 0.5 P(tie), by rank statistic."""
+    from scipy.stats import rankdata  # deferred: importing scipy.stats costs ~0.5 s
+
     n_g, n_f = scores.genuine.size, scores.forgery.size
     ranks = rankdata(np.concatenate([scores.genuine, scores.forgery]))
     forgery_rank_sum = float(ranks[n_g:].sum())

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .preprocess import SignatureImage
 
@@ -37,15 +38,25 @@ class PatchConfig:
         return 2 * self.size * self.size
 
 
-def _patch_vector(image: SignatureImage, r: int, c: int, size: int) -> np.ndarray:
-    p = image.pressure[r:r + size, c:c + size]
-    t = image.time[r:r + size, c:c + size]
-    return np.concatenate([p.ravel(), t.ravel()])
+def _inked(image: SignatureImage, cfg: PatchConfig, stride: int) -> np.ndarray:
+    """Boolean map over the top-left offsets 0, stride, 2 stride, ... on
+    both axes: does the patch there have a pressure value above
+    ``blank_threshold``?  (Its negation is the blank test.)  The count of
+    such pixels in every patch is ``cover @ ink @ cover.T``, where
+    ``cover[w, x]`` says whether window w spans pixel x; the counts are
+    small integers, exact in float64."""
+    starts = np.arange(0, image.side - cfg.size + 1, stride)
+    pixels = np.arange(image.side)
+    cover = (starts[:, None] <= pixels) & (pixels < starts[:, None] + cfg.size)
+    ink = ~(image.pressure <= cfg.blank_threshold)
+    return cover @ ink.astype(np.float64) @ cover.T > 0
 
 
-def _is_blank(image: SignatureImage, r: int, c: int, cfg: PatchConfig) -> bool:
-    return bool(np.all(image.pressure[r:r + cfg.size, c:c + cfg.size]
-                       <= cfg.blank_threshold))
+def _gather(image: SignatureImage, rows, cols, size: int) -> np.ndarray:
+    """Patch vectors at the given top-left offsets, one per row."""
+    return np.concatenate(
+        [sliding_window_view(channel, (size, size))[rows, cols].reshape(len(rows), -1)
+         for channel in (image.pressure, image.time)], axis=1)
 
 
 def extract_dense(image: SignatureImage, cfg: PatchConfig) -> np.ndarray:
@@ -55,19 +66,20 @@ def extract_dense(image: SignatureImage, cfg: PatchConfig) -> np.ndarray:
     ``skip_blank`` set, patches whose pressure channel never exceeds
     ``blank_threshold`` are omitted; if that removes everything, the
     single patch at (0, 0) is returned so every image yields a patch.
+
+    The grid is the sliding-window view of each channel taken every
+    ``stride`` offsets, and blank patches are dropped with one mask over
+    that grid; the result is the same as scanning patch by patch.
     """
     side = image.side
     if side < cfg.size:
         raise ValueError(f"image side {side} is smaller than patch size {cfg.size}")
-    out = []
-    for r in range(0, side - cfg.size + 1, cfg.stride):
-        for c in range(0, side - cfg.size + 1, cfg.stride):
-            if cfg.skip_blank and _is_blank(image, r, c, cfg):
-                continue
-            out.append(_patch_vector(image, r, c, cfg.size))
-    if not out:
-        out.append(_patch_vector(image, 0, 0, cfg.size))
-    return np.asarray(out)
+    grid = np.arange(0, side - cfg.size + 1, cfg.stride)
+    rows, cols = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    if cfg.skip_blank:
+        keep = _inked(image, cfg, cfg.stride).ravel()
+        rows, cols = (rows[keep], cols[keep]) if keep.any() else (rows[:1], cols[:1])
+    return _gather(image, rows, cols, cfg.size)
 
 
 def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
@@ -78,22 +90,34 @@ def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
     uniformly.  Blank patches are rejected and redrawn until the total
     attempt budget (``oversample_factor`` times ``train_count``) runs
     out, after which blanks are admitted.  Deterministic given the seed.
+
+    The blank test of every offset of an image is computed once, as in
+    ``extract_dense``, so a rejection is a table lookup; the accepted
+    offsets are gathered image by image at the end.  The draws, and so
+    the patches, are the same as drawing and testing one patch at a time.
     """
     if not images:
         raise ValueError("need at least one image to sample patches from")
     for im in images:
         if im.side < cfg.size:
             raise ValueError(f"image side {im.side} is smaller than patch size {cfg.size}")
+    inked = [_inked(im, cfg, 1) for im in images] if cfg.skip_blank else None
     rng = np.random.default_rng(seed)
     budget = cfg.oversample_factor * cfg.train_count
     attempts = 0
-    out = []
-    while len(out) < cfg.train_count:
+    drawn = []
+    while len(drawn) < cfg.train_count:
         attempts += 1
-        im = images[int(rng.integers(len(images)))]
-        r = int(rng.integers(im.side - cfg.size + 1))
-        c = int(rng.integers(im.side - cfg.size + 1))
-        if cfg.skip_blank and attempts < budget and _is_blank(im, r, c, cfg):
+        k = int(rng.integers(len(images)))
+        offsets = images[k].side - cfg.size + 1
+        r = int(rng.integers(offsets))
+        c = int(rng.integers(offsets))
+        if cfg.skip_blank and attempts < budget and not inked[k][r, c]:
             continue
-        out.append(_patch_vector(im, r, c, cfg.size))
-    return np.asarray(out)
+        drawn.append((k, r, c))
+    which, rows, cols = np.array(drawn).T
+    out = np.empty((cfg.train_count, cfg.dim))
+    for k in np.unique(which):
+        sel = np.flatnonzero(which == k)
+        out[sel] = _gather(images[k], rows[sel], cols[sel], cfg.size)
+    return out

@@ -49,21 +49,6 @@ class SignatureImage:
         return self.pressure.shape[0]
 
 
-def _pen_down_runs(pen_down: np.ndarray):
-    """Yield (start, stop) index ranges of maximal pen-down runs."""
-    n = len(pen_down)
-    i = 0
-    while i < n:
-        if pen_down[i]:
-            j = i
-            while j < n and pen_down[j]:
-                j += 1
-            yield i, j
-            i = j
-        else:
-            i += 1
-
-
 def smooth(traj: Trajectory, cfg: PreprocessConfig) -> Trajectory:
     """Replace each pen-down stroke by a natural cubic spline resampling.
 
@@ -74,48 +59,51 @@ def smooth(traj: Trajectory, cfg: PreprocessConfig) -> Trajectory:
     Pressure and pen state are linearly interpolated at inserted
     timestamps.  Pen-up samples and short strokes pass through unchanged.
     With ``cfg.smooth`` false the trajectory is returned as-is.
+
+    Strokes are found from the edges of the pen flag; each stroke's
+    evaluation times are built as one block with a row per segment, and
+    the output is concatenated once from stroke and pass-through slices.
     """
     if not cfg.smooth:
         return traj
     spp = cfg.spline_points_per_segment
-    out_x, out_y, out_t, out_p, out_d = [], [], [], [], []
+    inner = np.arange(1, spp)
+    edges = np.diff(traj.pen_down.astype(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    columns = (traj.x, traj.y, traj.t, traj.pressure, traj.pen_down)
+    pieces = [[] for _ in columns]
 
-    def passthrough(i):
-        out_x.append(traj.x[i])
-        out_y.append(traj.y[i])
-        out_t.append(traj.t[i])
-        out_p.append(traj.pressure[i])
-        out_d.append(traj.pen_down[i])
+    def emit(*cols):
+        for piece, col in zip(pieces, cols):
+            piece.append(col)
 
     cursor = 0
-    for start, stop in _pen_down_runs(traj.pen_down):
-        for i in range(cursor, start):
-            passthrough(i)
-        cursor = stop
+    for start, stop in zip(starts, stops):
         t = traj.t[start:stop]
-        keep = np.concatenate(([True], np.diff(t) > 0))
+        dt = np.diff(t)
+        keep = np.concatenate(([True], dt > 0))
         if stop - start < 4 or keep.sum() < 4:
-            for i in range(start, stop):
-                passthrough(i)
-            continue
+            continue  # a short stroke passes through with its neighbours
+        emit(*(col[cursor:start] for col in columns))
+        cursor = stop
         knots = t[keep]
-        sx = CubicSpline(knots, traj.x[start:stop][keep], bc_type="natural")
-        sy = CubicSpline(knots, traj.y[start:stop][keep], bc_type="natural")
-        eval_t = [t[0]]
-        for i in range(len(t) - 1):
-            if t[i + 1] > t[i]:
-                step = (t[i + 1] - t[i]) / spp
-                eval_t.extend(t[i] + step * np.arange(1, spp))
-            eval_t.append(t[i + 1])
-        eval_t = np.asarray(eval_t)
-        out_x.extend(sx(eval_t))
-        out_y.extend(sy(eval_t))
-        out_t.extend(eval_t)
-        out_p.extend(np.interp(eval_t, t, traj.pressure[start:stop]))
-        out_d.extend([True] * len(eval_t))
-    for i in range(cursor, len(traj)):
-        passthrough(i)
-    return Trajectory(out_x, out_y, out_t, out_p, out_d,
+        xy = np.column_stack((traj.x[start:stop], traj.y[start:stop]))
+        spline = CubicSpline(knots, xy[keep], bc_type="natural")
+        # row i: the inserted times of segment i (kept only when it has
+        # positive length), then the sample time t[i + 1]
+        step = dt / spp
+        block = np.empty((len(t) - 1, spp))
+        block[:, :-1] = t[:-1, None] + step[:, None] * inner
+        block[:, -1] = t[1:]
+        mask = np.ones(block.shape, dtype=bool)
+        mask[:, :-1] = keep[1:, None]
+        eval_t = np.concatenate((t[:1], block[mask]))
+        xy_out = spline(eval_t)
+        emit(xy_out[:, 0], xy_out[:, 1], eval_t,
+             np.interp(eval_t, t, traj.pressure[start:stop]),
+             np.ones(len(eval_t), dtype=bool))
+    emit(*(col[cursor:] for col in columns))
+    return Trajectory(*(np.concatenate(piece) for piece in pieces),
                       user_id=traj.user_id, label=traj.label, source=traj.source)
 
 
@@ -170,27 +158,50 @@ def normalize_extent(traj: Trajectory) -> Trajectory:
                       user_id=traj.user_id, label=traj.label, source=traj.source)
 
 
+def _walk(r0, c0, r1, c1):
+    """Integer midpoint (Bresenham) walks of many segments at once.
+
+    Takes equal-length integer arrays of end points.  Returns the flat
+    ``rows`` and ``cols`` of every pixel from (r0, c0) to (r1, c1)
+    inclusive, segment after segment, and each segment's pixel count
+    ``max(|r1 - r0|, |c1 - c0|) + 1``.  The loop runs over the step index
+    only; segments are walked longest first, so the ones still moving are
+    always a prefix, and every one follows the scalar rule ``err = dc -
+    dr``, ``e2 = 2 err``, step columns when ``e2 >= -dr`` and rows when
+    ``e2 <= dc``.
+    """
+    r0, c0, r1, c1 = (np.asarray(v, dtype=np.int64) for v in (r0, c0, r1, c1))
+    dr, dc = np.abs(r1 - r0), np.abs(c1 - c0)
+    lengths = np.maximum(dr, dc) + 1
+    offsets = np.cumsum(lengths) - lengths
+    order = np.argsort(-lengths, kind="stable")
+    dr, dc, offsets = dr[order], dc[order], offsets[order]
+    sr = np.where(r1 >= r0, 1, -1)[order]
+    sc = np.where(c1 >= c0, 1, -1)[order]
+    r, c = r0[order], c0[order]
+    err = dc - dr
+    # moving[k]: how many segments have a pixel k (lengths sorted descending)
+    moving = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
+    rows = np.empty(int(lengths.sum()), dtype=np.int64)
+    cols = np.empty_like(rows)
+    neg_dr = -dr
+    for k, n in enumerate(moving):
+        dst = offsets[:n] + k
+        rows[dst] = r[:n]
+        cols[dst] = c[:n]
+        e2 = 2 * err[:n]
+        step_c = e2 >= neg_dr[:n]
+        step_r = e2 <= dc[:n]
+        err[:n] += dc[:n] * step_r + neg_dr[:n] * step_c
+        c[:n] += sc[:n] * step_c
+        r[:n] += sr[:n] * step_r
+    return rows, cols, lengths
+
+
 def _line_pixels(r0: int, c0: int, r1: int, c1: int):
     """Integer midpoint (Bresenham) walk from (r0, c0) to (r1, c1) inclusive."""
-    pixels = []
-    dr = abs(r1 - r0)
-    dc = abs(c1 - c0)
-    sr = 1 if r1 >= r0 else -1
-    sc = 1 if c1 >= c0 else -1
-    err = dc - dr
-    r, c = r0, c0
-    while True:
-        pixels.append((r, c))
-        if r == r1 and c == c1:
-            break
-        e2 = 2 * err
-        if e2 >= -dr:
-            err -= dr
-            c += sc
-        if e2 <= dc:
-            err += dc
-            r += sr
-    return pixels
+    rows, cols, _ = _walk([r0], [c0], [r1], [c1])
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def rasterize(traj: Trajectory, cfg: PreprocessConfig) -> SignatureImage:
@@ -202,14 +213,22 @@ def rasterize(traj: Trajectory, cfg: PreprocessConfig) -> SignatureImage:
     later one overwrites.  The pressure channel is normalized so its
     maximum is 1 (for any trajectory with positive pen-down pressure)
     and the time channel holds (t - t_min) / (t_max - t_min).
+
+    Every pen-down sample i draws one walk (see ``_walk``, which walks
+    them all at once): to sample j = i + 1 when that is pen-down too, else
+    to itself, one pixel.  Pixel k of a walk with ``steps`` = max(pixels -
+    1, 1) gets ``v[i] + (k / steps) (v[j] - v[i])``, so its first pixel is
+    sample i's own point with its own values.  Laid end to end, the walks
+    are the drawing order: point i, the pixels of segment i -> i + 1,
+    point i + 1, and so on; each pixel keeps its last write in that order.
+    (A segment's last pixel and the next point share a pixel and may differ
+    in the last bit; the point, written later, wins.)
     """
     side = cfg.canvas
     lo = np.array([traj.x.min(), traj.y.min()])
     hi = np.array([traj.x.max(), traj.y.max()])
     if lo.min() < -1e-6 or hi.max() > 100.0 + 1e-6:
         raise ValueError("rasterize expects coordinates normalized to [0, 100]")
-    pressure = np.zeros((side, side))
-    time = np.zeros((side, side))
 
     scale = (side - 1) / 100.0
     cols = np.floor(traj.x * scale + 0.5).astype(int)
@@ -220,23 +239,24 @@ def rasterize(traj: Trajectory, cfg: PreprocessConfig) -> SignatureImage:
     t_min, t_max = float(traj.t.min()), float(traj.t.max())
     t_span = t_max - t_min
     tn = (traj.t - t_min) / t_span if t_span > 0 else np.zeros(len(traj))
-    press = np.where(traj.pen_down, traj.pressure, 0.0)
 
-    def draw_segment(i, j):
-        pix = _line_pixels(rows[i], cols[i], rows[j], cols[j])
-        steps = max(len(pix) - 1, 1)
-        for idx, (r, c) in enumerate(pix):
-            s = idx / steps
-            pressure[r, c] = press[i] + s * (press[j] - press[i])
-            time[r, c] = tn[i] + s * (tn[j] - tn[i])
-
-    for i in range(len(traj)):
-        if not traj.pen_down[i]:
-            continue
-        pressure[rows[i], cols[i]] = press[i]
-        time[rows[i], cols[i]] = tn[i]
-        if i + 1 < len(traj) and traj.pen_down[i + 1]:
-            draw_segment(i, i + 1)
+    down = traj.pen_down
+    i = np.flatnonzero(down)
+    j = np.where(np.append(down[1:], False)[i], i + 1, i)
+    pix_rows, pix_cols, lengths = _walk(rows[i], cols[i], rows[j], cols[j])
+    walk = np.repeat(np.arange(len(i)), lengths)
+    k = np.arange(len(walk)) - (np.cumsum(lengths) - lengths)[walk]
+    where = pix_rows * side + pix_cols
+    # the last write to each pixel wins: first occurrence in reverse order
+    _, from_end = np.unique(where[::-1], return_index=True)
+    last = len(where) - 1 - from_end
+    walk, k, where = walk[last], k[last], where[last]
+    s = k / np.maximum(lengths - 1, 1)[walk]
+    i, j = i[walk], j[walk]
+    pressure = np.zeros((side, side))
+    time = np.zeros((side, side))
+    for canvas, v in ((pressure, traj.pressure), (time, tn)):
+        canvas.flat[where] = v[i] + s * (v[j] - v[i])
 
     peak = pressure.max()
     if peak > 0:

@@ -1,0 +1,182 @@
+"""Scalar reference implementations of the describe hot path.
+
+These are the per-sample and per-pixel loops that ``sigverify.preprocess``
+and ``sigverify.patches`` once ran.  The library computes the same results
+with array kernels; the property tests in ``test_kernel_equivalence.py``
+require both to agree exactly.  Test-only: nothing in ``src`` imports this.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.interpolate import CubicSpline
+
+from sigverify import PatchConfig, PreprocessConfig, SignatureImage, Trajectory
+
+
+def _pen_down_runs(pen_down: np.ndarray):
+    """Yield (start, stop) index ranges of maximal pen-down runs."""
+    n = len(pen_down)
+    i = 0
+    while i < n:
+        if pen_down[i]:
+            j = i
+            while j < n and pen_down[j]:
+                j += 1
+            yield i, j
+            i = j
+        else:
+            i += 1
+
+
+def smooth(traj: Trajectory, cfg: PreprocessConfig) -> Trajectory:
+    if not cfg.smooth:
+        return traj
+    spp = cfg.spline_points_per_segment
+    out_x, out_y, out_t, out_p, out_d = [], [], [], [], []
+
+    def passthrough(i):
+        out_x.append(traj.x[i])
+        out_y.append(traj.y[i])
+        out_t.append(traj.t[i])
+        out_p.append(traj.pressure[i])
+        out_d.append(traj.pen_down[i])
+
+    cursor = 0
+    for start, stop in _pen_down_runs(traj.pen_down):
+        for i in range(cursor, start):
+            passthrough(i)
+        cursor = stop
+        t = traj.t[start:stop]
+        keep = np.concatenate(([True], np.diff(t) > 0))
+        if stop - start < 4 or keep.sum() < 4:
+            for i in range(start, stop):
+                passthrough(i)
+            continue
+        knots = t[keep]
+        sx = CubicSpline(knots, traj.x[start:stop][keep], bc_type="natural")
+        sy = CubicSpline(knots, traj.y[start:stop][keep], bc_type="natural")
+        eval_t = [t[0]]
+        for i in range(len(t) - 1):
+            if t[i + 1] > t[i]:
+                step = (t[i + 1] - t[i]) / spp
+                eval_t.extend(t[i] + step * np.arange(1, spp))
+            eval_t.append(t[i + 1])
+        eval_t = np.asarray(eval_t)
+        out_x.extend(sx(eval_t))
+        out_y.extend(sy(eval_t))
+        out_t.extend(eval_t)
+        out_p.extend(np.interp(eval_t, t, traj.pressure[start:stop]))
+        out_d.extend([True] * len(eval_t))
+    for i in range(cursor, len(traj)):
+        passthrough(i)
+    return Trajectory(out_x, out_y, out_t, out_p, out_d,
+                      user_id=traj.user_id, label=traj.label, source=traj.source)
+
+
+def line_pixels(r0: int, c0: int, r1: int, c1: int):
+    """Integer midpoint (Bresenham) walk from (r0, c0) to (r1, c1) inclusive."""
+    pixels = []
+    dr = abs(r1 - r0)
+    dc = abs(c1 - c0)
+    sr = 1 if r1 >= r0 else -1
+    sc = 1 if c1 >= c0 else -1
+    err = dc - dr
+    r, c = r0, c0
+    while True:
+        pixels.append((r, c))
+        if r == r1 and c == c1:
+            break
+        e2 = 2 * err
+        if e2 >= -dr:
+            err -= dr
+            c += sc
+        if e2 <= dc:
+            err += dc
+            r += sr
+    return pixels
+
+
+def rasterize(traj: Trajectory, cfg: PreprocessConfig) -> SignatureImage:
+    side = cfg.canvas
+    lo = np.array([traj.x.min(), traj.y.min()])
+    hi = np.array([traj.x.max(), traj.y.max()])
+    if lo.min() < -1e-6 or hi.max() > 100.0 + 1e-6:
+        raise ValueError("rasterize expects coordinates normalized to [0, 100]")
+    pressure = np.zeros((side, side))
+    time = np.zeros((side, side))
+
+    scale = (side - 1) / 100.0
+    cols = np.floor(traj.x * scale + 0.5).astype(int)
+    rows = np.floor((100.0 - traj.y) * scale + 0.5).astype(int)
+    cols = np.clip(cols, 0, side - 1)
+    rows = np.clip(rows, 0, side - 1)
+
+    t_min, t_max = float(traj.t.min()), float(traj.t.max())
+    t_span = t_max - t_min
+    tn = (traj.t - t_min) / t_span if t_span > 0 else np.zeros(len(traj))
+    press = np.where(traj.pen_down, traj.pressure, 0.0)
+
+    def draw_segment(i, j):
+        pix = line_pixels(rows[i], cols[i], rows[j], cols[j])
+        steps = max(len(pix) - 1, 1)
+        for idx, (r, c) in enumerate(pix):
+            s = idx / steps
+            pressure[r, c] = press[i] + s * (press[j] - press[i])
+            time[r, c] = tn[i] + s * (tn[j] - tn[i])
+
+    for i in range(len(traj)):
+        if not traj.pen_down[i]:
+            continue
+        pressure[rows[i], cols[i]] = press[i]
+        time[rows[i], cols[i]] = tn[i]
+        if i + 1 < len(traj) and traj.pen_down[i + 1]:
+            draw_segment(i, i + 1)
+
+    peak = pressure.max()
+    if peak > 0:
+        pressure /= peak
+    return SignatureImage(pressure=pressure, time=time)
+
+
+def _patch_vector(image: SignatureImage, r: int, c: int, size: int) -> np.ndarray:
+    p = image.pressure[r:r + size, c:c + size]
+    t = image.time[r:r + size, c:c + size]
+    return np.concatenate([p.ravel(), t.ravel()])
+
+
+def _is_blank(image: SignatureImage, r: int, c: int, cfg: PatchConfig) -> bool:
+    return bool(np.all(image.pressure[r:r + cfg.size, c:c + cfg.size]
+                       <= cfg.blank_threshold))
+
+
+def extract_dense(image: SignatureImage, cfg: PatchConfig) -> np.ndarray:
+    side = image.side
+    if side < cfg.size:
+        raise ValueError(f"image side {side} is smaller than patch size {cfg.size}")
+    out = []
+    for r in range(0, side - cfg.size + 1, cfg.stride):
+        for c in range(0, side - cfg.size + 1, cfg.stride):
+            if cfg.skip_blank and _is_blank(image, r, c, cfg):
+                continue
+            out.append(_patch_vector(image, r, c, cfg.size))
+    if not out:
+        out.append(_patch_vector(image, 0, 0, cfg.size))
+    return np.asarray(out)
+
+
+def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
+                            seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    budget = cfg.oversample_factor * cfg.train_count
+    attempts = 0
+    out = []
+    while len(out) < cfg.train_count:
+        attempts += 1
+        im = images[int(rng.integers(len(images)))]
+        r = int(rng.integers(im.side - cfg.size + 1))
+        c = int(rng.integers(im.side - cfg.size + 1))
+        if cfg.skip_blank and attempts < budget and _is_blank(im, r, c, cfg):
+            continue
+        out.append(_patch_vector(im, r, c, cfg.size))
+    return np.asarray(out)

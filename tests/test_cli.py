@@ -103,6 +103,15 @@ class TestLearnDescriptor:
         assert code == 1
         assert "already exists" in capsys.readouterr().err
 
+    def test_unconverged_training_warns(self, workspace, tmp_path, capsys):
+        code = main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
+                     "--out", str(tmp_path / "m.sig"), "--set", "ae.hidden=8",
+                     "--set", "patch.train_count=800", "--set", "ae.max_iter=1"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert "warning: training stopped unconverged" in err
+        assert "ae.max_iter=1" in err
+
     def test_missing_corpus_fails(self, tmp_path, capsys):
         code = main(["learn-descriptor", "--corpus", str(tmp_path / "none"),
                      "--out", str(tmp_path / "m.sig")] + FAST)

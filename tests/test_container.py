@@ -116,6 +116,30 @@ class TestCorruptionDetection:
         with pytest.raises(ContainerError, match="trailing"):
             read_container(f)
 
+    @staticmethod
+    def _one_array_container(path, shape):
+        # a digest-valid container whose single array declares ``shape``
+        import hashlib
+        import struct
+        body = MAGIC + struct.pack("<I", CONTAINER_VERSION)
+        body += struct.pack("<I", 0) + struct.pack("<I", 1)
+        body += struct.pack("<H", 1) + b"a" + struct.pack("<B", len(shape))
+        body += struct.pack(f"<{len(shape)}Q", *shape)
+        path.write_bytes(body + hashlib.sha256(body).digest())
+
+    def test_wrapping_element_count_is_caught(self, tmp_path):
+        # 2**62 * 4 wraps a 64-bit element count to 0
+        f = tmp_path / "m.bin"
+        self._one_array_container(f, (2**62, 4))
+        with pytest.raises(ContainerError, match="needs"):
+            read_container(f)
+
+    def test_zero_size_array_with_a_huge_dimension_is_caught(self, tmp_path):
+        f = tmp_path / "m.bin"
+        self._one_array_container(f, (0, 2**64 - 1))
+        with pytest.raises(ContainerError, match="unusable shape"):
+            read_container(f)
+
     def test_error_message_names_the_file(self, tmp_path):
         f = tmp_path / "broken.bin"
         f.write_bytes(b"x" * 64)

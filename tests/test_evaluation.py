@@ -124,6 +124,21 @@ class TestAuc:
             expect = oracle_auc(s.genuine.tolist(), s.forgery.tolist())
             assert auc(s) == pytest.approx(expect, abs=1e-12)
 
+    def test_importing_the_package_leaves_scipy_stats_unloaded(self):
+        # scipy.stats is slow to import and only auc needs it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import sigverify
+        src = str(Path(sigverify.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, sigverify; sys.exit('scipy.stats' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env,
+                              timeout=120).returncode == 0
+
 
 @pytest.fixture(scope="module")
 def corpus():

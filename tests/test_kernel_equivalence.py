@@ -1,0 +1,175 @@
+"""The array kernels of the describe path agree exactly with scalar loops.
+
+``reference_pipeline`` keeps the per-sample and per-pixel loops that the
+kernels replaced.  Every property here requires bit-identical output:
+``Trajectory.equals`` for trajectories, ``np.array_equal`` (and equal
+dtype and shape) for images, pixel walks and patch matrices.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import reference_pipeline as ref
+from sigverify import (PatchConfig, PreprocessConfig, SignatureImage, Trajectory,
+                       extract_dense, generate_synthetic_corpus, normalize_extent,
+                       orientation_angle, preprocess, rasterize, rotate,
+                       sample_training_patches, smooth)
+from sigverify.preprocess import _line_pixels, _walk
+
+SETTINGS = settings(max_examples=150, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# a few repeated values make single-pixel segments, crossings and ties common
+COORD = st.sampled_from([0.0, 0.3, 25.0, 50.0, 50.2, 100.0]) | st.floats(0.0, 100.0)
+STEP = st.sampled_from([0.0, 0.0, 0.5, 1.0]) | st.floats(0.01, 5.0)
+PRESSURE = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 2.0)
+
+
+@st.composite
+def pen_flags(draw, n):
+    """Alternating pen-down / pen-up runs, long and short."""
+    flags = []
+    down = draw(st.booleans())
+    while len(flags) < n:
+        flags += [down] * draw(st.integers(1, 12))
+        down = not down
+    return np.array(flags[:n])
+
+
+@st.composite
+def trajectories(draw, max_len=48):
+    """Coordinates in [0, 100], repeated timestamps, pen-up gaps."""
+    n = draw(st.integers(2, max_len))
+    x = draw(arrays(np.float64, n, elements=COORD))
+    y = draw(arrays(np.float64, n, elements=COORD))
+    t = np.concatenate(([0.0], np.cumsum(draw(arrays(np.float64, n - 1,
+                                                       elements=STEP)))))
+    p = draw(arrays(np.float64, n, elements=PRESSURE))
+    return Trajectory(x, y, t, p, draw(pen_flags(n)), user_id="u")
+
+
+def assert_images_equal(a: SignatureImage, b: SignatureImage):
+    assert np.array_equal(a.pressure, b.pressure)
+    assert np.array_equal(a.time, b.time)
+
+
+def assert_patches_equal(a: np.ndarray, b: np.ndarray):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+
+
+class TestSmooth:
+    @SETTINGS
+    @given(trajectories(), st.integers(1, 6), st.booleans())
+    def test_matches_the_scalar_resampling(self, traj, spp, enabled):
+        cfg = PreprocessConfig(smooth=enabled, spline_points_per_segment=spp)
+        assert smooth(traj, cfg).equals(ref.smooth(traj, cfg))
+
+    def test_short_strokes_and_repeated_times_between_long_ones(self):
+        # strokes of 1, 3 and 9 samples; the 9-sample one repeats timestamps
+        pen = np.array([True] + [False] + [True] * 3 + [False] * 2 + [True] * 9)
+        t = np.array([0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 9, 9, 10, 11, 12], float)
+        traj = Trajectory(np.sin(t), np.cos(t), t, np.linspace(0, 1, 16), pen)
+        cfg = PreprocessConfig()
+        assert smooth(traj, cfg).equals(ref.smooth(traj, cfg))
+
+
+class TestRasterize:
+    @SETTINGS
+    @given(trajectories(), st.integers(16, 101))
+    def test_matches_the_scalar_raster(self, traj, canvas):
+        cfg = PreprocessConfig(canvas=canvas)
+        assert_images_equal(rasterize(traj, cfg), ref.rasterize(traj, cfg))
+
+    def test_all_pen_up_draws_nothing(self):
+        traj = Trajectory([0.0, 100.0], [0.0, 100.0], [0.0, 1.0], [1.0, 1.0],
+                          [False, False])
+        cfg = PreprocessConfig()
+        img = rasterize(traj, cfg)
+        assert_images_equal(img, ref.rasterize(traj, cfg))
+        assert not img.pressure.any()
+
+
+class TestWalk:
+    ENDS = st.integers(0, 150)
+
+    @SETTINGS
+    @given(ENDS, ENDS, ENDS, ENDS)
+    @example(5, 5, 5, 5)  # a single-pixel segment
+    def test_one_segment_matches_the_scalar_walk(self, r0, c0, r1, c1):
+        assert _line_pixels(r0, c0, r1, c1) == ref.line_pixels(r0, c0, r1, c1)
+
+    @SETTINGS
+    @given(st.lists(st.tuples(ENDS, ENDS, ENDS, ENDS), max_size=30))
+    def test_many_segments_walk_as_one_each(self, segments):
+        ends = np.array(segments, dtype=np.int64).reshape(-1, 4)
+        rows, cols, lengths = _walk(*ends.T)
+        expect = [p for seg in segments for p in ref.line_pixels(*seg)]
+        assert list(zip(rows.tolist(), cols.tolist())) == expect
+        assert lengths.tolist() == [len(ref.line_pixels(*seg)) for seg in segments]
+
+
+@st.composite
+def images(draw, min_side, max_side=24):
+    side = draw(st.integers(min_side, max_side))
+    ink = st.sampled_from([0.0, 0.0, 0.0, 0.0, 0.1, 0.25, 0.5, 1.0])
+    pressure = draw(arrays(np.float64, (side, side), elements=ink))
+    time = draw(arrays(np.float64, (side, side), elements=st.floats(0.0, 1.0)))
+    return SignatureImage(pressure=pressure, time=time)
+
+
+@st.composite
+def patch_configs(draw, max_size=8):
+    size = draw(st.integers(1, max_size))
+    return PatchConfig(size=size, stride=draw(st.integers(1, size)),
+                       skip_blank=draw(st.booleans()),
+                       blank_threshold=draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 2.0])),
+                       train_count=draw(st.integers(1, 60)),
+                       oversample_factor=draw(st.integers(1, 5)))
+
+
+class TestExtractDense:
+    @SETTINGS
+    @given(st.data())
+    def test_matches_the_scalar_scan(self, data):
+        cfg = data.draw(patch_configs())
+        image = data.draw(images(cfg.size))
+        assert_patches_equal(extract_dense(image, cfg), ref.extract_dense(image, cfg))
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_all_blank_image_gives_the_origin_patch(self, threshold):
+        rng = np.random.default_rng(3)
+        pressure = np.zeros((13, 13)) if threshold == 0.0 else rng.uniform(0, 1, (13, 13))
+        image = SignatureImage(pressure=pressure, time=rng.uniform(size=(13, 13)))
+        cfg = PatchConfig(size=4, stride=3, blank_threshold=threshold)
+        out = extract_dense(image, cfg)
+        assert_patches_equal(out, ref.extract_dense(image, cfg))
+        assert out.shape == (1, 32)
+
+
+class TestSampleTrainingPatches:
+    @SETTINGS
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_matches_the_scalar_sampler(self, data, seed):
+        cfg = data.draw(patch_configs())
+        pool = data.draw(st.lists(images(cfg.size, max_side=16), min_size=1, max_size=4))
+        assert_patches_equal(sample_training_patches(pool, cfg, seed),
+                             ref.sample_training_patches(pool, cfg, seed))
+
+
+def test_full_preprocess_matches_the_scalar_pipeline():
+    corpus = generate_synthetic_corpus(seed=71, n_users=3, n_genuine=3, n_forgery=2)
+    cfg, patch_cfg = PreprocessConfig(), PatchConfig()
+    for tr in corpus.all_trajectories():
+        moved = Trajectory(tr.x - tr.x.min(), tr.y - tr.y.min(), tr.t, tr.pressure,
+                           tr.pen_down, user_id=tr.user_id)
+        smoothed = ref.smooth(moved, cfg)
+        expect = ref.rasterize(
+            normalize_extent(rotate(smoothed, orientation_angle(smoothed))), cfg)
+        got = preprocess(tr, cfg)
+        assert_images_equal(got, expect)
+        assert_patches_equal(extract_dense(got, patch_cfg),
+                             ref.extract_dense(expect, patch_cfg))
