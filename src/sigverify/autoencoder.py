@@ -130,16 +130,8 @@ def _batch(x) -> np.ndarray:
 
 
 def cost(params: AeParams, batch: np.ndarray, cfg: AeConfig) -> float:
-    x = _batch(batch)
-    m = x.shape[0]
-    a, xhat = forward(params, x)
-    recon = float(np.sum((xhat - x) ** 2)) / m
-    decay = cfg.weight_decay * (float(np.sum(params.W1 ** 2))
-                                + float(np.sum(params.W2 ** 2)))
-    rho_hat = np.clip(a.mean(axis=0), RHO_CLAMP, 1.0 - RHO_CLAMP)
-    sparsity = cfg.sparsity_weight * float(np.sum(
-        kl_divergence(cfg.sparsity_target, rho_hat)))
-    return recon + decay + sparsity
+    """The training objective over a batch (the value of ``cost_grad``)."""
+    return cost_grad(params, batch, cfg)[0]
 
 
 def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):

@@ -1,8 +1,10 @@
 """Command line interface.
 
 Subcommands: ``synth``, ``learn-descriptor``, ``enroll``, ``verify``,
-``evaluate``.  Every run parameter lives in a flat key=value namespace
-(see ``DEFAULTS``); values come from built-in defaults, then an optional
+``evaluate``.  Every run parameter lives in a flat key=value namespace:
+``prefix.field`` for each field of the config dataclasses in
+``descriptor.CONFIG_GROUPS``, plus the run keys no dataclass owns, which
+``DEFAULTS`` lists.  Values come from built-in defaults, then an optional
 ``--config`` file of ``key = value`` lines (``#`` starts a comment),
 then repeated ``--set key=value`` overrides, then dedicated flags such
 as ``--seed``.  Unknown keys are rejected.  The effective configuration
@@ -19,46 +21,26 @@ import sys
 import time
 from pathlib import Path
 
-from .autoencoder import AeConfig
-from .dataset import generate_synthetic_corpus, load_corpus, save_corpus, _PARSERS
-from .descriptor import describe, load_model, save_model, train_descriptor
+from .dataset import generate_synthetic_corpus, load_corpus, parser_for, save_corpus
+from .descriptor import (CONFIG_GROUPS, config_fields, describe, format_value,
+                         load_model, parse_value, save_model, train_descriptor)
 from .evaluation import format_report, roc, roc_csv, run_experiment, scores_csv
 from .oneclass import (calibrate_threshold, fit_user_model, load_user_model,
                        save_user_model, score, verify)
-from .patches import PatchConfig
-from .preprocess import PreprocessConfig
-from .whitening import WhitenConfig
 
 
-def _bool(s: str) -> bool:
-    if s not in ("true", "false"):
-        raise ValueError(f"expected true or false, got {s!r}")
-    return s == "true"
+def _layout(text: str) -> str:
+    parser_for(text)  # raises on a layout without a parser
+    return text
 
 
-DEFAULTS = {
+# key -> (type, default): every config dataclass field under its group
+# prefix, then the run keys no dataclass owns (none is stored in a model)
+DEFAULTS = {f"{prefix}.{name}": (kind, default) for prefix in CONFIG_GROUPS
+            for name, kind, default in config_fields(prefix)}
+DEFAULTS.update({
     "seed": (int, 0),
-    "corpus.layout": (str, "canonical"),
-    "preprocess.canvas": (int, 101),
-    "preprocess.smooth": (_bool, True),
-    "preprocess.spline_points_per_segment": (int, 4),
-    "preprocess.cov_epsilon": (float, 1e-9),
-    "patch.size": (int, 10),
-    "patch.stride": (int, 5),
-    "patch.train_count": (int, 100_000),
-    "patch.skip_blank": (_bool, True),
-    "patch.blank_threshold": (float, 0.0),
-    "whiten.epsilon": (float, 0.01),
-    "whiten.retained_variance": (float, 0.99),
-    "whiten.mode": (str, "pca"),
-    "ae.hidden": (int, 64),
-    "ae.weight_decay": (float, 3e-3),
-    "ae.sparsity_weight": (float, 3.0),
-    "ae.sparsity_target": (float, 0.05),
-    "ae.max_iter": (int, 200),
-    "ae.memory": (int, 10),
-    "ae.grad_tol": (float, 1e-5),
-    "ae.seed": (int, 0),
+    "corpus.layout": (_layout, "canonical"),
     "oneclass.reg": (float, 0.9),
     "oneclass.quantile": (float, 1.0),
     "eval.folds": (int, 4),
@@ -67,7 +49,7 @@ DEFAULTS = {
     "synth.forgery": (int, 5),
     "synth.genuine_jitter": (float, 0.008),
     "synth.forgery_perturbation": (float, 0.08),
-}
+})
 
 
 class RunConfig:
@@ -77,9 +59,8 @@ class RunConfig:
     def set(self, key: str, raw: str):
         if key not in DEFAULTS:
             raise ValueError(f"unknown configuration key {key!r}")
-        parse = DEFAULTS[key][0]
         try:
-            self.values[key] = parse(raw)
+            self.values[key] = parse_value(raw, DEFAULTS[key][0])
         except ValueError as exc:
             raise ValueError(f"bad value for {key}: {exc}") from None
 
@@ -103,38 +84,12 @@ class RunConfig:
     def echo(self, stream=None):
         stream = sys.stderr if stream is None else stream
         for key in sorted(self.values):
-            value = self.values[key]
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            print(f"config {key} = {value}", file=stream)
+            print(f"config {key} = {format_value(self.values[key])}", file=stream)
 
-    def preprocess_cfg(self) -> PreprocessConfig:
-        return PreprocessConfig(
-            canvas=self["preprocess.canvas"],
-            smooth=self["preprocess.smooth"],
-            spline_points_per_segment=self["preprocess.spline_points_per_segment"],
-            cov_epsilon=self["preprocess.cov_epsilon"])
-
-    def patch_cfg(self) -> PatchConfig:
-        return PatchConfig(
-            size=self["patch.size"], stride=self["patch.stride"],
-            train_count=self["patch.train_count"],
-            skip_blank=self["patch.skip_blank"],
-            blank_threshold=self["patch.blank_threshold"])
-
-    def whiten_cfg(self) -> WhitenConfig:
-        return WhitenConfig(
-            epsilon=self["whiten.epsilon"],
-            retained_variance=self["whiten.retained_variance"],
-            mode=self["whiten.mode"])
-
-    def ae_cfg(self) -> AeConfig:
-        return AeConfig(
-            hidden=self["ae.hidden"], weight_decay=self["ae.weight_decay"],
-            sparsity_weight=self["ae.sparsity_weight"],
-            sparsity_target=self["ae.sparsity_target"],
-            max_iter=self["ae.max_iter"], memory=self["ae.memory"],
-            grad_tol=self["ae.grad_tol"], seed=self["ae.seed"])
+    def group(self, prefix: str):
+        """The config dataclass of ``prefix`` built from this run's values."""
+        return CONFIG_GROUPS[prefix](**{name: self[f"{prefix}.{name}"]
+                                        for name, _, _ in config_fields(prefix)})
 
 
 def _build_config(args) -> RunConfig:
@@ -187,9 +142,9 @@ def cmd_learn_descriptor(args) -> int:
     corpus = _load_corpus_arg(args, cfg)
     unlabeled = corpus.all_trajectories()
     started = time.perf_counter()
-    model = train_descriptor(unlabeled, pre_cfg=cfg.preprocess_cfg(),
-                             patch_cfg=cfg.patch_cfg(),
-                             whiten_cfg=cfg.whiten_cfg(), ae_cfg=cfg.ae_cfg(),
+    model = train_descriptor(unlabeled, pre_cfg=cfg.group("preprocess"),
+                             patch_cfg=cfg.group("patch"),
+                             whiten_cfg=cfg.group("whiten"), ae_cfg=cfg.group("ae"),
                              seed=cfg["seed"])
     elapsed = time.perf_counter() - started
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -260,7 +215,7 @@ def cmd_verify(args) -> int:
         text = sig_path.read_text()
     except OSError as exc:
         raise ValueError(f"cannot read signature file: {exc}") from None
-    traj = _PARSERS[cfg["corpus.layout"]](text, user_id=args.user)
+    traj = parser_for(cfg["corpus.layout"])(text, user_id=args.user)
     desc = describe(traj, model)
     accepted, s = verify(user_model, desc)
     word = "accept" if accepted else "reject"

@@ -222,6 +222,13 @@ def format_canonical(traj: Trajectory) -> str:
 _PARSERS = {"svc2004": parse_svc2004, "canonical": parse_canonical}
 
 
+def parser_for(layout: str):
+    """The parse function of a corpus layout: ``canonical`` or ``svc2004``."""
+    if layout not in _PARSERS:
+        raise ValueError(f"unknown layout {layout!r}, expected one of {sorted(_PARSERS)}")
+    return _PARSERS[layout]
+
+
 @dataclass
 class UserSignatures:
     genuine: list = field(default_factory=list)
@@ -258,11 +265,9 @@ def load_corpus(root, layout="canonical", source=None) -> Corpus:
     but flagged, since the evaluation protocol will exclude them.
     """
     root = Path(root)
-    if layout not in _PARSERS:
-        raise ValueError(f"unknown layout {layout!r}, expected one of {sorted(_PARSERS)}")
+    parse = parser_for(layout)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} does not exist")
-    parse = _PARSERS[layout]
     src = root.name if source is None else source
     corpus = Corpus(source=src)
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):

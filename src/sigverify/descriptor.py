@@ -10,7 +10,10 @@ every entry strictly inside (0, 1) regardless of signature duration.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import logging
+import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,7 +108,21 @@ def describe_baseline(traj: Trajectory, model: DescriptorModel) -> Descriptor:
 
 # -- serialization ----------------------------------------------------------
 
-def _meta_value(v) -> str:
+# the config dataclasses by key prefix: one schema for model metadata and CLI keys
+CONFIG_GROUPS = {"preprocess": PreprocessConfig, "patch": PatchConfig,
+                 "whiten": WhitenConfig, "ae": AeConfig}
+
+
+@functools.cache  # typing.get_type_hints is slow, and a group never changes
+def config_fields(prefix: str) -> tuple:
+    """(name, declared type, default) of each field of a config group."""
+    cls = CONFIG_GROUPS[prefix]
+    types = typing.get_type_hints(cls)
+    return tuple((f.name, types[f.name], f.default) for f in dataclasses.fields(cls))
+
+
+def format_value(v) -> str:
+    """Text form of a config or metadata value; ``parse_value`` inverts it."""
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
     if isinstance(v, float):
@@ -113,47 +130,44 @@ def _meta_value(v) -> str:
     return str(v)
 
 
-def _parse_bool(s: str) -> bool:
-    if s not in ("true", "false"):
-        raise container.ContainerError(f"bad boolean metadata value {s!r}")
-    return s == "true"
+def parse_value(text: str, kind):
+    """Read ``text`` as a value of the declared type ``kind``."""
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text == "true"
+    return kind(text)
+
+
+def meta_value(meta: dict, key: str, kind, path):
+    """Metadata entry ``key`` read as ``kind``; ContainerError if unusable."""
+    if key not in meta:
+        raise container.ContainerError(f"{path}: metadata key {key!r} is missing")
+    try:
+        return parse_value(meta[key], kind)
+    except ValueError as exc:
+        raise container.ContainerError(
+            f"{path}: bad metadata value for {key}: {exc}") from None
 
 
 def save_model(model: DescriptorModel, path) -> None:
-    pre, pc, wt, ae = (model.preprocess_cfg, model.patch_cfg,
-                       model.whitening, model.ae)
+    wt, ae = model.whitening, model.ae
     meta = {
         "kind": "descriptor",
         "version": model.version,
         "seed": model.seed,
         "sources": ",".join(model.train_sources),
-        "preprocess.canvas": pre.canvas,
-        "preprocess.smooth": pre.smooth,
-        "preprocess.spline_points_per_segment": pre.spline_points_per_segment,
-        "preprocess.cov_epsilon": pre.cov_epsilon,
-        "patch.size": pc.size,
-        "patch.stride": pc.stride,
-        "patch.train_count": pc.train_count,
-        "patch.skip_blank": pc.skip_blank,
-        "patch.blank_threshold": pc.blank_threshold,
-        "patch.oversample_factor": pc.oversample_factor,
-        "whiten.epsilon": wt.epsilon,
-        "whiten.retained_variance": wt.retained_variance,
-        "whiten.mode": wt.mode,
         "whiten.full_rank_input": wt.full_rank_input,
-        "ae.hidden": ae.config.hidden,
-        "ae.weight_decay": ae.config.weight_decay,
-        "ae.sparsity_weight": ae.config.sparsity_weight,
-        "ae.sparsity_target": ae.config.sparsity_target,
-        "ae.max_iter": ae.config.max_iter,
-        "ae.memory": ae.config.memory,
-        "ae.grad_tol": ae.config.grad_tol,
-        "ae.seed": ae.config.seed,
         "ae.final_cost": float(ae.final_cost),
         "ae.n_iter": ae.n_iter,
         "ae.converged": ae.converged,
         "ae.line_search_failed": ae.line_search_failed,
     }
+    groups = {"preprocess": model.preprocess_cfg, "patch": model.patch_cfg,
+              "whiten": wt, "ae": ae.config}
+    for prefix, obj in groups.items():
+        for name, _, _ in config_fields(prefix):
+            meta[f"{prefix}.{name}"] = getattr(obj, name)
     arrays = {
         "whitening.mean": wt.mean,
         "whitening.basis": wt.basis,
@@ -163,7 +177,7 @@ def save_model(model: DescriptorModel, path) -> None:
         "ae.W2": ae.params.W2,
         "ae.b2": ae.params.b2,
     }
-    container.write_container(path, {k: _meta_value(v) for k, v in meta.items()},
+    container.write_container(path, {k: format_value(v) for k, v in meta.items()},
                               arrays)
 
 
@@ -172,50 +186,30 @@ def load_model(path) -> DescriptorModel:
     if meta.get("kind") != "descriptor":
         raise container.ContainerError(
             f"{path}: expected a descriptor model, found kind={meta.get('kind')!r}")
-    version = int(meta["version"])
+    version = meta_value(meta, "version", int, path)
     if version != MODEL_VERSION:
         raise container.ContainerError(
             f"{path}: model version {version} does not match supported "
             f"version {MODEL_VERSION}")
-    pre_cfg = PreprocessConfig(
-        canvas=int(meta["preprocess.canvas"]),
-        smooth=_parse_bool(meta["preprocess.smooth"]),
-        spline_points_per_segment=int(meta["preprocess.spline_points_per_segment"]),
-        cov_epsilon=float(meta["preprocess.cov_epsilon"]))
-    patch_cfg = PatchConfig(
-        size=int(meta["patch.size"]),
-        stride=int(meta["patch.stride"]),
-        train_count=int(meta["patch.train_count"]),
-        skip_blank=_parse_bool(meta["patch.skip_blank"]),
-        blank_threshold=float(meta["patch.blank_threshold"]),
-        oversample_factor=int(meta["patch.oversample_factor"]))
+    cfgs = {prefix: cls(**{name: meta_value(meta, f"{prefix}.{name}", kind, path)
+                           for name, kind, _ in config_fields(prefix)})
+            for prefix, cls in CONFIG_GROUPS.items()}
     transform = WhiteningTransform(
         mean=arrays["whitening.mean"],
         basis=arrays["whitening.basis"],
         eigenvalues=arrays["whitening.eigenvalues"],
-        epsilon=float(meta["whiten.epsilon"]),
-        retained_variance=float(meta["whiten.retained_variance"]),
-        mode=meta["whiten.mode"],
-        full_rank_input=_parse_bool(meta["whiten.full_rank_input"]))
-    ae_cfg = AeConfig(
-        hidden=int(meta["ae.hidden"]),
-        weight_decay=float(meta["ae.weight_decay"]),
-        sparsity_weight=float(meta["ae.sparsity_weight"]),
-        sparsity_target=float(meta["ae.sparsity_target"]),
-        max_iter=int(meta["ae.max_iter"]),
-        memory=int(meta["ae.memory"]),
-        grad_tol=float(meta["ae.grad_tol"]),
-        seed=int(meta["ae.seed"]))
+        full_rank_input=meta_value(meta, "whiten.full_rank_input", bool, path),
+        **vars(cfgs["whiten"]))
     params = AeParams(W1=arrays["ae.W1"], b1=arrays["ae.b1"],
                       W2=arrays["ae.W2"], b2=arrays["ae.b2"])
-    ae = AutoencoderModel(params=params, config=ae_cfg,
-                          input_dim=params.W1.shape[1],
-                          final_cost=float(meta["ae.final_cost"]),
-                          n_iter=int(meta["ae.n_iter"]),
-                          converged=_parse_bool(meta["ae.converged"]),
-                          line_search_failed=_parse_bool(meta["ae.line_search_failed"]))
+    ae = AutoencoderModel(
+        params=params, config=cfgs["ae"], input_dim=params.W1.shape[1],
+        final_cost=meta_value(meta, "ae.final_cost", float, path),
+        n_iter=meta_value(meta, "ae.n_iter", int, path),
+        converged=meta_value(meta, "ae.converged", bool, path),
+        line_search_failed=meta_value(meta, "ae.line_search_failed", bool, path))
     sources = tuple(s for s in meta.get("sources", "").split(",") if s)
-    return DescriptorModel(preprocess_cfg=pre_cfg, patch_cfg=patch_cfg,
+    return DescriptorModel(preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],
                            whitening=transform, ae=ae,
-                           seed=int(meta["seed"]), train_sources=sources,
-                           version=version)
+                           seed=meta_value(meta, "seed", int, path),
+                           train_sources=sources, version=version)

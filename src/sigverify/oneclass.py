@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import container
-from .descriptor import Descriptor
+from .descriptor import Descriptor, meta_value
 
 # covariance floor used when training descriptors show no variance at all
 ZERO_VARIANCE_EPSILON = 1e-6
@@ -149,13 +149,16 @@ def load_user_model(path) -> UserModel:
     if meta.get("kind") != "usermodel":
         raise container.ContainerError(
             f"{path}: expected a user model, found kind={meta.get('kind')!r}")
-    if int(meta["version"]) != 1:
+    if meta_value(meta, "version", int, path) != 1:
         raise container.ContainerError(
             f"{path}: user model version {meta['version']} does not match "
             "supported version 1")
-    threshold = None if meta["threshold"] == "unset" else float(meta["threshold"])
-    model = UserModel(user_id=meta["user_id"], mean=arrays["mean"],
-                      covariance=arrays["covariance"], reg=float(meta["reg"]),
-                      n_train=int(meta["n_train"]), threshold=threshold)
+    threshold = (None if meta.get("threshold") == "unset"
+                 else meta_value(meta, "threshold", float, path))
+    model = UserModel(user_id=meta_value(meta, "user_id", str, path),
+                      mean=arrays["mean"], covariance=arrays["covariance"],
+                      reg=meta_value(meta, "reg", float, path),
+                      n_train=meta_value(meta, "n_train", int, path),
+                      threshold=threshold)
     model._chol = _factor(model.covariance)
     return model

@@ -214,3 +214,46 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "signature verification" in capsys.readouterr().out
+
+
+class TestConfigSchema:
+    def test_oversample_factor_is_settable_echoed_and_stored(self, workspace,
+                                                             tmp_path, capsys):
+        from sigverify import container
+        model = tmp_path / "m.sig"
+        code = main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
+                     "--out", str(model), "--set", "patch.oversample_factor=3"]
+                    + FAST)
+        assert code == 0
+        assert "config patch.oversample_factor = 3\n" in capsys.readouterr().err
+        meta, _ = container.read_container(model)
+        assert meta["patch.oversample_factor"] == "3"
+
+    @pytest.mark.parametrize("command", ["synth", "verify"])
+    def test_unknown_corpus_layout_is_rejected_when_set(self, workspace, tmp_path,
+                                                        capsys, command):
+        argv = {"synth": ["synth", "--out", str(tmp_path / "c")],
+                "verify": ["verify", "--model", str(workspace / "model.sig"),
+                           "--user-models", str(workspace / "users"),
+                           "--user", "user000",
+                           str(workspace / "corpus" / "user000" / "genuine" / "000.txt")]}
+        code = main(argv[command] + ["--set", "corpus.layout=svc"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: bad value for corpus.layout:" in err
+        assert "expected one of ['canonical', 'svc2004']" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_missing_model_metadata_is_named_in_the_error(self, workspace,
+                                                          tmp_path, capsys):
+        from sigverify import container
+        meta, arrays = container.read_container(workspace / "model.sig")
+        del meta["ae.memory"]
+        model = tmp_path / "crafted.sig"
+        container.write_container(model, meta, arrays)
+        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
+        code = main(["verify", "--model", str(model),
+                     "--user-models", str(workspace / "users"),
+                     "--user", "user000", str(sig)])
+        assert code == 1
+        assert "metadata key 'ae.memory' is missing" in capsys.readouterr().err

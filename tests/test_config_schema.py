@@ -1,0 +1,151 @@
+"""The config dataclasses as the one schema: model metadata, CLI keys, docs."""
+
+import dataclasses
+import io
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sigverify import (AeConfig, PatchConfig, PreprocessConfig, WhitenConfig,
+                       container, load_model, load_user_model, save_model,
+                       save_user_model)
+from sigverify.cli import RunConfig
+from sigverify.container import ContainerError
+from sigverify.descriptor import CONFIG_GROUPS
+from sigverify.oneclass import fit_user_model
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+ints = st.integers(min_value=-2**63, max_value=2**63)
+non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+                     allow_infinity=False)
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@st.composite
+def configs(draw):
+    size = draw(st.integers(1, 1000))
+    groups = {
+        "preprocess": dict(canvas=draw(st.integers(16, 10**6)),
+                           smooth=draw(st.booleans()),
+                           spline_points_per_segment=draw(st.integers(1, 10**6)),
+                           cov_epsilon=draw(positive)),
+        "patch": dict(size=size, stride=draw(st.integers(1, size)),
+                      train_count=draw(st.integers(1, 10**9)),
+                      skip_blank=draw(st.booleans()),
+                      blank_threshold=draw(non_negative),
+                      oversample_factor=draw(ints)),
+        "whiten": dict(epsilon=draw(non_negative),
+                       retained_variance=draw(st.one_of(unit_open, st.just(1.0))),
+                       mode=draw(st.sampled_from(["pca", "zca"]))),
+        "ae": dict(hidden=draw(st.integers(1, 10**6)),
+                   weight_decay=draw(non_negative),
+                   sparsity_weight=draw(non_negative),
+                   sparsity_target=draw(unit_open),
+                   max_iter=draw(st.integers(0, 10**6)),
+                   memory=draw(st.integers(1, 10**6)),
+                   grad_tol=draw(positive), seed=draw(ints)),
+    }
+    for prefix, values in groups.items():  # every field of every group is drawn
+        assert set(values) == {f.name for f in dataclasses.fields(CONFIG_GROUPS[prefix])}
+    return {prefix: CONFIG_GROUPS[prefix](**values) for prefix, values in groups.items()}
+
+
+class TestModelMetadataRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(cfgs=configs())
+    def test_every_config_field_survives_save_and_load(self, tiny_model, cfgs):
+        whiten = cfgs["whiten"]
+        model = dataclasses.replace(
+            tiny_model, preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],
+            whitening=dataclasses.replace(tiny_model.whitening,
+                                          **dataclasses.asdict(whiten)),
+            ae=dataclasses.replace(tiny_model.ae, config=cfgs["ae"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "model.sig"
+            save_model(model, f)
+            back = load_model(f)
+        assert back.preprocess_cfg == cfgs["preprocess"]
+        assert back.patch_cfg == cfgs["patch"]
+        assert WhitenConfig(epsilon=back.whitening.epsilon,
+                            retained_variance=back.whitening.retained_variance,
+                            mode=back.whitening.mode) == whiten
+        assert back.ae.config == cfgs["ae"]
+        assert back.whitening.full_rank_input == tiny_model.whitening.full_rank_input
+
+
+def _rewrite(path, key, value):
+    """Re-write a valid container with one metadata entry changed or dropped."""
+    meta, arrays = container.read_container(path)
+    if value is None:
+        del meta[key]
+    else:
+        meta[key] = value
+    container.write_container(path, meta, arrays)
+
+
+class TestBadModelMetadata:
+    @pytest.mark.parametrize("key, value", [
+        ("ae.memory", None), ("patch.size", "ten"), ("version", "one"),
+        ("seed", None), ("preprocess.smooth", "yes"), ("whiten.mode", None),
+        ("whiten.full_rank_input", "1"), ("ae.final_cost", "cheap"),
+        ("ae.converged", None), ("patch.oversample_factor", "1.5"),
+    ])
+    def test_descriptor_model_fails_closed_naming_the_key(self, tiny_model,
+                                                          tmp_path, key, value):
+        f = tmp_path / "model.sig"
+        save_model(tiny_model, f)
+        _rewrite(f, key, value)
+        with pytest.raises(ContainerError, match=re.escape(key)):
+            load_model(f)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_train", None), ("reg", "x"), ("version", None), ("version", "one"),
+        ("threshold", "high"), ("threshold", None), ("user_id", None),
+    ])
+    def test_user_model_fails_closed_naming_the_key(self, tmp_path, key, value):
+        f = tmp_path / "u.usermodel"
+        model = fit_user_model(np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]),
+                               user_id="u")
+        model.threshold = 1.5
+        save_user_model(model, f)
+        _rewrite(f, key, value)
+        with pytest.raises(ContainerError, match=re.escape(key)):
+            load_user_model(f)
+
+
+class TestCliSchema:
+    def test_every_config_field_is_a_cli_key_with_its_default(self):
+        values = RunConfig().values
+        for prefix, cls in CONFIG_GROUPS.items():
+            for f in dataclasses.fields(cls):
+                assert values[f"{prefix}.{f.name}"] == f.default
+
+    def test_group_builds_the_dataclass_from_run_values(self):
+        cfg = RunConfig()
+        cfg.set("patch.oversample_factor", "3")
+        cfg.set("whiten.mode", "zca")
+        cfg.set("preprocess.smooth", "false")
+        assert cfg.group("patch") == PatchConfig(oversample_factor=3)
+        assert cfg.group("whiten") == WhitenConfig(mode="zca")
+        assert cfg.group("preprocess") == PreprocessConfig(smooth=False)
+        assert cfg.group("ae") == AeConfig()
+
+    def test_readme_configuration_table_matches_the_echoed_defaults(self):
+        text = README.read_text()
+        section = text[text.index("## Configuration"):]
+        section = section[:section.index("\n## ", 1)]
+        rows = re.findall(r"^\| `([^`]+)` \| `([^`]*)` \|", section, re.MULTILINE)
+        documented = dict(rows)
+        assert len(documented) == len(rows), "a key is documented twice"
+        out = io.StringIO()
+        RunConfig().echo(out)
+        echoed = dict(re.findall(r"^config (\S+) = (.*)$", out.getvalue(), re.MULTILINE))
+        assert documented == echoed
+
