@@ -150,6 +150,23 @@ def meta_value(meta: dict, key: str, kind, path):
             f"{path}: bad metadata value for {key}: {exc}") from None
 
 
+def check_arrays(arrays: dict, shapes: dict, path, **sizes) -> None:
+    """ContainerError naming the file and any array missing or not of its shape.
+
+    A shape is a tuple of dimension names; a name not given in ``sizes``
+    takes its size from the first array that uses it.
+    """
+    for key, dims in shapes.items():
+        if key not in arrays:
+            raise container.ContainerError(f"{path}: array {key!r} is missing")
+        shape = arrays[key].shape
+        if len(shape) != len(dims) or shape != tuple(
+                sizes.setdefault(d, n) for d, n in zip(dims, shape)):
+            expected = tuple(sizes.get(d, d) for d in dims)
+            raise container.ContainerError(
+                f"{path}: array {key!r} has shape {shape}, expected {expected}")
+
+
 def save_model(model: DescriptorModel, path) -> None:
     wt, ae = model.whitening, model.ae
     meta = {
@@ -191,17 +208,24 @@ def load_model(path) -> DescriptorModel:
         raise container.ContainerError(
             f"{path}: model version {version} does not match supported "
             f"version {MODEL_VERSION}")
-    cfgs = {prefix: cls(**{name: meta_value(meta, f"{prefix}.{name}", kind, path)
-                           for name, kind, _ in config_fields(prefix)})
-            for prefix, cls in CONFIG_GROUPS.items()}
+    cfgs = {}
+    for prefix, cls in CONFIG_GROUPS.items():
+        values = {name: meta_value(meta, f"{prefix}.{name}", kind, path)
+                  for name, kind, _ in config_fields(prefix)}
+        try:
+            cfgs[prefix] = cls(**values)
+        except ValueError as exc:  # a check across fields, such as stride <= size
+            raise container.ContainerError(f"{path}: bad {prefix}.* metadata: {exc}") from None
+    check_arrays(arrays, {
+        "whitening.basis": ("out", "in"), "whitening.mean": ("in",),
+        "whitening.eigenvalues": ("out",), "ae.W1": ("hidden", "out"),
+        "ae.b1": ("hidden",), "ae.W2": ("out", "hidden"), "ae.b2": ("out",),
+    }, path, hidden=cfgs["ae"].hidden)
     transform = WhiteningTransform(
-        mean=arrays["whitening.mean"],
-        basis=arrays["whitening.basis"],
-        eigenvalues=arrays["whitening.eigenvalues"],
+        **{n: arrays[f"whitening.{n}"] for n in ("mean", "basis", "eigenvalues")},
         full_rank_input=meta_value(meta, "whiten.full_rank_input", bool, path),
         **vars(cfgs["whiten"]))
-    params = AeParams(W1=arrays["ae.W1"], b1=arrays["ae.b1"],
-                      W2=arrays["ae.W2"], b2=arrays["ae.b2"])
+    params = AeParams(**{n: arrays[f"ae.{n}"] for n in ("W1", "b1", "W2", "b2")})
     ae = AutoencoderModel(
         params=params, config=cfgs["ae"], input_dim=params.W1.shape[1],
         final_cost=meta_value(meta, "ae.final_cost", float, path),

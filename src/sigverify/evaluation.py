@@ -17,13 +17,14 @@ import numpy as np
 
 from .dataset import Corpus
 from .descriptor import DescriptorModel, describe
-from .oneclass import fit_user_model, score
+from .oneclass import _scores, fit_user_model
 
 logger = logging.getLogger(__name__)
 
 LABEL_GENUINE = "genuine"
 LABEL_SKILLED = "skilled"
 LABEL_RANDOM = "random"
+LABELS = (LABEL_GENUINE, LABEL_SKILLED, LABEL_RANDOM)
 
 
 @dataclass
@@ -49,14 +50,6 @@ class RocCurve:
 
     def points(self):
         return list(zip(self.far, self.frr, self.thresholds))
-
-
-@dataclass
-class ProtocolSplit:
-    train_genuine: list
-    test_genuine: list
-    skilled_forgeries: list
-    random_forgeries: list
 
 
 @dataclass
@@ -90,17 +83,18 @@ def _user_rng(seed: int, user_id: str):
 
 
 def split_protocol(corpus: Corpus, fold: int, k: int = 4, seed: int = 0):
-    """Per-user train/test split for one fold of the k-fold protocol.
+    """Per-user train/test index blocks for one fold of the k-fold protocol.
 
     Each user's genuine signatures are shuffled once (deterministically
     per user and seed, independent of the fold) and partitioned into k
-    nearly equal blocks; block ``fold`` trains the model and the rest is
-    the genuine test set.  The forgery test set is the user's skilled
-    forgeries plus every other user's genuine signatures.  Users with
-    fewer than k genuine signatures are excluded with a warning.
+    nearly equal blocks, the first ``n % k`` one longer; block ``fold``
+    trains the model and the other blocks, in block order, are the
+    genuine test set.  Users with fewer than k genuine signatures are
+    excluded with a warning.
 
-    Returns (splits, excluded) where splits maps user_id to a
-    ProtocolSplit.
+    Returns (splits, excluded) where splits maps user_id to
+    ``(train_idx, test_idx)``, integer arrays indexing
+    ``corpus.users[user_id].genuine``.
     """
     if k < 2:
         raise ValueError(f"need at least 2 folds, got k={k}")
@@ -109,28 +103,14 @@ def split_protocol(corpus: Corpus, fold: int, k: int = 4, seed: int = 0):
     excluded = []
     splits = {}
     for uid in corpus.user_ids():
-        genuine = corpus.users[uid].genuine
-        if len(genuine) < k:
+        n = len(corpus.users[uid].genuine)
+        if n < k:
             excluded.append(uid)
             logger.warning("user %s has %d genuine signatures, fewer than k=%d; "
-                           "excluded from the protocol", uid, len(genuine), k)
+                           "excluded from the protocol", uid, n, k)
             continue
-        order = _user_rng(seed, uid).permutation(len(genuine))
-        sizes = [len(genuine) // k + (1 if b < len(genuine) % k else 0)
-                 for b in range(k)]
-        blocks, at = [], 0
-        for size in sizes:
-            blocks.append([genuine[i] for i in order[at:at + size]])
-            at += size
-        train = blocks[fold]
-        test = [t for b, block in enumerate(blocks) if b != fold for t in block]
-        splits[uid] = ProtocolSplit(train_genuine=train, test_genuine=test,
-                                    skilled_forgeries=list(corpus.users[uid].skilled_forgeries),
-                                    random_forgeries=[])
-    for uid in splits:
-        splits[uid].random_forgeries = [
-            t for other in corpus.user_ids() if other != uid
-            for t in corpus.users[other].genuine]
+        blocks = np.array_split(_user_rng(seed, uid).permutation(n), k)
+        splits[uid] = (blocks[fold], np.concatenate(blocks[:fold] + blocks[fold + 1:]))
     return splits, excluded
 
 
@@ -178,12 +158,12 @@ def eer(curve: RocCurve) -> float:
 
 def auc(scores: ScoreSet) -> float:
     """P(genuine score < forgery score) + 0.5 P(tie), by rank statistic."""
-    from scipy.stats import rankdata  # deferred: importing scipy.stats costs ~0.5 s
-
     n_g, n_f = scores.genuine.size, scores.forgery.size
-    ranks = rankdata(np.concatenate([scores.genuine, scores.forgery]))
-    forgery_rank_sum = float(ranks[n_g:].sum())
-    return (forgery_rank_sum - n_f * (n_f + 1) / 2.0) / (n_g * n_f)
+    # average ranks: tied values share the mean of the ranks they span
+    _, inverse, counts = np.unique(np.concatenate([scores.genuine, scores.forgery]),
+                                   return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
+    return (float(ranks[n_g:].sum()) - n_f * (n_f + 1) / 2.0) / (n_g * n_f)
 
 
 def _nanmean(values) -> float:
@@ -196,13 +176,15 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
                    describe_fn=None) -> EvalReport:
     """Full k-fold verification experiment over a labelled corpus.
 
-    Every trajectory is described once.  For each fold and user a
-    one-class model is fitted on the training descriptors and scores all
-    test genuine signatures, the user's skilled forgeries and every other
-    user's genuine signatures (random forgeries).  Scores pool across
-    folds per user; the report carries per-user EER/AUC, their means, the
-    forgery-type subsets, and a secondary EER computed with one global
-    pooled threshold.
+    Every trajectory is described once, into one stacked array of each
+    user's genuine descriptors and one of their skilled forgeries.  For
+    each fold and user a one-class model is fitted on the training rows
+    and scores, in one solve, the block of the user's test genuine rows,
+    their skilled forgeries and every other user's genuine rows (random
+    forgeries); the scores equal per-signature scoring bit for bit.
+    Scores pool across folds per user; the report carries per-user
+    EER/AUC, their means, the forgery-type subsets, and a secondary EER
+    computed with one global pooled threshold.
     """
     if describe_fn is None:
         describe_fn = describe
@@ -211,55 +193,39 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         logger.warning("evaluation corpus shares source tags %s with the "
                        "descriptor training set", sorted(overlap))
 
-    genuine_desc, skilled_desc = {}, {}
-    for uid in corpus.user_ids():
-        genuine_desc[uid] = [describe_fn(t, model) for t in corpus.users[uid].genuine]
-        skilled_desc[uid] = [describe_fn(t, model)
-                             for t in corpus.users[uid].skilled_forgeries]
-    index_of = {uid: {id(t): i for i, t in enumerate(corpus.users[uid].genuine)}
-                for uid in corpus.user_ids()}
+    uids = corpus.user_ids()
+    groups = [g for uid in uids for g in (corpus.users[uid].genuine,
+                                          corpus.users[uid].skilled_forgeries)]
+    values = np.array([describe_fn(t, model).values for g in groups for t in g],
+                      dtype=np.float64)
+    stacked = np.split(values, np.cumsum([len(g) for g in groups])[:-1])
+    genuine, skilled = dict(zip(uids, stacked[0::2])), dict(zip(uids, stacked[1::2]))
 
-    rows = []
-    excluded_all = []
+    rows, scored, excluded = [], {}, []  # scored: (user, label) -> scores per fold
     for fold in range(k):
         splits, excluded = split_protocol(corpus, fold, k, seed)
-        excluded_all = excluded
-        for uid, split in sorted(splits.items()):
-            train = [genuine_desc[uid][index_of[uid][id(t)]]
-                     for t in split.train_genuine]
-            user_model = fit_user_model(train, reg=reg, user_id=uid)
-            for t in split.test_genuine:
-                s = score(user_model, genuine_desc[uid][index_of[uid][id(t)]])
-                rows.append((uid, fold, LABEL_GENUINE, s))
-            for i, _ in enumerate(split.skilled_forgeries):
-                rows.append((uid, fold, LABEL_SKILLED,
-                             score(user_model, skilled_desc[uid][i])))
-            for t in split.random_forgeries:
-                other = t.user_id
-                s = score(user_model, genuine_desc[other][index_of[other][id(t)]])
-                rows.append((uid, fold, LABEL_RANDOM, s))
+        for uid, (train_idx, test_idx) in sorted(splits.items()):
+            user_model = fit_user_model(genuine[uid][train_idx], reg=reg, user_id=uid)
+            others = [genuine[o] for o in uids if o != uid]
+            block = np.concatenate([genuine[uid][test_idx], skilled[uid], *others])
+            scores = _scores(user_model, block)
+            cuts = np.cumsum([len(test_idx), len(skilled[uid])])
+            for label, part in zip(LABELS, np.split(scores, cuts)):
+                scored.setdefault((uid, label), []).append(part)
+                rows += [(uid, fold, label, s) for s in part.tolist()]
 
-    grouped = {}
-    for uid, _fold, label, s in rows:
-        grouped.setdefault(uid, {LABEL_GENUINE: [], LABEL_SKILLED: [],
-                                 LABEL_RANDOM: []})[label].append(s)
-    per_user = {}
-    per_user_scores = {}
-    for uid in sorted(grouped):
-        gen = np.array(grouped[uid][LABEL_GENUINE])
-        skl = np.array(grouped[uid][LABEL_SKILLED])
-        rnd = np.array(grouped[uid][LABEL_RANDOM])
+    per_user, per_user_scores = {}, {}
+    for uid in sorted({uid for uid, _ in scored}):
+        gen, skl, rnd = (np.concatenate(scored[uid, label]) for label in LABELS)
         forg = np.concatenate([skl, rnd])
         if gen.size == 0 or forg.size == 0:
             logger.warning("user %s has no reportable score set; skipped", uid)
             continue
-        scores = ScoreSet(genuine=gen, forgery=forg, user_id=uid)
-        per_user_scores[uid] = scores
+        per_user_scores[uid] = scores = ScoreSet(genuine=gen, forgery=forg, user_id=uid)
         eer_sk = eer(roc(ScoreSet(gen, skl, uid))) if skl.size else float("nan")
         eer_rn = eer(roc(ScoreSet(gen, rnd, uid))) if rnd.size else float("nan")
         per_user[uid] = UserResult(eer=eer(roc(scores)), auc=auc(scores),
-                                   n_genuine_test=gen.size,
-                                   n_forgery_test=forg.size,
+                                   n_genuine_test=gen.size, n_forgery_test=forg.size,
                                    eer_skilled=eer_sk, eer_random=eer_rn)
 
     if not per_user:
@@ -277,7 +243,7 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         fold_count=k,
         config={"k": k, "reg": reg, "seed": seed, "hidden": model.hidden,
                 "source": corpus.source},
-        excluded_users=excluded_all,
+        excluded_users=excluded,
         score_rows=rows,
         per_user_scores=per_user_scores,
     )

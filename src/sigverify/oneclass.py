@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import container
-from .descriptor import Descriptor, meta_value
+from .descriptor import Descriptor, check_arrays, meta_value
 
 # covariance floor used when training descriptors show no variance at all
 ZERO_VARIANCE_EPSILON = 1e-6
@@ -37,12 +37,6 @@ class UserModel:
     @property
     def dim(self) -> int:
         return len(self.mean)
-
-
-def _values(descriptors) -> np.ndarray:
-    rows = [d.values if isinstance(d, Descriptor) else np.asarray(d, dtype=np.float64)
-            for d in descriptors]
-    return np.asarray(rows, dtype=np.float64)
 
 
 def _factor(covariance: np.ndarray):
@@ -70,7 +64,8 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
                              f"training set of {user_id!r}")
         if d.label != "genuine":
             raise ValueError("user models are trained on genuine signatures only")
-    x = _values(descriptors)
+    x = np.asarray([d.values if isinstance(d, Descriptor) else d for d in descriptors],
+                   dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("descriptors contain non-finite values")
     n, h = x.shape
@@ -100,9 +95,19 @@ def score(model: UserModel, descriptor) -> float:
     if values.shape != model.mean.shape:
         raise ValueError(f"descriptor has dimension {values.shape}, "
                          f"model expects {model.mean.shape}")
+    return float(_scores(model, values[None])[0])
+
+
+def _scores(model: UserModel, rows: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distance of each row of ``rows`` to the model.
+
+    One multi-column ``cho_solve`` (with its finiteness check) serves the
+    whole block; each row's score equals the one-vector solve bit for bit.
+    """
     chol = model._chol if model._chol is not None else _factor(model.covariance)
-    diff = values - model.mean
-    return float(diff @ cho_solve(chol, diff))
+    diff = rows - model.mean
+    solved = cho_solve(chol, diff.T)
+    return (diff[:, None, :] @ solved.T[:, :, None])[:, 0, 0]
 
 
 def calibrate_threshold(model: UserModel, train_scores, quantile: float = 1.0) -> UserModel:
@@ -155,10 +160,15 @@ def load_user_model(path) -> UserModel:
             "supported version 1")
     threshold = (None if meta.get("threshold") == "unset"
                  else meta_value(meta, "threshold", float, path))
+    check_arrays(arrays, {"covariance": ("dim", "dim"), "mean": ("dim",)}, path)
     model = UserModel(user_id=meta_value(meta, "user_id", str, path),
                       mean=arrays["mean"], covariance=arrays["covariance"],
                       reg=meta_value(meta, "reg", float, path),
                       n_train=meta_value(meta, "n_train", int, path),
                       threshold=threshold)
-    model._chol = _factor(model.covariance)
+    try:
+        model._chol = _factor(model.covariance)
+    except ValueError:  # also np.linalg.LinAlgError
+        raise container.ContainerError(
+            f"{path}: covariance is not finite positive definite") from None
     return model

@@ -1,17 +1,22 @@
-"""Scalar reference implementations of the describe hot path.
+"""Scalar reference implementations of the describe and evaluation paths.
 
 These are the per-sample and per-pixel loops that ``sigverify.preprocess``
-and ``sigverify.patches`` once ran.  The library computes the same results
-with array kernels; the property tests in ``test_kernel_equivalence.py``
-require both to agree exactly.  Test-only: nothing in ``src`` imports this.
+and ``sigverify.patches`` once ran, and the per-descriptor scoring loop of
+``sigverify.evaluation.run_experiment``.  The library computes the same
+results with array kernels; the property tests in
+``test_kernel_equivalence.py`` and ``test_batched_scoring.py`` require both
+to agree exactly.  Test-only: nothing in ``src`` imports this.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.linalg import cho_solve
 
-from sigverify import PatchConfig, PreprocessConfig, SignatureImage, Trajectory
+from sigverify import (PatchConfig, PreprocessConfig, SignatureImage, Trajectory,
+                       fit_user_model)
+from sigverify.evaluation import _user_rng
 
 
 def _pen_down_runs(pen_down: np.ndarray):
@@ -180,3 +185,59 @@ def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
             continue
         out.append(_patch_vector(im, r, c, cfg.size))
     return np.asarray(out)
+
+
+def score(model, values) -> float:
+    """Squared Mahalanobis distance of one descriptor: one solve per vector."""
+    diff = np.asarray(values, dtype=np.float64) - model.mean
+    return float(diff @ cho_solve(model._chol, diff))
+
+
+def split_protocol(corpus, fold: int, k: int, seed: int) -> dict:
+    """uid -> (train, test, skilled, random) trajectory lists of one fold."""
+    splits = {}
+    for uid in corpus.user_ids():
+        genuine = corpus.users[uid].genuine
+        if len(genuine) < k:
+            continue
+        order = _user_rng(seed, uid).permutation(len(genuine))
+        sizes = [len(genuine) // k + (1 if b < len(genuine) % k else 0)
+                 for b in range(k)]
+        blocks, at = [], 0
+        for size in sizes:
+            blocks.append([genuine[i] for i in order[at:at + size]])
+            at += size
+        test = [t for b, block in enumerate(blocks) if b != fold for t in block]
+        splits[uid] = (blocks[fold], test, list(corpus.users[uid].skilled_forgeries),
+                       [t for other in corpus.user_ids() if other != uid
+                        for t in corpus.users[other].genuine])
+    return splits
+
+
+def run_experiment_rows(corpus, model, k: int, reg: float, seed: int,
+                        describe_fn) -> list:
+    """(user, fold, label, score) rows of the k-fold protocol, one score per call."""
+    genuine_desc, skilled_desc = {}, {}
+    for uid in corpus.user_ids():
+        genuine_desc[uid] = [describe_fn(t, model) for t in corpus.users[uid].genuine]
+        skilled_desc[uid] = [describe_fn(t, model)
+                             for t in corpus.users[uid].skilled_forgeries]
+    index_of = {uid: {id(t): i for i, t in enumerate(corpus.users[uid].genuine)}
+                for uid in corpus.user_ids()}
+
+    def genuine_of(t, uid):
+        return genuine_desc[uid][index_of[uid][id(t)]].values
+
+    rows = []
+    for fold in range(k):
+        for uid, (train, test, skilled, random) in sorted(
+                split_protocol(corpus, fold, k, seed).items()):
+            user_model = fit_user_model([genuine_of(t, uid) for t in train],
+                                        reg=reg, user_id=uid)
+            rows += [(uid, fold, "genuine", score(user_model, genuine_of(t, uid)))
+                     for t in test]
+            rows += [(uid, fold, "skilled", score(user_model, skilled_desc[uid][i].values))
+                     for i in range(len(skilled))]
+            rows += [(uid, fold, "random", score(user_model, genuine_of(t, t.user_id)))
+                     for t in random]
+    return rows

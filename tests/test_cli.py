@@ -257,3 +257,22 @@ class TestConfigSchema:
                      "--user", "user000", str(sig)])
         assert code == 1
         assert "metadata key 'ae.memory' is missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, array", [("model.sig", "ae.W1"),
+                                             ("users/user000.usermodel", "mean")])
+    def test_missing_model_array_is_named_in_the_error(self, workspace, tmp_path,
+                                                       capsys, path, array):
+        import shutil
+
+        from sigverify import container
+        shutil.copytree(workspace / "users", tmp_path / "users")
+        shutil.copy(workspace / "model.sig", tmp_path / "model.sig")
+        meta, arrays = container.read_container(tmp_path / path)
+        del arrays[array]
+        container.write_container(tmp_path / path, meta, arrays)
+        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
+        code = main(["verify", "--model", str(tmp_path / "model.sig"),
+                     "--user-models", str(tmp_path / "users"),
+                     "--user", "user000", str(sig)])
+        assert code == 1
+        assert f"{tmp_path / path}: array {array!r} is missing" in capsys.readouterr().err

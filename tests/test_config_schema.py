@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigverify import (AeConfig, PatchConfig, PreprocessConfig, WhitenConfig,
-                       container, load_model, load_user_model, save_model,
-                       save_user_model)
+from sigverify import (AeConfig, AeParams, PatchConfig, PreprocessConfig,
+                       WhitenConfig, container, load_model, load_user_model,
+                       save_model, save_user_model)
 from sigverify.cli import RunConfig
 from sigverify.container import ContainerError
 from sigverify.descriptor import CONFIG_GROUPS
@@ -44,7 +44,8 @@ def configs(draw):
         "whiten": dict(epsilon=draw(non_negative),
                        retained_variance=draw(st.one_of(unit_open, st.just(1.0))),
                        mode=draw(st.sampled_from(["pca", "zca"]))),
-        "ae": dict(hidden=draw(st.integers(1, 10**6)),
+        # the stored weights are resized to hidden, so it stays small
+        "ae": dict(hidden=draw(st.integers(1, 64)),
                    weight_decay=draw(non_negative),
                    sparsity_weight=draw(non_negative),
                    sparsity_target=draw(unit_open),
@@ -62,11 +63,14 @@ class TestModelMetadataRoundTrip:
     @given(cfgs=configs())
     def test_every_config_field_survives_save_and_load(self, tiny_model, cfgs):
         whiten = cfgs["whiten"]
+        h, d = cfgs["ae"].hidden, tiny_model.ae.input_dim
+        params = AeParams(W1=np.zeros((h, d)), b1=np.zeros(h),
+                          W2=np.zeros((d, h)), b2=np.zeros(d))
         model = dataclasses.replace(
             tiny_model, preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],
             whitening=dataclasses.replace(tiny_model.whitening,
                                           **dataclasses.asdict(whiten)),
-            ae=dataclasses.replace(tiny_model.ae, config=cfgs["ae"]))
+            ae=dataclasses.replace(tiny_model.ae, config=cfgs["ae"], params=params))
         with tempfile.TemporaryDirectory() as tmp:
             f = Path(tmp) / "model.sig"
             save_model(model, f)
@@ -117,6 +121,101 @@ class TestBadModelMetadata:
         save_user_model(model, f)
         _rewrite(f, key, value)
         with pytest.raises(ContainerError, match=re.escape(key)):
+            load_user_model(f)
+
+
+def _rewrite_array(path, key, value):
+    """Re-write a valid container with one array replaced or dropped."""
+    meta, arrays = container.read_container(path)
+    if value is None:
+        del arrays[key]
+    else:
+        arrays[key] = value
+    container.write_container(path, meta, arrays)
+
+
+def _user_model_file(tmp_path):
+    f = tmp_path / "u.usermodel"
+    model = fit_user_model(np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]),
+                           user_id="u")
+    model.threshold = 1.5
+    save_user_model(model, f)
+    return f
+
+
+class TestBadModelArrays:
+    @pytest.mark.parametrize("key", ["whitening.mean", "whitening.basis",
+                                     "whitening.eigenvalues", "ae.W1", "ae.b1",
+                                     "ae.W2", "ae.b2"])
+    def test_missing_descriptor_array_is_named(self, tiny_model, tmp_path, key):
+        f = tmp_path / "model.sig"
+        save_model(tiny_model, f)
+        _rewrite_array(f, key, None)
+        with pytest.raises(ContainerError, match=re.escape(f"{f}: array {key!r} is missing")):
+            load_model(f)
+
+    @pytest.mark.parametrize("key, shape_of", [
+        ("ae.W1", lambda h, o, i: (h + 1, o)),   # more rows than ae.hidden
+        ("ae.W1", lambda h, o, i: (h, o - 1)),   # not the whitening output dimension
+        ("ae.W1", lambda h, o, i: (h * o,)),
+        ("ae.b1", lambda h, o, i: (h - 1,)),
+        ("ae.W2", lambda h, o, i: (h, o)),
+        ("ae.b2", lambda h, o, i: (o + 1,)),
+        ("whitening.mean", lambda h, o, i: (i + 1,)),
+        ("whitening.eigenvalues", lambda h, o, i: (o, 1)),
+    ])
+    def test_mis_shaped_descriptor_array_is_named(self, tiny_model, tmp_path,
+                                                  key, shape_of):
+        f = tmp_path / "model.sig"
+        save_model(tiny_model, f)
+        dims = (tiny_model.hidden, tiny_model.whitening.output_dim,
+                tiny_model.whitening.input_dim)
+        _rewrite_array(f, key, np.zeros(shape_of(*dims)))
+        with pytest.raises(ContainerError, match=re.escape(f"{f}: array {key!r} has shape")):
+            load_model(f)
+
+    def test_hidden_that_disagrees_with_the_weights_fails_closed(self, tiny_model,
+                                                                 tmp_path):
+        f = tmp_path / "model.sig"
+        save_model(tiny_model, f)
+        _rewrite(f, "ae.hidden", str(tiny_model.hidden + 1))
+        with pytest.raises(ContainerError, match="array 'ae.W1' has shape"):
+            load_model(f)
+
+    def test_config_check_failure_names_file_and_key(self, tiny_model, tmp_path):
+        f = tmp_path / "model.sig"
+        save_model(tiny_model, f)
+        _rewrite(f, "patch.size", "10")
+        _rewrite(f, "patch.stride", "50")
+        with pytest.raises(ContainerError,
+                           match=re.escape(f"{f}: bad patch.* metadata: need 1 <= stride")):
+            load_model(f)
+
+    @pytest.mark.parametrize("key", ["mean", "covariance"])
+    def test_missing_user_model_array_is_named(self, tmp_path, key):
+        f = _user_model_file(tmp_path)
+        _rewrite_array(f, key, None)
+        with pytest.raises(ContainerError, match=re.escape(f"{f}: array {key!r} is missing")):
+            load_user_model(f)
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("mean", np.zeros(3), "mean"), ("mean", np.zeros((1, 2)), "mean"),
+        ("covariance", np.eye(3), "mean"),  # the square covariance sets the size
+        ("covariance", np.ones((2, 3)), "covariance"),
+        ("covariance", np.ones(4), "covariance"),
+    ])
+    def test_mean_and_covariance_must_agree(self, tmp_path, key, value, named):
+        f = _user_model_file(tmp_path)
+        _rewrite_array(f, key, value)
+        with pytest.raises(ContainerError, match=re.escape(f"{f}: array {named!r} has shape")):
+            load_user_model(f)
+
+    @pytest.mark.parametrize("covariance", [np.array([[1.0, 2.0], [2.0, 1.0]]),
+                                            np.array([[1.0, 0.0], [0.0, np.nan]])])
+    def test_unusable_covariance_fails_closed(self, tmp_path, covariance):
+        f = _user_model_file(tmp_path)
+        _rewrite_array(f, "covariance", covariance)
+        with pytest.raises(ContainerError, match="covariance is not finite positive definite"):
             load_user_model(f)
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from sigverify import (ScoreSet, auc, eer, generate_synthetic_corpus, roc,
-                       run_experiment, split_protocol)
+from sigverify import (Corpus, ScoreSet, UserSignatures, auc, eer,
+                       generate_synthetic_corpus, roc, run_experiment,
+                       split_protocol)
 from sigverify.descriptor import Descriptor
 from sigverify.evaluation import format_report, roc_csv, scores_csv
 
@@ -150,56 +151,49 @@ class TestSplitProtocol:
     def test_train_blocks_partition_the_genuine_set(self, corpus):
         k = 4
         for uid in corpus.user_ids():
-            seen = []
+            trains = []
             for fold in range(k):
                 splits, _ = split_protocol(corpus, fold, k=k, seed=3)
-                sp = splits[uid]
+                train, test = splits[uid]
+                assert train.dtype.kind == test.dtype.kind == "i"
                 # 9 genuine, 4 blocks: sizes 3, 2, 2, 2
-                assert len(sp.train_genuine) == (3 if fold == 0 else 2)
-                assert len(sp.train_genuine) + len(sp.test_genuine) == 9
-                ids = {id(t) for t in sp.train_genuine}
-                assert not ids & {id(t) for t in sp.test_genuine}
-                seen.extend(ids)
-            assert len(seen) == 9  # every signature trains exactly once
-            assert set(seen) == {id(t) for t in corpus.users[uid].genuine}
-
-    def test_forgery_sets_are_complete(self, corpus):
-        splits, _ = split_protocol(corpus, 0, k=4, seed=0)
-        for uid, sp in splits.items():
-            assert len(sp.skilled_forgeries) == 3
-            others = [t for o in corpus.user_ids() if o != uid
-                      for t in corpus.users[o].genuine]
-            assert len(sp.random_forgeries) == len(others) == 27
-            assert all(t.user_id != uid for t in sp.random_forgeries)
+                assert len(train) == (3 if fold == 0 else 2)
+                assert len(train) + len(test) == 9
+                assert not set(train) & set(test)
+                trains.append(train)
+            # every signature trains exactly once, and the test set is the
+            # other blocks in block order
+            assert sorted(np.concatenate(trains)) == list(range(9))
+            for fold in range(k):
+                _, test = split_protocol(corpus, fold, k=k, seed=3)[0][uid]
+                others = [t for b, t in enumerate(trains) if b != fold]
+                assert np.array_equal(test, np.concatenate(others))
 
     def test_split_is_deterministic_and_seed_sensitive(self, corpus):
         a, _ = split_protocol(corpus, 1, k=4, seed=5)
         b, _ = split_protocol(corpus, 1, k=4, seed=5)
         c, _ = split_protocol(corpus, 1, k=4, seed=6)
-        uid = corpus.user_ids()[0]
-        assert [id(t) for t in a[uid].train_genuine] == \
-               [id(t) for t in b[uid].train_genuine]
-        differs = any([id(t) for t in a[u].train_genuine]
-                      != [id(t) for t in c[u].train_genuine]
+        for uid in corpus.user_ids():
+            assert np.array_equal(a[uid][0], b[uid][0])
+            assert np.array_equal(a[uid][1], b[uid][1])
+        differs = any(not np.array_equal(a[u][0], c[u][0])
                       for u in corpus.user_ids())
         assert differs
 
     def test_users_get_independent_shuffles(self, corpus):
         splits, _ = split_protocol(corpus, 0, k=4, seed=0)
-        uids = corpus.user_ids()
-        orders = []
-        for uid in uids:
-            genuine = corpus.users[uid].genuine
-            pos = {id(t): i for i, t in enumerate(genuine)}
-            orders.append(tuple(pos[id(t)] for t in splits[uid].train_genuine))
-        assert len(set(orders)) > 1
+        orders = {tuple(train) for train, _ in splits.values()}
+        assert len(orders) > 1
 
-    def test_sparse_users_are_excluded_with_warning(self):
+    def test_sparse_users_are_excluded_with_warning(self, caplog):
         corpus = generate_synthetic_corpus(seed=62, n_users=3, n_genuine=3,
                                            n_forgery=1)
-        splits, excluded = split_protocol(corpus, 0, k=4, seed=0)
+        with caplog.at_level("WARNING", logger="sigverify.evaluation"):
+            splits, excluded = split_protocol(corpus, 0, k=4, seed=0)
         assert splits == {}
         assert excluded == corpus.user_ids()
+        assert all(f"user {uid} has 3 genuine signatures, fewer than k=4"
+                   in caplog.text for uid in excluded)
 
     def test_fold_and_k_validation(self, corpus):
         with pytest.raises(ValueError, match="folds"):
@@ -251,6 +245,26 @@ class TestRunExperiment:
             assert len(rnd) == 4 * 3 * 8
             assert result.n_genuine_test == len(gen)
             assert result.n_forgery_test == len(skl) + len(rnd)
+
+    def test_forgery_rows_are_complete(self, corpus):
+        # user 3 has too few genuine signatures for k=4: excluded, but its
+        # genuine signatures are still random forgeries for everyone else
+        users = dict(corpus.users)
+        sparse = corpus.user_ids()[3]
+        users[sparse] = UserSignatures(users[sparse].genuine[:3],
+                                       users[sparse].skilled_forgeries)
+        report = run_experiment(Corpus(users=users, source=corpus.source),
+                                FakeModel(), k=4, seed=0, describe_fn=stub_describe)
+        assert report.excluded_users == [sparse]
+        assert sorted(report.per_user) == corpus.user_ids()[:3]
+        for uid in report.per_user:
+            others = sum(len(users[o].genuine) for o in users if o != uid)
+            assert others == 2 * 9 + 3
+            for fold in range(4):
+                labels = [r[2] for r in report.score_rows
+                          if r[0] == uid and r[1] == fold]
+                assert labels == (["genuine"] * (9 - (3 if fold == 0 else 2))
+                                  + ["skilled"] * 3 + ["random"] * others)
 
     def test_subset_rates_are_populated(self, report):
         for result in report.per_user.values():
