@@ -58,7 +58,7 @@ class Trajectory:
 
     Samples are stored as parallel arrays: float64 ``x``, ``y``, ``t``,
     ``pressure`` and boolean ``pen_down``.  At least two samples are
-    required, ``t`` must be non-decreasing and pressures non-negative.
+    required, all fields finite, ``t`` non-decreasing and pressures non-negative.
     """
 
     __slots__ = ("x", "y", "t", "pressure", "pen_down", "user_id", "label", "source")
@@ -79,13 +79,9 @@ class Trajectory:
                 raise ValueError("sample arrays must have equal length")
         if n < 2:
             raise ValueError(f"a trajectory needs at least 2 samples, got {n}")
-        if np.any(np.diff(self.t) < 0):
-            raise ValueError("timestamps must be non-decreasing")
-        if np.any(self.pressure < 0):
-            raise ValueError("pressures must be non-negative")
-        if not np.all(np.isfinite(self.x)) or not np.all(np.isfinite(self.y)) \
-                or not np.all(np.isfinite(self.t)) or not np.all(np.isfinite(self.pressure)):
-            raise ValueError("sample fields must be finite")
+        fault = _sample_fault(self.x, self.y, self.t, self.pressure)
+        if fault is not None:
+            raise ValueError(fault[1])
         if not user_id:
             raise ValueError("user_id must be non-empty")
         if label not in LABELS:
@@ -130,83 +126,85 @@ class Trajectory:
                 f"label={self.label!r}, source={self.source!r})")
 
 
-def _read_text(stream) -> str:
-    if hasattr(stream, "read"):
-        return stream.read()
-    return stream
+def _sample_fault(x, y, t, pressure):
+    """``(index, reason)`` of the first sample that breaks a trajectory rule, or None.
+
+    A decrease of ``t`` is charged to the later sample.  A sample that
+    breaks several rules reports the first of them in the order below.
+    """
+    rules = {"sample fields must be finite":
+             ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t) & np.isfinite(pressure)),
+             "pressures must be non-negative": pressure < 0,
+             "timestamps must be non-decreasing": np.concatenate(([False], t[1:] < t[:-1]))}
+    faults = [(int(bad.argmax()), reason) for reason, bad in rules.items() if bad.any()]
+    return min(faults, key=lambda fault: fault[0], default=None)
 
 
-def _parse_float(token, lineno, path=""):
-    try:
-        return float(token)
-    except ValueError:
-        where = f"{path}:" if path else "line "
-        raise ParseError(f"{where}{lineno}: non-numeric field {token!r}") from None
+def _read_table(stream, width: int, columns: tuple, flag: bool = False):
+    """Header tokens, file lines and sample columns of a signature file.
+
+    Returns the tokens of the first non-blank line, the 1-based file line
+    of it and of each data line (blank lines count), and the fields at
+    ``columns`` (x, y, t, pressure, pen) as a ``(5, samples)`` float array.
+    ParseError names the line of an empty file, a wrong field count, a pen
+    field not exactly 0 or 1 (with ``flag``), a non-numeric field or a
+    sample that breaks a trajectory rule.
+    """
+    text = stream.read() if hasattr(stream, "read") else stream
+    lines, rows = [], []
+    for n, ln in enumerate(text.splitlines(), start=1):
+        if fields := ln.split():
+            lines.append(n)
+            rows.append(fields)
+    if not rows:
+        raise ParseError("line 1: empty file")
+    values = []
+    for n, fields in zip(lines[1:], rows[1:]):
+        if len(fields) != width:
+            raise ParseError(f"line {n}: expected {width} fields, got {len(fields)}")
+        if flag and fields[columns[4]] not in ("0", "1"):
+            raise ParseError(
+                f"line {n}: pen-down flag must be 0 or 1, got {fields[columns[4]]!r}")
+        for tok in fields:
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ParseError(f"line {n}: non-numeric field {tok!r}") from None
+    cols = np.array(values).reshape(-1, width).T[list(columns)]
+    fault = _sample_fault(*cols[:4])
+    if fault is not None:
+        raise ParseError(f"line {lines[fault[0] + 1]}: {fault[1]}")
+    return rows[0], lines, cols
 
 
 def parse_svc2004(stream, user_id="anonymous", label=GENUINE, source="") -> Trajectory:
-    """Parse one SVC2004 signature file.
-
-    ``stream`` is a string or a file-like object.  Errors name the
-    offending 1-based line number.
-    """
-    text = _read_text(stream)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("line 1: empty file")
+    """Parse one SVC2004 signature file (a string or a file-like object)."""
+    header, lines, (x, y, t, pressure, button) = _read_table(stream, 7, (0, 1, 2, 6, 3))
     try:
-        declared = int(lines[0].split()[0])
-    except (ValueError, IndexError):
-        raise ParseError(f"line 1: malformed sample count {lines[0]!r}") from None
-    if declared < 2:
-        raise ParseError(f"line 1: sample count must be at least 2, got {declared}")
-    if len(lines) - 1 != declared:
+        declared = int(header[0])
+    except ValueError:
         raise ParseError(
-            f"line 1: declared {declared} samples but file has {len(lines) - 1} data lines")
-    samples = []
-    for i, ln in enumerate(lines[1:], start=2):
-        fields = ln.split()
-        if len(fields) != 7:
-            raise ParseError(f"line {i}: expected 7 fields, got {len(fields)}")
-        vals = [_parse_float(f, i) for f in fields]
-        x, y, t, button, _azimuth, _altitude, pressure = vals
-        if pressure < 0:
-            raise ParseError(f"line {i}: negative pressure {pressure}")
-        samples.append(PenSample(x, y, t, pressure, button != 0))
-    for i in range(1, len(samples)):
-        if samples[i].t < samples[i - 1].t:
-            raise ParseError(f"line {i + 2}: timestamp decreases")
-    return Trajectory.from_samples(samples, user_id=user_id, label=label, source=source)
+            f"line {lines[0]}: malformed sample count {' '.join(header)!r}") from None
+    if declared < 2:
+        raise ParseError(f"line {lines[0]}: sample count must be at least 2, got {declared}")
+    if len(x) != declared:
+        raise ParseError(f"line {lines[0]}: declared {declared} samples "
+                         f"but file has {len(x)} data lines")
+    return Trajectory(x, y, t, pressure, button != 0,
+                      user_id=user_id, label=label, source=source)
 
 
 def parse_canonical(stream, user_id="anonymous", label=GENUINE, source="") -> Trajectory:
     """Parse one canonical-format signature file."""
-    text = _read_text(stream)
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ParseError("line 1: empty file")
-    if lines[0].split() != ["x", "y", "t", "p", "d"]:
-        raise ParseError(f"line 1: expected header 'x y t p d', got {lines[0]!r}")
-    samples = []
-    for i, ln in enumerate(lines[1:], start=2):
-        fields = ln.split()
-        if len(fields) != 5:
-            raise ParseError(f"line {i}: expected 5 fields, got {len(fields)}")
-        x = _parse_float(fields[0], i)
-        y = _parse_float(fields[1], i)
-        t = _parse_float(fields[2], i)
-        p = _parse_float(fields[3], i)
-        if fields[4] not in ("0", "1"):
-            raise ParseError(f"line {i}: pen-down flag must be 0 or 1, got {fields[4]!r}")
-        if p < 0:
-            raise ParseError(f"line {i}: negative pressure {p}")
-        samples.append(PenSample(x, y, t, p, fields[4] == "1"))
-    if len(samples) < 2:
-        raise ParseError(f"line {len(lines)}: need at least 2 samples, got {len(samples)}")
-    for i in range(1, len(samples)):
-        if samples[i].t < samples[i - 1].t:
-            raise ParseError(f"line {i + 2}: timestamp decreases")
-    return Trajectory.from_samples(samples, user_id=user_id, label=label, source=source)
+    header, lines, (x, y, t, pressure, pen) = _read_table(stream, 5, (0, 1, 2, 3, 4),
+                                                          flag=True)
+    if header != ["x", "y", "t", "p", "d"]:
+        raise ParseError(
+            f"line {lines[0]}: expected header 'x y t p d', got {' '.join(header)!r}")
+    if len(x) < 2:
+        raise ParseError(f"line {lines[-1]}: need at least 2 samples, got {len(x)}")
+    return Trajectory(x, y, t, pressure, pen == 1,
+                      user_id=user_id, label=label, source=source)
 
 
 def format_canonical(traj: Trajectory) -> str:

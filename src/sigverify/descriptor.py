@@ -150,6 +150,17 @@ def meta_value(meta: dict, key: str, kind, path):
             f"{path}: bad metadata value for {key}: {exc}") from None
 
 
+def check_header(meta: dict, kind: str, version: int, path) -> None:
+    """ContainerError unless ``meta`` heads a ``kind`` model file of ``version``."""
+    name = {"descriptor": "descriptor model", "usermodel": "user model"}[kind]
+    if meta.get("kind") != kind:
+        raise container.ContainerError(
+            f"{path}: expected a {name}, found kind={meta.get('kind')!r}")
+    if (found := meta_value(meta, "version", int, path)) != version:
+        raise container.ContainerError(
+            f"{path}: {name} version {found} does not match supported version {version}")
+
+
 def check_arrays(arrays: dict, shapes: dict, path, **sizes) -> None:
     """ContainerError naming the file and any array missing or not of its shape.
 
@@ -200,14 +211,7 @@ def save_model(model: DescriptorModel, path) -> None:
 
 def load_model(path) -> DescriptorModel:
     meta, arrays = container.read_container(path)
-    if meta.get("kind") != "descriptor":
-        raise container.ContainerError(
-            f"{path}: expected a descriptor model, found kind={meta.get('kind')!r}")
-    version = meta_value(meta, "version", int, path)
-    if version != MODEL_VERSION:
-        raise container.ContainerError(
-            f"{path}: model version {version} does not match supported "
-            f"version {MODEL_VERSION}")
+    check_header(meta, "descriptor", MODEL_VERSION, path)
     cfgs = {}
     for prefix, cls in CONFIG_GROUPS.items():
         values = {name: meta_value(meta, f"{prefix}.{name}", kind, path)
@@ -236,4 +240,4 @@ def load_model(path) -> DescriptorModel:
     return DescriptorModel(preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],
                            whitening=transform, ae=ae,
                            seed=meta_value(meta, "seed", int, path),
-                           train_sources=sources, version=version)
+                           train_sources=sources)

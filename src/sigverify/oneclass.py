@@ -16,12 +16,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import container
-from .descriptor import Descriptor, check_arrays, meta_value
+from .descriptor import Descriptor, check_arrays, check_header, format_value, meta_value
 
 # covariance floor used when training descriptors show no variance at all
 ZERO_VARIANCE_EPSILON = 1e-6
 # safety margin applied on top of the calibration quantile
 THRESHOLD_SLACK = 1.5
+USER_MODEL_VERSION = 1
 
 
 @dataclass
@@ -139,28 +140,24 @@ def verify(model: UserModel, descriptor) -> tuple[bool, float]:
 def save_user_model(model: UserModel, path) -> None:
     meta = {
         "kind": "usermodel",
-        "version": 1,
+        "version": USER_MODEL_VERSION,
         "user_id": model.user_id,
-        "reg": repr(float(model.reg)),
+        "reg": float(model.reg),  # a numpy scalar would be written as np.float64(...)
         "n_train": model.n_train,
-        "threshold": "unset" if model.threshold is None else repr(model.threshold),
+        "threshold": "unset" if model.threshold is None else model.threshold,
     }
-    container.write_container(path, {k: str(v) for k, v in meta.items()},
+    container.write_container(path, {k: format_value(v) for k, v in meta.items()},
                               {"mean": model.mean, "covariance": model.covariance})
 
 
 def load_user_model(path) -> UserModel:
     meta, arrays = container.read_container(path)
-    if meta.get("kind") != "usermodel":
-        raise container.ContainerError(
-            f"{path}: expected a user model, found kind={meta.get('kind')!r}")
-    if meta_value(meta, "version", int, path) != 1:
-        raise container.ContainerError(
-            f"{path}: user model version {meta['version']} does not match "
-            "supported version 1")
+    check_header(meta, "usermodel", USER_MODEL_VERSION, path)
     threshold = (None if meta.get("threshold") == "unset"
                  else meta_value(meta, "threshold", float, path))
     check_arrays(arrays, {"covariance": ("dim", "dim"), "mean": ("dim",)}, path)
+    if not np.all(np.isfinite(arrays["mean"])):
+        raise container.ContainerError(f"{path}: array 'mean' is not finite")
     model = UserModel(user_id=meta_value(meta, "user_id", str, path),
                       mean=arrays["mean"], covariance=arrays["covariance"],
                       reg=meta_value(meta, "reg", float, path),

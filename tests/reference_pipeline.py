@@ -1,11 +1,13 @@
-"""Scalar reference implementations of the describe and evaluation paths.
+"""Scalar reference implementations of the parse, describe and evaluation paths.
 
-These are the per-sample and per-pixel loops that ``sigverify.preprocess``
+These are the per-line signature file parsers that ``sigverify.dataset``
+once ran, the per-sample and per-pixel loops that ``sigverify.preprocess``
 and ``sigverify.patches`` once ran, and the per-descriptor scoring loop of
 ``sigverify.evaluation.run_experiment``.  The library computes the same
-results with array kernels; the property tests in
-``test_kernel_equivalence.py`` and ``test_batched_scoring.py`` require both
-to agree exactly.  Test-only: nothing in ``src`` imports this.
+results with one table reader and array kernels; the property tests in
+``test_parse_equivalence.py``, ``test_kernel_equivalence.py`` and
+``test_batched_scoring.py`` require both to agree exactly.  Test-only:
+nothing in ``src`` imports this.
 """
 
 from __future__ import annotations
@@ -14,9 +16,75 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve
 
-from sigverify import (PatchConfig, PreprocessConfig, SignatureImage, Trajectory,
-                       fit_user_model)
+from sigverify import (GENUINE, ParseError, PatchConfig, PenSample, PreprocessConfig,
+                       SignatureImage, Trajectory, fit_user_model)
 from sigverify.evaluation import _user_rng
+
+
+def _parse_float(token, lineno):
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-numeric field {token!r}") from None
+
+
+def parse_svc2004(text, user_id="anonymous", label=GENUINE, source="") -> Trajectory:
+    """SVC2004 file; line numbers count non-blank lines only."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("line 1: empty file")
+    try:
+        declared = int(lines[0].split()[0])
+    except (ValueError, IndexError):
+        raise ParseError(f"line 1: malformed sample count {lines[0]!r}") from None
+    if declared < 2:
+        raise ParseError(f"line 1: sample count must be at least 2, got {declared}")
+    if len(lines) - 1 != declared:
+        raise ParseError(
+            f"line 1: declared {declared} samples but file has {len(lines) - 1} data lines")
+    samples = []
+    for i, ln in enumerate(lines[1:], start=2):
+        fields = ln.split()
+        if len(fields) != 7:
+            raise ParseError(f"line {i}: expected 7 fields, got {len(fields)}")
+        vals = [_parse_float(f, i) for f in fields]
+        x, y, t, button, _azimuth, _altitude, pressure = vals
+        if pressure < 0:
+            raise ParseError(f"line {i}: negative pressure {pressure}")
+        samples.append(PenSample(x, y, t, pressure, button != 0))
+    for i in range(1, len(samples)):
+        if samples[i].t < samples[i - 1].t:
+            raise ParseError(f"line {i + 2}: timestamp decreases")
+    return Trajectory.from_samples(samples, user_id=user_id, label=label, source=source)
+
+
+def parse_canonical(text, user_id="anonymous", label=GENUINE, source="") -> Trajectory:
+    """Canonical file; line numbers count non-blank lines only."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ParseError("line 1: empty file")
+    if lines[0].split() != ["x", "y", "t", "p", "d"]:
+        raise ParseError(f"line 1: expected header 'x y t p d', got {lines[0]!r}")
+    samples = []
+    for i, ln in enumerate(lines[1:], start=2):
+        fields = ln.split()
+        if len(fields) != 5:
+            raise ParseError(f"line {i}: expected 5 fields, got {len(fields)}")
+        x = _parse_float(fields[0], i)
+        y = _parse_float(fields[1], i)
+        t = _parse_float(fields[2], i)
+        p = _parse_float(fields[3], i)
+        if fields[4] not in ("0", "1"):
+            raise ParseError(f"line {i}: pen-down flag must be 0 or 1, got {fields[4]!r}")
+        if p < 0:
+            raise ParseError(f"line {i}: negative pressure {p}")
+        samples.append(PenSample(x, y, t, p, fields[4] == "1"))
+    if len(samples) < 2:
+        raise ParseError(f"line {len(lines)}: need at least 2 samples, got {len(samples)}")
+    for i in range(1, len(samples)):
+        if samples[i].t < samples[i - 1].t:
+            raise ParseError(f"line {i + 2}: timestamp decreases")
+    return Trajectory.from_samples(samples, user_id=user_id, label=label, source=source)
 
 
 def _pen_down_runs(pen_down: np.ndarray):

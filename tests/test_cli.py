@@ -276,3 +276,27 @@ class TestConfigSchema:
                      "--user", "user000", str(sig)])
         assert code == 1
         assert f"{tmp_path / path}: array {array!r} is missing" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_user_mean_is_named_in_the_error(self, workspace, tmp_path,
+                                                        capsys, value):
+        import shutil
+
+        import numpy as np
+
+        from sigverify import container
+        users = tmp_path / "users"
+        shutil.copytree(workspace / "users", users)
+        meta, arrays = container.read_container(users / "user000.usermodel")
+        arrays["mean"] = arrays["mean"].copy()
+        arrays["mean"][0] = float(value)
+        container.write_container(users / "user000.usermodel", meta, arrays)
+        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
+        code = main(["verify", "--model", str(workspace / "model.sig"),
+                     "--user-models", str(users), "--user", "user000", str(sig)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"{users / 'user000.usermodel'}: array 'mean' is not finite" in err
+        assert np.isfinite(container.read_container(
+            workspace / "users" / "user000.usermodel")[1]["mean"]).all()

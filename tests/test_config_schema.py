@@ -218,6 +218,43 @@ class TestBadModelArrays:
         with pytest.raises(ContainerError, match="covariance is not finite positive definite"):
             load_user_model(f)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_user_mean_fails_closed(self, tmp_path, value):
+        f = _user_model_file(tmp_path)
+        _rewrite_array(f, "mean", np.array([0.2, value]))
+        with pytest.raises(ContainerError, match=re.escape(f"{f}: array 'mean' is not finite")):
+            load_user_model(f)
+
+
+class TestModelHeader:
+    def test_user_model_version_mismatch_names_file_and_versions(self, tmp_path):
+        f = _user_model_file(tmp_path)
+        _rewrite(f, "version", "2")
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{f}: user model version 2 does not match supported version 1")):
+            load_user_model(f)
+
+    def test_descriptor_model_version_mismatch_names_file_and_versions(self, tiny_model,
+                                                                     tmp_path):
+        f = tmp_path / "model.sig"
+        save_model(tiny_model, f)
+        _rewrite(f, "version", "2")
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{f}: descriptor model version 2 does not match supported version 1")):
+            load_model(f)
+
+    def test_user_model_metadata_text(self, tmp_path):
+        f = tmp_path / "u.usermodel"
+        model = fit_user_model(np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]),
+                               reg=np.float64(0.9), user_id="u")
+        save_user_model(model, f)
+        meta, _ = container.read_container(f)
+        assert meta == {"kind": "usermodel", "version": "1", "user_id": "u",
+                        "reg": "0.9", "n_train": "3", "threshold": "unset"}
+        model.threshold = 0.1 + 0.2
+        save_user_model(model, f)
+        assert container.read_container(f)[0]["threshold"] == "0.30000000000000004"
+
 
 class TestCliSchema:
     def test_every_config_field_is_a_cli_key_with_its_default(self):
