@@ -34,8 +34,9 @@ def main():
     traj = corpus.users[corpus.user_ids()[0]].genuine[0]
     print(f"first genuine signature of {traj.user_id}: {len(traj)} samples")
     print(f"{'x':>10} {'y':>10} {'t':>8} {'pressure':>9} {'pen_down':>9}")
-    for s in traj.samples[:6]:
-        print(f"{s.x:>10.3f} {s.y:>10.3f} {s.t:>8.1f} {s.pressure:>9.4f} {str(s.pen_down):>9}")
+    for x, y, t, p, d in zip(traj.x[:6], traj.y[:6], traj.t[:6], traj.pressure[:6],
+                             traj.pen_down[:6]):
+        print(f"{x:>10.3f} {y:>10.3f} {t:>8.1f} {p:>9.4f} {str(d):>9}")
     pen_up = int((~traj.pen_down).sum())
     print(f"... plus {len(traj) - 6} more ({pen_up} mid-air samples)")
     print()

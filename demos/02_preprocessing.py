@@ -38,22 +38,24 @@ def main():
     print(f"raw trajectory: {len(traj)} samples, "
           f"x span {np.ptp(traj.x):.1f}, y span {np.ptp(traj.y):.1f}")
 
-    smoothed = smooth(traj, cfg)
-    print(f"after spline smoothing: {len(smoothed)} samples "
+    # The stages work on the five sample columns of the trajectory.
+    x, y, t, pressure, pen_down = smooth(traj.x, traj.y, traj.t, traj.pressure,
+                                         traj.pen_down, cfg)
+    print(f"after spline smoothing: {len(t)} samples "
           f"({cfg.spline_points_per_segment - 1} inserted per pen-down segment)")
 
-    angle = orientation_angle(smoothed)
+    angle = orientation_angle(x, y)
     print(f"orientation of the principal axis: {np.degrees(angle):.2f} degrees")
 
-    level = rotate(smoothed, angle)
+    x, y = rotate(x, y, angle)
     print(f"after rotation the residual orientation is "
-          f"{np.degrees(orientation_angle(level)):.2e} degrees")
+          f"{np.degrees(orientation_angle(x, y)):.2e} degrees")
 
-    normed = normalize_extent(level)
-    print(f"after extent normalization: x in [{normed.x.min():.0f}, {normed.x.max():.0f}], "
-          f"y in [{normed.y.min():.0f}, {normed.y.max():.0f}]")
+    x, y = normalize_extent(x, y)
+    print(f"after extent normalization: x in [{x.min():.0f}, {x.max():.0f}], "
+          f"y in [{y.min():.0f}, {y.max():.0f}]")
 
-    image = rasterize(normed, cfg)
+    image = rasterize(x, y, t, pressure, pen_down, cfg)
     inked = int((image.pressure > 0).sum())
     print(f"raster: {image.pressure.shape[0]}x{image.pressure.shape[1]} pixels, "
           f"{inked} inked, peak pressure {image.pressure.max():.2f}")

@@ -9,10 +9,9 @@ genuine descriptors; verification thresholds a Mahalanobis score.
 
 from .autoencoder import (AeConfig, AeParams, AutoencoderModel, cost, cost_grad,
                           encode, forward, init_params, kl_divergence, train)
-from .dataset import (GENUINE, SKILLED_FORGERY, Corpus, ParseError, PenSample,
-                      Trajectory, UserSignatures, format_canonical,
-                      generate_synthetic_corpus, load_corpus, parse_canonical,
-                      parse_svc2004, save_corpus)
+from .dataset import (GENUINE, SKILLED_FORGERY, Corpus, ParseError, Trajectory,
+                      UserSignatures, format_canonical, generate_synthetic_corpus,
+                      load_corpus, parse_canonical, parse_svc2004, save_corpus)
 from .descriptor import (MODEL_VERSION, Descriptor, DescriptorModel, describe,
                          describe_baseline, load_model, save_model,
                          train_descriptor)

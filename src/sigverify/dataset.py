@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,14 +42,6 @@ _SYNTH_QUANTUM = 1.0 / 65536.0
 
 class ParseError(ValueError):
     """A signature file does not match its declared format."""
-
-
-class PenSample(NamedTuple):
-    x: float
-    y: float
-    t: float
-    pressure: float
-    pen_down: bool
 
 
 class Trajectory:
@@ -89,19 +80,6 @@ class Trajectory:
 
     def __len__(self):
         return len(self.x)
-
-    def __getitem__(self, i) -> PenSample:
-        return PenSample(float(self.x[i]), float(self.y[i]), float(self.t[i]),
-                         float(self.pressure[i]), bool(self.pen_down[i]))
-
-    @property
-    def samples(self) -> list[PenSample]:
-        return [self[i] for i in range(len(self))]
-
-    @classmethod
-    def from_samples(cls, samples, **meta) -> "Trajectory":
-        cols = list(zip(*samples))
-        return cls(cols[0], cols[1], cols[2], cols[3], cols[4], **meta)
 
     def with_meta(self, **meta) -> "Trajectory":
         """Copy of this trajectory with some metadata fields replaced."""

@@ -163,6 +163,11 @@ def load_user_model(path) -> UserModel:
                       reg=meta_value(meta, "reg", float, path),
                       n_train=meta_value(meta, "n_train", int, path),
                       threshold=threshold)
+    for key, valid in (("threshold", threshold is None or 0 <= threshold < np.inf),
+                       ("n_train", model.n_train >= 1), ("reg", 0 <= model.reg <= 1)):
+        if not valid:  # NaN fails every comparison
+            raise container.ContainerError(
+                f"{path}: bad metadata value for {key}: {meta[key]!r} is out of range")
     try:
         model._chol = _factor(model.covariance)
     except ValueError:  # also np.linalg.LinAlgError

@@ -5,6 +5,14 @@ spline smoothing of each pen-down stroke, rotation that removes the
 dominant writing orientation, extent normalization onto [0, 100] in both
 axes, and rasterization onto a square canvas with a pressure channel and
 a time channel.
+
+``preprocess`` takes a ``Trajectory``, whose constructor has validated
+it, and is the only function here that reads one.  The stages work on
+its sample columns: equal-length float64 arrays ``x``, ``y``, ``t``
+(non-decreasing) and ``pressure`` (non-negative), all finite, and a
+boolean ``pen_down``.  They return columns of the same kinds and check
+only what their own arithmetic can break: ``normalize_extent`` rejects a
+span that overflowed to inf or NaN, ``rasterize`` points off [0, 100].
 """
 
 from __future__ import annotations
@@ -14,8 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-
-from .dataset import Trajectory
 
 
 @dataclass
@@ -49,7 +55,7 @@ class SignatureImage:
         return self.pressure.shape[0]
 
 
-def smooth(traj: Trajectory, cfg: PreprocessConfig) -> Trajectory:
+def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
     """Replace each pen-down stroke by a natural cubic spline resampling.
 
     For every stroke of at least 4 samples (with at least 4 distinct
@@ -58,56 +64,50 @@ def smooth(traj: Trajectory, cfg: PreprocessConfig) -> Trajectory:
     - 1`` uniformly spaced timestamps inside every inter-sample segment.
     Pressure and pen state are linearly interpolated at inserted
     timestamps.  Pen-up samples and short strokes pass through unchanged.
-    With ``cfg.smooth`` false the trajectory is returned as-is.
+    Returns the five columns ``(x, y, t, pressure, pen_down)``; with
+    ``cfg.smooth`` false they are the input columns themselves.
 
     Strokes are found from the edges of the pen flag; each stroke's
     evaluation times are built as one block with a row per segment, and
-    the output is concatenated once from stroke and pass-through slices.
+    every column is concatenated once from stroke and pass-through slices.
     """
+    columns = (x, y, t, pressure, pen_down)
     if not cfg.smooth:
-        return traj
+        return columns
     spp = cfg.spline_points_per_segment
     inner = np.arange(1, spp)
-    edges = np.diff(traj.pen_down.astype(np.int8), prepend=0, append=0)
+    edges = np.diff(pen_down.astype(np.int8), prepend=0, append=0)
     starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    columns = (traj.x, traj.y, traj.t, traj.pressure, traj.pen_down)
-    pieces = [[] for _ in columns]
-
-    def emit(*cols):
-        for piece, col in zip(pieces, cols):
-            piece.append(col)
-
+    pieces = []  # one tuple of column slices per pass-through run or stroke
     cursor = 0
     for start, stop in zip(starts, stops):
-        t = traj.t[start:stop]
-        dt = np.diff(t)
+        ts = t[start:stop]
+        dt = np.diff(ts)
         keep = np.concatenate(([True], dt > 0))
         if stop - start < 4 or keep.sum() < 4:
             continue  # a short stroke passes through with its neighbours
-        emit(*(col[cursor:start] for col in columns))
+        pieces.append(tuple(col[cursor:start] for col in columns))
         cursor = stop
-        knots = t[keep]
-        xy = np.column_stack((traj.x[start:stop], traj.y[start:stop]))
-        spline = CubicSpline(knots, xy[keep], bc_type="natural")
+        xy = np.column_stack((x[start:stop], y[start:stop]))
+        spline = CubicSpline(ts[keep], xy[keep], bc_type="natural")
         # row i: the inserted times of segment i (kept only when it has
-        # positive length), then the sample time t[i + 1]
+        # positive length), then the sample time ts[i + 1]
         step = dt / spp
-        block = np.empty((len(t) - 1, spp))
-        block[:, :-1] = t[:-1, None] + step[:, None] * inner
-        block[:, -1] = t[1:]
+        block = np.empty((len(ts) - 1, spp))
+        block[:, :-1] = ts[:-1, None] + step[:, None] * inner
+        block[:, -1] = ts[1:]
         mask = np.ones(block.shape, dtype=bool)
         mask[:, :-1] = keep[1:, None]
-        eval_t = np.concatenate((t[:1], block[mask]))
+        eval_t = np.concatenate((ts[:1], block[mask]))
         xy_out = spline(eval_t)
-        emit(xy_out[:, 0], xy_out[:, 1], eval_t,
-             np.interp(eval_t, t, traj.pressure[start:stop]),
-             np.ones(len(eval_t), dtype=bool))
-    emit(*(col[cursor:] for col in columns))
-    return Trajectory(*(np.concatenate(piece) for piece in pieces),
-                      user_id=traj.user_id, label=traj.label, source=traj.source)
+        pieces.append((xy_out[:, 0], xy_out[:, 1], eval_t,
+                       np.interp(eval_t, ts, pressure[start:stop]),
+                       np.ones(len(eval_t), dtype=bool)))
+    pieces.append(tuple(col[cursor:] for col in columns))
+    return tuple(np.concatenate(col) for col in zip(*pieces))
 
 
-def orientation_angle(traj: Trajectory, cov_epsilon: float = 1e-9) -> float:
+def orientation_angle(x, y, cov_epsilon: float = 1e-9) -> float:
     """Dominant writing orientation from second-order point statistics.
 
     With variances sx2, sy2 and covariance cxy over all samples the angle
@@ -115,8 +115,8 @@ def orientation_angle(traj: Trajectory, cov_epsilon: float = 1e-9) -> float:
     When the covariance is negligible the axes are already principal: the
     angle is 0 if sx2 >= sy2 and pi/2 otherwise.
     """
-    x = traj.x - traj.x.mean()
-    y = traj.y - traj.y.mean()
+    x = x - x.mean()
+    y = y - y.mean()
     sx2 = float(np.mean(x * x))
     sy2 = float(np.mean(y * y))
     cxy = float(np.mean(x * y))
@@ -127,35 +127,28 @@ def orientation_angle(traj: Trajectory, cov_epsilon: float = 1e-9) -> float:
     return math.atan((sy2 - sx2 + math.hypot(sy2 - sx2, 2.0 * cxy)) / (2.0 * cxy))
 
 
-def rotate(traj: Trajectory, angle: float) -> Trajectory:
-    """Rotate samples by -angle about the sample centroid."""
+def rotate(x, y, angle: float):
+    """``(x, y)`` rotated by -angle about the sample centroid."""
     c, s = math.cos(angle), math.sin(angle)
-    x = traj.x - traj.x.mean()
-    y = traj.y - traj.y.mean()
-    return Trajectory(x * c + y * s, -x * s + y * c, traj.t, traj.pressure,
-                      traj.pen_down, user_id=traj.user_id, label=traj.label,
-                      source=traj.source)
+    x = x - x.mean()
+    y = y - y.mean()
+    return x * c + y * s, -x * s + y * c
 
 
-def normalize_extent(traj: Trajectory) -> Trajectory:
-    """Map both coordinate axes onto [0, 100].
+def normalize_extent(x, y):
+    """``(x, y)`` with both coordinate axes mapped onto [0, 100].
 
     A coordinate span that is zero, or vanishingly small next to the
     other axis (as for collinear points rotated onto one axis, where only
-    rounding noise remains), is rejected as degenerate.
+    rounding noise remains), is rejected as degenerate; so is a span that
+    is not finite, as when an earlier stage overflowed.
     """
-    widths = [float(traj.x.max() - traj.x.min()),
-              float(traj.y.max() - traj.y.min())]
-    spans = []
-    for v, width in zip((traj.x, traj.y), widths):
-        lo = float(v.min())
-        if width <= 1e-9 * max(widths):
-            raise ValueError("degenerate extent: coordinate span is zero")
-        spans.append((lo, 100.0 / width))
-    x = (traj.x - spans[0][0]) * spans[0][1]
-    y = (traj.y - spans[1][0]) * spans[1][1]
-    return Trajectory(x, y, traj.t, traj.pressure, traj.pen_down,
-                      user_id=traj.user_id, label=traj.label, source=traj.source)
+    lo = np.array([x.min(), y.min()])
+    widths = np.array([x.max(), y.max()]) - lo
+    if not widths.min() > 1e-9 * widths.max():  # NaN and inf spans fail too
+        raise ValueError("degenerate extent: coordinate span is zero or not finite")
+    scale = 100.0 / widths
+    return (x - lo[0]) * scale[0], (y - lo[1]) * scale[1]
 
 
 def _walk(r0, c0, r1, c1):
@@ -198,14 +191,8 @@ def _walk(r0, c0, r1, c1):
     return rows, cols, lengths
 
 
-def _line_pixels(r0: int, c0: int, r1: int, c1: int):
-    """Integer midpoint (Bresenham) walk from (r0, c0) to (r1, c1) inclusive."""
-    rows, cols, _ = _walk([r0], [c0], [r1], [c1])
-    return list(zip(rows.tolist(), cols.tolist()))
-
-
-def rasterize(traj: Trajectory, cfg: PreprocessConfig) -> SignatureImage:
-    """Draw a normalized trajectory onto a two-channel square canvas.
+def rasterize(x, y, t, pressure, pen_down, cfg: PreprocessConfig) -> SignatureImage:
+    """Draw normalized sample columns onto a two-channel square canvas.
 
     Consecutive pen-down samples are connected by integer midpoint line
     segments; pen-up gaps draw nothing.  Along a segment pressure and
@@ -225,24 +212,23 @@ def rasterize(traj: Trajectory, cfg: PreprocessConfig) -> SignatureImage:
     in the last bit; the point, written later, wins.)
     """
     side = cfg.canvas
-    lo = np.array([traj.x.min(), traj.y.min()])
-    hi = np.array([traj.x.max(), traj.y.max()])
-    if lo.min() < -1e-6 or hi.max() > 100.0 + 1e-6:
+    lo = np.array([x.min(), y.min()])
+    hi = np.array([x.max(), y.max()])
+    if not (lo.min() >= -1e-6 and hi.max() <= 100.0 + 1e-6):  # NaN fails too
         raise ValueError("rasterize expects coordinates normalized to [0, 100]")
 
     scale = (side - 1) / 100.0
-    cols = np.floor(traj.x * scale + 0.5).astype(int)
-    rows = np.floor((100.0 - traj.y) * scale + 0.5).astype(int)
+    cols = np.floor(x * scale + 0.5).astype(int)
+    rows = np.floor((100.0 - y) * scale + 0.5).astype(int)
     cols = np.clip(cols, 0, side - 1)
     rows = np.clip(rows, 0, side - 1)
 
-    t_min, t_max = float(traj.t.min()), float(traj.t.max())
+    t_min, t_max = float(t.min()), float(t.max())
     t_span = t_max - t_min
-    tn = (traj.t - t_min) / t_span if t_span > 0 else np.zeros(len(traj))
+    tn = (t - t_min) / t_span if t_span > 0 else np.zeros(len(t))
 
-    down = traj.pen_down
-    i = np.flatnonzero(down)
-    j = np.where(np.append(down[1:], False)[i], i + 1, i)
+    i = np.flatnonzero(pen_down)
+    j = np.where(np.append(pen_down[1:], False)[i], i + 1, i)
     pix_rows, pix_cols, lengths = _walk(rows[i], cols[i], rows[j], cols[j])
     walk = np.repeat(np.arange(len(i)), lengths)
     k = np.arange(len(walk)) - (np.cumsum(lengths) - lengths)[walk]
@@ -253,18 +239,17 @@ def rasterize(traj: Trajectory, cfg: PreprocessConfig) -> SignatureImage:
     walk, k, where = walk[last], k[last], where[last]
     s = k / np.maximum(lengths - 1, 1)[walk]
     i, j = i[walk], j[walk]
-    pressure = np.zeros((side, side))
-    time = np.zeros((side, side))
-    for canvas, v in ((pressure, traj.pressure), (time, tn)):
+    image = SignatureImage(pressure=np.zeros((side, side)), time=np.zeros((side, side)))
+    for canvas, v in ((image.pressure, pressure), (image.time, tn)):
         canvas.flat[where] = v[i] + s * (v[j] - v[i])
 
-    peak = pressure.max()
+    peak = image.pressure.max()
     if peak > 0:
-        pressure /= peak
-    return SignatureImage(pressure=pressure, time=time)
+        image.pressure /= peak
+    return image
 
 
-def preprocess(traj: Trajectory, cfg: PreprocessConfig | None = None) -> SignatureImage:
+def preprocess(traj, cfg: PreprocessConfig | None = None) -> SignatureImage:
     """Full pipeline: smooth, rotate to principal orientation, normalize, draw.
 
     The coordinate minima are subtracted up front, which removes any
@@ -273,10 +258,8 @@ def preprocess(traj: Trajectory, cfg: PreprocessConfig | None = None) -> Signatu
     """
     if cfg is None:
         cfg = PreprocessConfig()
-    traj = Trajectory(traj.x - traj.x.min(), traj.y - traj.y.min(), traj.t,
-                      traj.pressure, traj.pen_down, user_id=traj.user_id,
-                      label=traj.label, source=traj.source)
-    traj = smooth(traj, cfg)
-    traj = rotate(traj, orientation_angle(traj, cfg.cov_epsilon))
-    traj = normalize_extent(traj)
-    return rasterize(traj, cfg)
+    x, y, t, pressure, pen_down = smooth(traj.x - traj.x.min(), traj.y - traj.y.min(),
+                                         traj.t, traj.pressure, traj.pen_down, cfg)
+    x, y = rotate(x, y, orientation_angle(x, y, cfg.cov_epsilon))
+    x, y = normalize_extent(x, y)
+    return rasterize(x, y, t, pressure, pen_down, cfg)

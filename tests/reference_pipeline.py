@@ -16,8 +16,8 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve
 
-from sigverify import (GENUINE, ParseError, PatchConfig, PenSample, PreprocessConfig,
-                       SignatureImage, Trajectory, fit_user_model)
+from sigverify import (GENUINE, ParseError, PatchConfig, PreprocessConfig, SignatureImage,
+                       Trajectory, fit_user_model)
 from sigverify.evaluation import _user_rng
 
 
@@ -51,11 +51,11 @@ def parse_svc2004(text, user_id="anonymous", label=GENUINE, source="") -> Trajec
         x, y, t, button, _azimuth, _altitude, pressure = vals
         if pressure < 0:
             raise ParseError(f"line {i}: negative pressure {pressure}")
-        samples.append(PenSample(x, y, t, pressure, button != 0))
+        samples.append((x, y, t, pressure, button != 0))
     for i in range(1, len(samples)):
-        if samples[i].t < samples[i - 1].t:
+        if samples[i][2] < samples[i - 1][2]:
             raise ParseError(f"line {i + 2}: timestamp decreases")
-    return Trajectory.from_samples(samples, user_id=user_id, label=label, source=source)
+    return Trajectory(*zip(*samples), user_id=user_id, label=label, source=source)
 
 
 def parse_canonical(text, user_id="anonymous", label=GENUINE, source="") -> Trajectory:
@@ -78,13 +78,13 @@ def parse_canonical(text, user_id="anonymous", label=GENUINE, source="") -> Traj
             raise ParseError(f"line {i}: pen-down flag must be 0 or 1, got {fields[4]!r}")
         if p < 0:
             raise ParseError(f"line {i}: negative pressure {p}")
-        samples.append(PenSample(x, y, t, p, fields[4] == "1"))
+        samples.append((x, y, t, p, fields[4] == "1"))
     if len(samples) < 2:
         raise ParseError(f"line {len(lines)}: need at least 2 samples, got {len(samples)}")
     for i in range(1, len(samples)):
-        if samples[i].t < samples[i - 1].t:
+        if samples[i][2] < samples[i - 1][2]:
             raise ParseError(f"line {i + 2}: timestamp decreases")
-    return Trajectory.from_samples(samples, user_id=user_id, label=label, source=source)
+    return Trajectory(*zip(*samples), user_id=user_id, label=label, source=source)
 
 
 def _pen_down_runs(pen_down: np.ndarray):

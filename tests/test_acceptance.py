@@ -71,16 +71,11 @@ def test_criterion_2_frozen_reference_constants():
     kl = float(kl_divergence(0.05, np.array([0.5]))[0])
     kl_ok = abs(kl - 0.4946) <= 1e-3
 
-    line = Trajectory(np.arange(10.0), np.arange(10.0), np.arange(10.0),
-                      np.ones(10), np.ones(10, bool))
-    angle = orientation_angle(line)
+    angle = orientation_angle(np.arange(10.0), np.arange(10.0))
     angle_ok = abs(angle - np.pi / 4) <= 1e-9
 
-    tr = Trajectory(np.array([2.0, 4.0, 6.0]), np.array([2.0, 4.0, 6.0]),
-                    np.arange(3.0), np.ones(3), np.ones(3, bool))
-    out = normalize_extent(tr)
-    extent_ok = (out.x.tolist() == [0.0, 50.0, 100.0]
-                 and out.y.tolist() == [0.0, 50.0, 100.0])
+    x, y = normalize_extent(np.array([2.0, 4.0, 6.0]), np.array([2.0, 4.0, 6.0]))
+    extent_ok = x.tolist() == [0.0, 50.0, 100.0] and y.tolist() == [0.0, 50.0, 100.0]
 
     record_criterion(2, "reference constants",
                      kl_ok and angle_ok and extent_ok,

@@ -300,3 +300,21 @@ class TestConfigSchema:
         assert f"{users / 'user000.usermodel'}: array 'mean' is not finite" in err
         assert np.isfinite(container.read_container(
             workspace / "users" / "user000.usermodel")[1]["mean"]).all()
+
+    def test_user_model_with_an_infinite_threshold_is_refused(self, workspace, tmp_path,
+                                                              capsys):
+        import shutil
+
+        from sigverify import container
+        users = tmp_path / "users"
+        shutil.copytree(workspace / "users", users)
+        meta, arrays = container.read_container(users / "user000.usermodel")
+        meta["threshold"] = "inf"
+        container.write_container(users / "user000.usermodel", meta, arrays)
+        sig = workspace / "corpus" / "user001" / "genuine" / "000.txt"
+        code = main(["verify", "--model", str(workspace / "model.sig"),
+                     "--user-models", str(users), "--user", "user000", str(sig)])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "accept" not in out
+        assert f"{users / 'user000.usermodel'}: bad metadata value for threshold" in err

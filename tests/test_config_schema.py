@@ -123,6 +123,26 @@ class TestBadModelMetadata:
         with pytest.raises(ContainerError, match=re.escape(key)):
             load_user_model(f)
 
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", "inf"), ("threshold", "nan"), ("threshold", "-1"),
+        ("n_train", "0"), ("n_train", "-5"), ("reg", "7.5"), ("reg", "-0.1"),
+    ])
+    def test_user_model_value_out_of_range_fails_closed(self, tmp_path, key, value):
+        f = _user_model_file(tmp_path)
+        _rewrite(f, key, value)
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{f}: bad metadata value for {key}: {value!r} is out of range")):
+            load_user_model(f)
+
+    @pytest.mark.parametrize("key, value", [
+        ("threshold", "unset"), ("threshold", "0.0"), ("n_train", "1"),
+        ("reg", "0.0"), ("reg", "1.0"),
+    ])
+    def test_user_model_values_at_the_bounds_load(self, tmp_path, key, value):
+        f = _user_model_file(tmp_path)
+        _rewrite(f, key, value)
+        assert getattr(load_user_model(f), key) == (None if value == "unset" else float(value))
+
 
 def _rewrite_array(path, key, value):
     """Re-write a valid container with one array replaced or dropped."""

@@ -16,10 +16,9 @@ class TestTrajectory:
     def test_parallel_arrays_and_samples(self):
         tr = make_traj(3)
         assert len(tr) == 3
-        s = tr[1]
-        assert (s.x, s.y, s.t, s.pressure, s.pen_down) == (1.0, 2.0, 10.0, 0.5, True)
-        assert Trajectory.from_samples(tr.samples).equals(
-            tr.with_meta(user_id="anonymous"))
+        cols = (tr.x, tr.y, tr.t, tr.pressure, tr.pen_down)
+        assert [c.dtype for c in cols] == [np.float64] * 4 + [np.bool_]
+        assert [c[1] for c in cols] == [1.0, 2.0, 10.0, 0.5, True]
 
     def test_rejects_too_few_samples(self):
         with pytest.raises(ValueError, match="at least 2"):

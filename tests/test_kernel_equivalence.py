@@ -2,8 +2,8 @@
 
 ``reference_pipeline`` keeps the per-sample and per-pixel loops that the
 kernels replaced.  Every property here requires bit-identical output:
-``Trajectory.equals`` for trajectories, ``np.array_equal`` (and equal
-dtype and shape) for images, pixel walks and patch matrices.
+``np.array_equal`` (and equal dtype) for the sample columns, images,
+pixel walks and patch matrices.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from sigverify import (PatchConfig, PreprocessConfig, SignatureImage, Trajectory
                        extract_dense, generate_synthetic_corpus, normalize_extent,
                        orientation_angle, preprocess, rasterize, rotate,
                        sample_training_patches, smooth)
-from sigverify.preprocess import _line_pixels, _walk
+from sigverify.preprocess import _walk
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -51,6 +51,15 @@ def trajectories(draw, max_len=48):
     return Trajectory(x, y, t, p, draw(pen_flags(n)), user_id="u")
 
 
+def columns(tr):
+    return tr.x, tr.y, tr.t, tr.pressure, tr.pen_down
+
+
+def assert_columns_equal(got, want: Trajectory):
+    for a, b in zip(got, columns(want), strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 def assert_images_equal(a: SignatureImage, b: SignatureImage):
     assert np.array_equal(a.pressure, b.pressure)
     assert np.array_equal(a.time, b.time)
@@ -66,7 +75,7 @@ class TestSmooth:
     @given(trajectories(), st.integers(1, 6), st.booleans())
     def test_matches_the_scalar_resampling(self, traj, spp, enabled):
         cfg = PreprocessConfig(smooth=enabled, spline_points_per_segment=spp)
-        assert smooth(traj, cfg).equals(ref.smooth(traj, cfg))
+        assert_columns_equal(smooth(*columns(traj), cfg), ref.smooth(traj, cfg))
 
     def test_short_strokes_and_repeated_times_between_long_ones(self):
         # strokes of 1, 3 and 9 samples; the 9-sample one repeats timestamps
@@ -74,7 +83,7 @@ class TestSmooth:
         t = np.array([0, 1, 2, 3, 4, 5, 6, 7, 7, 7, 8, 9, 9, 10, 11, 12], float)
         traj = Trajectory(np.sin(t), np.cos(t), t, np.linspace(0, 1, 16), pen)
         cfg = PreprocessConfig()
-        assert smooth(traj, cfg).equals(ref.smooth(traj, cfg))
+        assert_columns_equal(smooth(*columns(traj), cfg), ref.smooth(traj, cfg))
 
 
 class TestRasterize:
@@ -82,13 +91,13 @@ class TestRasterize:
     @given(trajectories(), st.integers(16, 101))
     def test_matches_the_scalar_raster(self, traj, canvas):
         cfg = PreprocessConfig(canvas=canvas)
-        assert_images_equal(rasterize(traj, cfg), ref.rasterize(traj, cfg))
+        assert_images_equal(rasterize(*columns(traj), cfg), ref.rasterize(traj, cfg))
 
     def test_all_pen_up_draws_nothing(self):
         traj = Trajectory([0.0, 100.0], [0.0, 100.0], [0.0, 1.0], [1.0, 1.0],
                           [False, False])
         cfg = PreprocessConfig()
-        img = rasterize(traj, cfg)
+        img = rasterize(*columns(traj), cfg)
         assert_images_equal(img, ref.rasterize(traj, cfg))
         assert not img.pressure.any()
 
@@ -100,7 +109,8 @@ class TestWalk:
     @given(ENDS, ENDS, ENDS, ENDS)
     @example(5, 5, 5, 5)  # a single-pixel segment
     def test_one_segment_matches_the_scalar_walk(self, r0, c0, r1, c1):
-        assert _line_pixels(r0, c0, r1, c1) == ref.line_pixels(r0, c0, r1, c1)
+        rows, cols, _ = _walk([r0], [c0], [r1], [c1])
+        assert list(zip(rows.tolist(), cols.tolist())) == ref.line_pixels(r0, c0, r1, c1)
 
     @SETTINGS
     @given(st.lists(st.tuples(ENDS, ENDS, ENDS, ENDS), max_size=30))
@@ -167,8 +177,9 @@ def test_full_preprocess_matches_the_scalar_pipeline():
         moved = Trajectory(tr.x - tr.x.min(), tr.y - tr.y.min(), tr.t, tr.pressure,
                            tr.pen_down, user_id=tr.user_id)
         smoothed = ref.smooth(moved, cfg)
-        expect = ref.rasterize(
-            normalize_extent(rotate(smoothed, orientation_angle(smoothed))), cfg)
+        x, y = rotate(smoothed.x, smoothed.y, orientation_angle(smoothed.x, smoothed.y))
+        expect = ref.rasterize(Trajectory(*normalize_extent(x, y), smoothed.t,
+                                          smoothed.pressure, smoothed.pen_down), cfg)
         got = preprocess(tr, cfg)
         assert_images_equal(got, expect)
         assert_patches_equal(extract_dense(got, patch_cfg),

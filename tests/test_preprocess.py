@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from sigverify import (PreprocessConfig, Trajectory, normalize_extent,
-                       orientation_angle, preprocess, rasterize, rotate, smooth)
-from sigverify.preprocess import _line_pixels
+from sigverify import (PreprocessConfig, Trajectory, describe, generate_synthetic_corpus,
+                       normalize_extent, orientation_angle, preprocess, rasterize,
+                       rotate, smooth)
+from sigverify.preprocess import _walk
 
 
 def traj_from_xy(x, y, t=None, pressure=None, pen_down=None, **meta):
@@ -16,23 +17,27 @@ def traj_from_xy(x, y, t=None, pressure=None, pen_down=None, **meta):
                       np.ones(n, bool) if pen_down is None else pen_down, **meta)
 
 
+def columns(tr):
+    return tr.x, tr.y, tr.t, tr.pressure, tr.pen_down
+
+
 class TestOrientationAngle:
     def test_diagonal_line_is_quarter_turn(self):
         tr = traj_from_xy(np.arange(10.0), np.arange(10.0))
-        assert abs(orientation_angle(tr) - math.pi / 4) <= 1e-9
+        assert abs(orientation_angle(tr.x, tr.y) - math.pi / 4) <= 1e-9
 
     def test_horizontal_spread_is_zero(self):
         tr = traj_from_xy(np.arange(10.0), np.zeros(10))
-        assert orientation_angle(tr) == 0.0
+        assert orientation_angle(tr.x, tr.y) == 0.0
 
     def test_vertical_spread_is_half_pi(self):
         tr = traj_from_xy(np.zeros(10), np.arange(10.0))
-        assert orientation_angle(tr) == math.pi / 2
+        assert orientation_angle(tr.x, tr.y) == math.pi / 2
 
     def test_coincident_samples_raise(self):
         tr = traj_from_xy(np.full(5, 3.0), np.full(5, 7.0))
         with pytest.raises(ValueError, match="degenerate geometry"):
-            orientation_angle(tr)
+            orientation_angle(tr.x, tr.y)
 
     def test_recovers_known_major_axis(self):
         rng = np.random.default_rng(8)
@@ -43,7 +48,7 @@ class TestOrientationAngle:
             v = rng.normal(0, 1, n)
             x = u * math.cos(phi) - v * math.sin(phi)
             y = u * math.sin(phi) + v * math.cos(phi)
-            got = orientation_angle(traj_from_xy(x, y))
+            got = orientation_angle(x, y)
             err = abs(got - phi)
             assert min(err, abs(err - math.pi)) < 0.05
 
@@ -52,10 +57,9 @@ class TestOrientationAngle:
         for _ in range(20):
             x = rng.normal(size=200) * rng.uniform(1, 20)
             y = rng.normal(size=200) * rng.uniform(1, 20) + 0.5 * x
-            tr = traj_from_xy(x, y)
-            out = rotate(tr, orientation_angle(tr))
-            xr = out.x - out.x.mean()
-            yr = out.y - out.y.mean()
+            xr, yr = rotate(x, y, orientation_angle(x, y))
+            xr = xr - xr.mean()
+            yr = yr - yr.mean()
             cxy = float(np.mean(xr * yr))
             sx2 = float(np.mean(xr * xr))
             sy2 = float(np.mean(yr * yr))
@@ -67,39 +71,37 @@ class TestRotate:
     def test_rotation_preserves_pairwise_distances(self):
         rng = np.random.default_rng(5)
         x, y = rng.normal(size=30), rng.normal(size=30)
-        tr = traj_from_xy(x, y)
-        out = rotate(tr, 0.7)
+        xr, yr = rotate(x, y, 0.7)
         d_in = np.hypot(x[:, None] - x, y[:, None] - y)
-        d_out = np.hypot(out.x[:, None] - out.x, out.y[:, None] - out.y)
+        d_out = np.hypot(xr[:, None] - xr, yr[:, None] - yr)
         assert np.allclose(d_in, d_out)
 
     def test_zero_angle_only_centers(self):
-        tr = traj_from_xy(np.array([1.0, 3.0]), np.array([2.0, 6.0]))
-        out = rotate(tr, 0.0)
-        assert np.allclose(out.x, [-1.0, 1.0])
-        assert np.allclose(out.y, [-2.0, 2.0])
+        x, y = rotate(np.array([1.0, 3.0]), np.array([2.0, 6.0]), 0.0)
+        assert np.allclose(x, [-1.0, 1.0])
+        assert np.allclose(y, [-2.0, 2.0])
 
 
 class TestNormalizeExtent:
     def test_reference_values_are_exact(self):
-        tr = traj_from_xy(np.array([2.0, 4.0, 6.0]), np.array([2.0, 4.0, 6.0]))
-        out = normalize_extent(tr)
-        assert out.x.tolist() == [0.0, 50.0, 100.0]
-        assert out.y.tolist() == [0.0, 50.0, 100.0]
+        x, y = normalize_extent(np.array([2.0, 4.0, 6.0]), np.array([2.0, 4.0, 6.0]))
+        assert x.tolist() == [0.0, 50.0, 100.0]
+        assert y.tolist() == [0.0, 50.0, 100.0]
 
     def test_output_always_spans_the_canvas(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            tr = traj_from_xy(rng.normal(0, 50, 40), rng.normal(0, 50, 40))
-            out = normalize_extent(tr)
-            for v in (out.x, out.y):
+            for v in normalize_extent(rng.normal(0, 50, 40), rng.normal(0, 50, 40)):
                 assert v.min() == 0.0
                 assert v.max() == pytest.approx(100.0, abs=1e-9)
 
     def test_zero_span_raises(self):
-        tr = traj_from_xy(np.array([1.0, 2.0]), np.array([5.0, 5.0]))
-        with pytest.raises(ValueError, match="degenerate extent"):
-            normalize_extent(tr)
+        # a NaN or inf coordinate, or a span that overflows, is no span either
+        for x, y in (([1.0, 2.0], [5.0, 5.0]), ([0.0, np.nan], [0.0, 1.0]),
+                     ([0.0, 1.0], [np.inf, 1.0]), ([-1e308, 1e308], [0.0, 1.0])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(ValueError, match="degenerate extent"):
+                    normalize_extent(np.array(x), np.array(y))
 
 
 class TestLinePixels:
@@ -108,7 +110,8 @@ class TestLinePixels:
             for c0 in range(7):
                 for r1 in range(7):
                     for c1 in range(7):
-                        pix = _line_pixels(r0, c0, r1, c1)
+                        rows, cols, _ = _walk([r0], [c0], [r1], [c1])
+                        pix = list(zip(rows.tolist(), cols.tolist()))
                         assert pix[0] == (r0, c0) and pix[-1] == (r1, c1)
                         assert len(pix) == max(abs(r1 - r0), abs(c1 - c0)) + 1
                         for (ra, ca), (rb, cb) in zip(pix, pix[1:]):
@@ -126,7 +129,7 @@ class TestRasterize:
         tr = traj_from_xy(np.array([0.0, 100.0]), np.array([0.0, 100.0]),
                           t=np.array([0.0, 10.0]),
                           pressure=np.array([0.5, 1.0]))
-        img = rasterize(tr, self.CFG)
+        img = rasterize(*columns(tr), self.CFG)
         assert int(np.count_nonzero(img.pressure)) == 101
         assert img.pressure[100, 0] == 0.5  # start: bottom-left, half pressure
         assert img.pressure[0, 100] == 1.0
@@ -137,13 +140,13 @@ class TestRasterize:
 
     def test_row_zero_is_the_top_of_the_canvas(self):
         tr = traj_from_xy(np.array([0.0, 100.0]), np.array([100.0, 100.0]))
-        img = rasterize(tr, self.CFG)
+        img = rasterize(*columns(tr), self.CFG)
         assert np.count_nonzero(img.pressure[0]) == 101
         assert np.count_nonzero(img.pressure[1:]) == 0
 
     def test_horizontal_stroke_length(self):
         tr = traj_from_xy(np.array([0.0, 10.0]), np.array([50.0, 50.0]))
-        img = rasterize(tr, self.CFG)
+        img = rasterize(*columns(tr), self.CFG)
         assert np.count_nonzero(img.pressure) == 11
         assert np.count_nonzero(img.pressure[50, :11]) == 11
 
@@ -152,7 +155,7 @@ class TestRasterize:
                           np.array([50.0, 50.0, 50.0]),
                           pressure=np.array([1.0, 0.8, 1.0]),
                           pen_down=np.array([True, False, True]))
-        img = rasterize(tr, self.CFG)
+        img = rasterize(*columns(tr), self.CFG)
         # only the two endpoint samples are inked, no connecting segment
         assert np.count_nonzero(img.pressure) == 2
         assert img.pressure[50, 0] == 1.0 and img.pressure[50, 100] == 1.0
@@ -164,12 +167,11 @@ class TestRasterize:
             t=[0.0, 1.0, 1.5, 2.0, 3.0],
             pressure=[0.2, 0.2, 0.0, 1.0, 1.0],
             pen_down=[True, True, False, True, True])
-        img = rasterize(tr, self.CFG)
+        img = rasterize(*columns(tr), self.CFG)
         assert img.pressure[50, 50] == 1.0  # crossing pixel carries stroke B
         assert img.time[50, 50] == pytest.approx(5.0 / 6.0, rel=1e-12)
 
     def test_pressure_channel_peaks_at_one(self):
-        from sigverify import generate_synthetic_corpus
         corpus = generate_synthetic_corpus(seed=21, n_users=2, n_genuine=2,
                                            n_forgery=1)
         for tr in corpus.all_trajectories():
@@ -180,14 +182,15 @@ class TestRasterize:
             assert img.pressure.shape == (101, 101)
 
     def test_out_of_range_coordinates_raise(self):
-        tr = traj_from_xy(np.array([-5.0, 50.0]), np.array([0.0, 100.0]))
-        with pytest.raises(ValueError, match="normalized"):
-            rasterize(tr, self.CFG)
+        tr = traj_from_xy(np.array([0.0, 50.0]), np.array([0.0, 100.0]))
+        for bad_x in ([-5.0, 50.0], [np.nan, 50.0]):
+            with pytest.raises(ValueError, match="normalized"):
+                rasterize(np.array(bad_x), *columns(tr)[1:], self.CFG)
 
     def test_canvas_size_is_configurable(self):
         cfg = PreprocessConfig(canvas=51)
         tr = traj_from_xy(np.array([0.0, 100.0]), np.array([0.0, 100.0]))
-        img = rasterize(tr, cfg)
+        img = rasterize(*columns(tr), cfg)
         assert img.pressure.shape == (51, 51)
         assert img.side == 51
 
@@ -198,24 +201,25 @@ class TestSmooth:
     def test_inserts_points_inside_each_segment(self):
         n = 10
         tr = traj_from_xy(np.arange(n, dtype=float), np.sin(np.arange(n)))
-        out = smooth(tr, self.CFG)
+        out = Trajectory(*smooth(*columns(tr), self.CFG))
         assert len(out) == n + (n - 1) * 3
         assert np.all(np.isin(tr.t, out.t))  # original timestamps survive
         assert np.allclose(out.x[::4], tr.x) and np.allclose(out.y[::4], tr.y)
 
     def test_disabled_smoothing_is_identity(self):
         tr = traj_from_xy(np.arange(10.0), np.sin(np.arange(10)))
-        assert smooth(tr, PreprocessConfig(smooth=False)) is tr
+        out = smooth(*columns(tr), PreprocessConfig(smooth=False))
+        assert all(a is b for a, b in zip(out, columns(tr), strict=True))
 
     def test_short_runs_pass_through(self):
         tr = traj_from_xy(np.arange(3.0), np.arange(3.0))
-        out = smooth(tr, self.CFG)
-        assert out.equals(tr.with_meta())
+        out = smooth(*columns(tr), self.CFG)
+        assert all(np.array_equal(a, b) for a, b in zip(out, columns(tr), strict=True))
 
     def test_pen_up_samples_pass_through(self):
         pen = np.array([True] * 6 + [False, False] + [True] * 6)
         tr = traj_from_xy(np.arange(14.0), np.sin(np.arange(14.0)), pen_down=pen)
-        out = smooth(tr, self.CFG)
+        out = Trajectory(*smooth(*columns(tr), self.CFG))
         # two 6-sample runs upsampled, the 2 pen-up samples untouched
         assert len(out) == 2 * (6 + 5 * 3) + 2
         assert np.count_nonzero(~out.pen_down) == 2
@@ -226,7 +230,7 @@ class TestSmooth:
             t = np.linspace(0.0, 2 * np.pi, 16)
             noise = rng.normal(0, 0.005, t.size)
             tr = traj_from_xy(t.copy(), np.sin(t) + noise, t=t)
-            out = smooth(tr, self.CFG)
+            out = Trajectory(*smooth(*columns(tr), self.CFG))
             inserted = ~np.isin(out.t, t)
             spline_err = np.mean((out.y[inserted] - np.sin(out.t[inserted])) ** 2)
             chord_err = np.mean(
@@ -236,14 +240,13 @@ class TestSmooth:
     def test_repeated_timestamps_do_not_break_the_fit(self):
         t = np.array([0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0])
         tr = traj_from_xy(np.arange(7.0), np.arange(7.0) ** 2, t=t)
-        out = smooth(tr, self.CFG)
+        out = Trajectory(*smooth(*columns(tr), self.CFG))
         assert np.all(np.diff(out.t) >= 0)
         assert np.all(np.isfinite(out.x)) and np.all(np.isfinite(out.y))
 
 
 class TestFullPipeline:
     def test_translation_gives_bit_identical_images(self):
-        from sigverify import generate_synthetic_corpus
         corpus = generate_synthetic_corpus(seed=31, n_users=2, n_genuine=2,
                                            n_forgery=0)
         for tr in corpus.all_trajectories():
@@ -254,13 +257,13 @@ class TestFullPipeline:
             assert np.array_equal(a.time, b.time)
 
     def test_uniform_scaling_barely_moves_the_geometry(self):
-        from sigverify import generate_synthetic_corpus
         corpus = generate_synthetic_corpus(seed=32, n_users=1, n_genuine=2,
                                            n_forgery=0)
         for tr in corpus.all_trajectories():
             big = Trajectory(tr.x * 3.0, tr.y * 3.0, tr.t, tr.pressure,
                              tr.pen_down, user_id=tr.user_id)
-            assert abs(orientation_angle(tr) - orientation_angle(big)) < 1e-9
+            angle = orientation_angle(tr.x, tr.y)
+            assert abs(angle - orientation_angle(big.x, big.y)) < 1e-9
             a, b = preprocess(tr), preprocess(big)
             # isolated pixels may shift; the bulk of the image must agree
             frac_diff = np.mean(a.pressure != b.pressure)
@@ -270,3 +273,16 @@ class TestFullPipeline:
         tr = traj_from_xy(np.arange(10.0), 2.0 * np.arange(10.0) + 1.0)
         with pytest.raises(ValueError, match="degenerate extent"):
             preprocess(tr)
+
+    @pytest.mark.parametrize("spread", [1e160, 1e200, 1e300, 1e307])
+    def test_overflowing_spread_raises(self, spread, tiny_model):
+        # x*x or the translation overflows; the image must not be drawn from it
+        corpus = generate_synthetic_corpus(seed=33, n_users=1, n_genuine=1, n_forgery=0)
+        tr = corpus.all_trajectories()[0]
+        x, y = (((v - v.min()) / np.ptp(v) - 0.5) * spread for v in (tr.x, tr.y))
+        huge = Trajectory(x, y, tr.t, tr.pressure, tr.pen_down)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                preprocess(huge)
+            with pytest.raises(ValueError):
+                describe(huge, tiny_model)
