@@ -189,5 +189,4 @@ def encode(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != model.input_dim:
         raise ValueError(f"input has dimension {x.shape[-1]}, "
                          f"model expects {model.input_dim}")
-    a, _ = forward(model.params, x)
-    return a
+    return _sigmoid(x @ model.params.W1.T + model.params.b1)

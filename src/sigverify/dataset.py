@@ -22,13 +22,10 @@ A corpus on disk is laid out as ``<root>/<user>/{genuine,forgery}/*.txt``.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 GENUINE = "genuine"
 SKILLED_FORGERY = "skilled_forgery"
@@ -260,16 +257,12 @@ def load_corpus(root, layout="canonical", source=None) -> Corpus:
                 try:
                     bucket.append(parse(f.read_text(), user_id=uid, label=label, source=src))
                 except (ParseError, ValueError, OSError) as exc:
-                    msg = f"skipped {f}: {exc}"
-                    corpus.warnings.append(msg)
-                    logger.warning(msg)
+                    corpus.warnings.append(f"skipped {f}: {exc}")
         if sigs.genuine or sigs.skilled_forgeries:
             corpus.users[uid] = sigs
             if len(sigs.genuine) < 4:
-                msg = (f"user {uid} has {len(sigs.genuine)} genuine signatures; "
-                       "the evaluation protocol needs at least 4")
-                corpus.warnings.append(msg)
-                logger.warning(msg)
+                corpus.warnings.append(f"user {uid} has {len(sigs.genuine)} genuine "
+                                       "signatures; the evaluation protocol needs at least 4")
     if corpus.n_trajectories() == 0:
         raise ValueError(f"no signatures could be loaded from {root}")
     return corpus

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import logging
 import typing
 from dataclasses import dataclass
 
@@ -24,8 +23,6 @@ from .dataset import Trajectory
 from .patches import PatchConfig, extract_dense, sample_training_patches
 from .preprocess import PreprocessConfig, preprocess
 from .whitening import WhitenConfig, WhiteningTransform, apply_whitening, fit_whitening
-
-logger = logging.getLogger(__name__)
 
 MODEL_VERSION = 1
 

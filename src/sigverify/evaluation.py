@@ -90,7 +90,7 @@ def split_protocol(corpus: Corpus, fold: int, k: int = 4, seed: int = 0):
     nearly equal blocks, the first ``n % k`` one longer; block ``fold``
     trains the model and the other blocks, in block order, are the
     genuine test set.  Users with fewer than k genuine signatures are
-    excluded with a warning.
+    excluded in every fold; the warning is logged in fold 0 only.
 
     Returns (splits, excluded) where splits maps user_id to
     ``(train_idx, test_idx)``, integer arrays indexing
@@ -106,8 +106,9 @@ def split_protocol(corpus: Corpus, fold: int, k: int = 4, seed: int = 0):
         n = len(corpus.users[uid].genuine)
         if n < k:
             excluded.append(uid)
-            logger.warning("user %s has %d genuine signatures, fewer than k=%d; "
-                           "excluded from the protocol", uid, n, k)
+            if fold == 0:
+                logger.warning("user %s has %d genuine signatures, fewer than k=%d; "
+                               "excluded from the protocol", uid, n, k)
             continue
         blocks = np.array_split(_user_rng(seed, uid).permutation(n), k)
         splits[uid] = (blocks[fold], np.concatenate(blocks[:fold] + blocks[fold + 1:]))

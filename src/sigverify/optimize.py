@@ -7,6 +7,7 @@ objective callable must return ``(cost, gradient)``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,7 +110,7 @@ def minimize_lbfgs(fun, x0, max_iter=200, memory=10, grad_tol=1e-5,
         raise FloatingPointError("objective is non-finite at the start point")
     n_evals = 1
     history = [float(f)]
-    s_list, y_list, rho_list = [], [], []
+    pairs = deque(maxlen=memory)  # (s, y, 1 / (s @ y)), oldest first
     line_search_failed = False
     n_iter = 0
 
@@ -120,23 +121,23 @@ def minimize_lbfgs(fun, x0, max_iter=200, memory=10, grad_tol=1e-5,
 
         q = g.copy()
         alphas = []
-        for s, y, rho in zip(reversed(s_list), reversed(y_list), reversed(rho_list)):
+        for s, y, rho in reversed(pairs):
             a = rho * float(s @ q)
             alphas.append(a)
             q -= a * y
-        if s_list:
-            s, y = s_list[-1], y_list[-1]
+        if pairs:
+            s, y, _ = pairs[-1]
             q *= float(s @ y) / float(y @ y)
-        for (s, y, rho), a in zip(zip(s_list, y_list, rho_list), reversed(alphas)):
+        for (s, y, rho), a in zip(pairs, reversed(alphas)):
             b = rho * float(y @ q)
             q += (a - b) * s
         p = -q
         if float(g @ p) >= 0:
             # numerical breakdown of the quasi-Newton model: restart
-            s_list, y_list, rho_list = [], [], []
+            pairs.clear()
             p = -g
 
-        alpha0 = 1.0 if s_list or n_iter > 0 else min(1.0, 1.0 / max(g_inf, 1e-8))
+        alpha0 = 1.0 if pairs or n_iter > 0 else min(1.0, 1.0 / max(g_inf, 1e-8))
         alpha, f_new, g_new, evals = _strong_wolfe(fun, x, f, g, p, alpha0,
                                                    max_line_steps)
         n_evals += evals
@@ -150,13 +151,7 @@ def minimize_lbfgs(fun, x0, max_iter=200, memory=10, grad_tol=1e-5,
         y = g_new - g
         sy = float(s @ y)
         if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
-            s_list.append(s)
-            y_list.append(y)
-            rho_list.append(1.0 / sy)
-            if len(s_list) > memory:
-                s_list.pop(0)
-                y_list.pop(0)
-                rho_list.pop(0)
+            pairs.append((s, y, 1.0 / sy))
         x = x + s
         f, g = f_new, g_new
         history.append(float(f))

@@ -157,37 +157,21 @@ def _walk(r0, c0, r1, c1):
     Takes equal-length integer arrays of end points.  Returns the flat
     ``rows`` and ``cols`` of every pixel from (r0, c0) to (r1, c1)
     inclusive, segment after segment, and each segment's pixel count
-    ``max(|r1 - r0|, |c1 - c0|) + 1``.  The loop runs over the step index
-    only; segments are walked longest first, so the ones still moving are
-    always a prefix, and every one follows the scalar rule ``err = dc -
-    dr``, ``e2 = 2 err``, step columns when ``e2 >= -dr`` and rows when
-    ``e2 <= dc``.
+    ``n + 1`` with ``n = max(|dr|, |dc|)``.  Under the scalar rule (``err
+    = dc - dr``, ``e2 = 2 err``, step columns when ``e2 >= -dr`` and rows
+    when ``e2 <= dc``) the major axis moves on every step and the minor
+    axis moves exactly when ``k |d| / n`` reaches the next half pixel,
+    rounded half up.  So pixel k = 0..n lies at ``p0 + sign(d) * ((2 |d| k
+    + n) // (2 max(n, 1)))`` on each axis, exact in int64 while n < 2**31.
     """
     r0, c0, r1, c1 = (np.asarray(v, dtype=np.int64) for v in (r0, c0, r1, c1))
-    dr, dc = np.abs(r1 - r0), np.abs(c1 - c0)
-    lengths = np.maximum(dr, dc) + 1
-    offsets = np.cumsum(lengths) - lengths
-    order = np.argsort(-lengths, kind="stable")
-    dr, dc, offsets = dr[order], dc[order], offsets[order]
-    sr = np.where(r1 >= r0, 1, -1)[order]
-    sc = np.where(c1 >= c0, 1, -1)[order]
-    r, c = r0[order], c0[order]
-    err = dc - dr
-    # moving[k]: how many segments have a pixel k (lengths sorted descending)
-    moving = np.searchsorted(-lengths[order], -np.arange(lengths.max(initial=0)))
-    rows = np.empty(int(lengths.sum()), dtype=np.int64)
-    cols = np.empty_like(rows)
-    neg_dr = -dr
-    for k, n in enumerate(moving):
-        dst = offsets[:n] + k
-        rows[dst] = r[:n]
-        cols[dst] = c[:n]
-        e2 = 2 * err[:n]
-        step_c = e2 >= neg_dr[:n]
-        step_r = e2 <= dc[:n]
-        err[:n] += dc[:n] * step_r + neg_dr[:n] * step_c
-        c[:n] += sc[:n] * step_c
-        r[:n] += sr[:n] * step_r
+    n = np.maximum(np.abs(r1 - r0), np.abs(c1 - c0))
+    lengths = n + 1
+    seg = np.repeat(np.arange(len(n)), lengths)
+    k = np.arange(len(seg)) - (np.cumsum(lengths) - lengths)[seg]
+    half, whole = n[seg], 2 * np.maximum(n[seg], 1)
+    rows, cols = (p0[seg] + np.sign(d)[seg] * ((2 * np.abs(d)[seg] * k + half) // whole)
+                  for p0, d in ((r0, r1 - r0), (c0, c1 - c0)))
     return rows, cols, lengths
 
 

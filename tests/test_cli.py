@@ -1,7 +1,13 @@
+import os
 import re
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sigverify
 from sigverify.cli import main
 
 FAST = ["--set", "ae.hidden=8", "--set", "ae.max_iter=15",
@@ -200,6 +206,31 @@ class TestEvaluate:
         assert rocs == [f"roc_user{i:03d}.csv" for i in range(4)]
         text = (out / "report.txt").read_text()
         assert "mean eer" in text
+
+    def test_each_corpus_and_exclusion_warning_prints_once(self, workspace, tmp_path):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        bad = corpus / "user000" / "genuine" / "bad.txt"
+        bad.write_text("not a signature\n")
+        sparse = corpus / "user999" / "genuine"
+        sparse.mkdir(parents=True)
+        for name in ("000.txt", "001.txt"):
+            shutil.copy(corpus / "user001" / "genuine" / name, sparse / name)
+        src = str(Path(sigverify.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sigverify.cli", "evaluate",
+             "--model", str(workspace / "model.sig"), "--corpus", str(corpus),
+             "--out", str(tmp_path / "report")],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        for message in (f"skipped {bad}: ",
+                        "user user999 has 2 genuine signatures; the evaluation "
+                        "protocol needs at least 4",
+                        "user user999 has 2 genuine signatures, fewer than k=4; "
+                        "excluded from the protocol"):
+            assert proc.stderr.count(message) == 1, proc.stderr
 
 
 class TestParsing:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,8 @@ from sigverify import (PreprocessConfig, Trajectory, describe, generate_syntheti
                        normalize_extent, orientation_angle, preprocess, rasterize,
                        rotate, smooth)
 from sigverify.preprocess import _walk
+
+import reference_pipeline as ref
 
 
 def traj_from_xy(x, y, t=None, pressure=None, pen_down=None, **meta):
@@ -106,20 +109,24 @@ class TestNormalizeExtent:
 
 class TestLinePixels:
     def test_small_grid_exhaustive_walk_properties(self):
-        for r0 in range(7):
-            for c0 in range(7):
-                for r1 in range(7):
-                    for c1 in range(7):
-                        rows, cols, _ = _walk([r0], [c0], [r1], [c1])
-                        pix = list(zip(rows.tolist(), cols.tolist()))
-                        assert pix[0] == (r0, c0) and pix[-1] == (r1, c1)
-                        assert len(pix) == max(abs(r1 - r0), abs(c1 - c0)) + 1
-                        for (ra, ca), (rb, cb) in zip(pix, pix[1:]):
-                            assert max(abs(rb - ra), abs(cb - ca)) == 1
-                        rows = [p[0] for p in pix]
-                        cols = [p[1] for p in pix]
-                        assert rows == sorted(rows, reverse=r1 < r0)
-                        assert cols == sorted(cols, reverse=c1 < c0)
+        ends = list(itertools.product(range(7), repeat=4))  # (r0, c0, r1, c1)
+        all_rows, all_cols, all_lengths = _walk(*np.array(ends).T)
+        stops = np.cumsum(all_lengths)
+        assert len(all_lengths) == 7 ** 4 and stops[-1] == len(all_rows)
+        for (r0, c0, r1, c1), start, stop in zip(ends, stops - all_lengths, stops):
+            rows, cols, _ = _walk([r0], [c0], [r1], [c1])
+            pix = list(zip(rows.tolist(), cols.tolist()))
+            assert pix == ref.line_pixels(r0, c0, r1, c1)
+            assert pix == list(zip(all_rows[start:stop].tolist(),
+                                   all_cols[start:stop].tolist()))
+            assert pix[0] == (r0, c0) and pix[-1] == (r1, c1)
+            assert len(pix) == max(abs(r1 - r0), abs(c1 - c0)) + 1
+            for (ra, ca), (rb, cb) in zip(pix, pix[1:]):
+                assert max(abs(rb - ra), abs(cb - ca)) == 1
+            rows = [p[0] for p in pix]
+            cols = [p[1] for p in pix]
+            assert rows == sorted(rows, reverse=r1 < r0)
+            assert cols == sorted(cols, reverse=c1 < c0)
 
 
 class TestRasterize:
