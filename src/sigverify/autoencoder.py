@@ -41,14 +41,15 @@ class AeConfig:
             raise ValueError("hidden must be at least 1")
         if not 0 < self.sparsity_target < 1:
             raise ValueError("sparsity_target must lie strictly inside (0, 1)")
-        if self.weight_decay < 0 or self.sparsity_weight < 0:
-            raise ValueError("weight_decay and sparsity_weight must be non-negative")
+        for name in ("weight_decay", "sparsity_weight"):
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.max_iter < 0:
             raise ValueError("max_iter must be non-negative")
         if self.memory < 1:
             raise ValueError("memory must be at least 1")
-        if self.grad_tol <= 0:
-            raise ValueError("grad_tol must be positive")
+        if not 0 < self.grad_tol < np.inf:
+            raise ValueError("grad_tol must be finite and positive")
 
 
 @dataclass
@@ -161,8 +162,7 @@ def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):
 
 def train(batch: np.ndarray, cfg: AeConfig | None = None) -> AutoencoderModel:
     """Fit the autoencoder to a batch of input vectors with L-BFGS."""
-    if cfg is None:
-        cfg = AeConfig()
+    cfg = cfg or AeConfig()
     x = _batch(batch)
     if not np.all(np.isfinite(x)):
         raise ValueError("training batch contains non-finite values")

@@ -128,10 +128,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _warn(*messages):
+    """Print conditions the library returned, one ``warning:`` line each."""
+    for message in messages:
+        print(f"warning: {message}", file=sys.stderr)
+
+
 def _load_corpus_arg(args, cfg):
     corpus = load_corpus(Path(args.corpus), layout=cfg["corpus.layout"])
-    for w in corpus.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    _warn(*corpus.warnings)
     return corpus
 
 
@@ -149,13 +154,16 @@ def cmd_learn_descriptor(args) -> int:
     elapsed = time.perf_counter() - started
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)
+    if not model.whitening.full_rank_input:
+        _warn(f"whitening fitted on {cfg['patch.train_count']} patches for dimension "
+              f"{model.whitening.input_dim}; covariance is rank deficient")
     if model.ae.line_search_failed:
-        print("warning: line search failed before the iteration budget; "
-              "the model is the last accepted iterate", file=sys.stderr)
+        _warn("line search failed before the iteration budget; "
+              "the model is the last accepted iterate")
     elif not model.ae.converged:
-        print("warning: training stopped unconverged at the iteration budget "
+        _warn("training stopped unconverged at the iteration budget "
               f"(ae.max_iter={cfg['ae.max_iter']}): the gradient is still above "
-              f"ae.grad_tol={cfg['ae.grad_tol']:g}", file=sys.stderr)
+              f"ae.grad_tol={cfg['ae.grad_tol']:g}")
     print(f"trained on {len(unlabeled)} signatures: whitened patch dim "
           f"{model.whitening.output_dim}, hidden {model.hidden}, "
           f"final cost {model.ae.final_cost:.6f}, "
@@ -176,8 +184,7 @@ def cmd_enroll(args) -> int:
         target = out / f"{uid}.usermodel"
         if target.exists() and not args.force:
             skipped += 1
-            print(f"warning: {target} exists, skipping {uid} "
-                  "(use --force to re-enroll)", file=sys.stderr)
+            _warn(f"{target} exists, skipping {uid} (use --force to re-enroll)")
             continue
         try:
             if not genuine:
@@ -192,7 +199,7 @@ def cmd_enroll(args) -> int:
                   f"threshold {user_model.threshold:.6f}")
         except (ValueError, OSError) as exc:
             failed += 1
-            print(f"warning: could not enroll {uid}: {exc}", file=sys.stderr)
+            _warn(f"could not enroll {uid}: {exc}")
     print(f"enrolled {enrolled} users into {out} ({skipped} already present)")
     if enrolled == 0 and skipped == 0:
         raise ValueError(f"no user could be enrolled ({failed} failures)")
@@ -206,6 +213,9 @@ def cmd_verify(args) -> int:
     if not user_file.is_file():
         raise ValueError(f"no enrolled model for user {args.user!r} at {user_file}")
     user_model = load_user_model(user_file)
+    if user_model.user_id != args.user:
+        raise ValueError(f"{user_file} was enrolled for user {user_model.user_id!r}, "
+                         f"not {args.user!r}")
     if user_model.dim != model.hidden:
         raise ValueError(
             f"user model dimension {user_model.dim} does not match "
@@ -232,6 +242,7 @@ def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     report = run_experiment(corpus, model, k=cfg["eval.folds"],
                             reg=cfg["oneclass.reg"], seed=cfg["seed"])
+    _warn(*report.warnings)
     (out / "report.txt").write_text(format_report(report))
     (out / "scores.csv").write_text(scores_csv(report))
     for uid, scores in sorted(report.per_user_scores.items()):

@@ -234,8 +234,8 @@ def load_corpus(root, layout="canonical", source=None) -> Corpus:
     """Load ``<root>/<user>/{genuine,forgery}/*.txt`` into a Corpus.
 
     Files that fail to parse are skipped with a warning collected on the
-    returned corpus.  Users with fewer than 4 genuine signatures are kept
-    but flagged, since the evaluation protocol will exclude them.
+    returned corpus.  Every user with a signature is kept: how many genuine
+    signatures a user needs is the evaluation protocol's rule, not the loader's.
     """
     root = Path(root)
     parse = parser_for(layout)
@@ -260,9 +260,6 @@ def load_corpus(root, layout="canonical", source=None) -> Corpus:
                     corpus.warnings.append(f"skipped {f}: {exc}")
         if sigs.genuine or sigs.skilled_forgeries:
             corpus.users[uid] = sigs
-            if len(sigs.genuine) < 4:
-                corpus.warnings.append(f"user {uid} has {len(sigs.genuine)} genuine "
-                                       "signatures; the evaluation protocol needs at least 4")
     if corpus.n_trajectories() == 0:
         raise ValueError(f"no signatures could be loaded from {root}")
     return corpus

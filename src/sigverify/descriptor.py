@@ -193,15 +193,8 @@ def save_model(model: DescriptorModel, path) -> None:
     for prefix, obj in groups.items():
         for name, _, _ in config_fields(prefix):
             meta[f"{prefix}.{name}"] = getattr(obj, name)
-    arrays = {
-        "whitening.mean": wt.mean,
-        "whitening.basis": wt.basis,
-        "whitening.eigenvalues": wt.eigenvalues,
-        "ae.W1": ae.params.W1,
-        "ae.b1": ae.params.b1,
-        "ae.W2": ae.params.W2,
-        "ae.b2": ae.params.b2,
-    }
+    arrays = {f"whitening.{n}": getattr(wt, n) for n in ("mean", "basis", "eigenvalues")}
+    arrays.update({f"ae.{n}": getattr(ae.params, n) for n in ("W1", "b1", "W2", "b2")})
     container.write_container(path, {k: format_value(v) for k, v in meta.items()},
                               arrays)
 
@@ -215,7 +208,7 @@ def load_model(path) -> DescriptorModel:
                   for name, kind, _ in config_fields(prefix)}
         try:
             cfgs[prefix] = cls(**values)
-        except ValueError as exc:  # a check across fields, such as stride <= size
+        except ValueError as exc:  # a failed config check, such as stride <= size
             raise container.ContainerError(f"{path}: bad {prefix}.* metadata: {exc}") from None
     check_arrays(arrays, {
         "whitening.basis": ("out", "in"), "whitening.mean": ("in",),

@@ -10,7 +10,6 @@ scores at or below t.
 from __future__ import annotations
 
 import hashlib
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from .dataset import Corpus
 from .descriptor import DescriptorModel, describe
 from .oneclass import _scores, fit_user_model
-
-logger = logging.getLogger(__name__)
 
 LABEL_GENUINE = "genuine"
 LABEL_SKILLED = "skilled"
@@ -75,6 +72,7 @@ class EvalReport:
     excluded_users: list = field(default_factory=list)
     score_rows: list = field(default_factory=list)  # (user, fold, label, score)
     per_user_scores: dict = field(default_factory=dict)
+    warnings: list = field(default_factory=list)  # one message per condition met
 
 
 def _user_rng(seed: int, user_id: str):
@@ -90,7 +88,7 @@ def split_protocol(corpus: Corpus, fold: int, k: int = 4, seed: int = 0):
     nearly equal blocks, the first ``n % k`` one longer; block ``fold``
     trains the model and the other blocks, in block order, are the
     genuine test set.  Users with fewer than k genuine signatures are
-    excluded in every fold; the warning is logged in fold 0 only.
+    excluded in every fold and listed in ``excluded``.
 
     Returns (splits, excluded) where splits maps user_id to
     ``(train_idx, test_idx)``, integer arrays indexing
@@ -106,9 +104,6 @@ def split_protocol(corpus: Corpus, fold: int, k: int = 4, seed: int = 0):
         n = len(corpus.users[uid].genuine)
         if n < k:
             excluded.append(uid)
-            if fold == 0:
-                logger.warning("user %s has %d genuine signatures, fewer than k=%d; "
-                               "excluded from the protocol", uid, n, k)
             continue
         blocks = np.array_split(_user_rng(seed, uid).permutation(n), k)
         splits[uid] = (blocks[fold], np.concatenate(blocks[:fold] + blocks[fold + 1:]))
@@ -186,13 +181,17 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     Scores pool across folds per user; the report carries per-user
     EER/AUC, their means, the forgery-type subsets, and a secondary EER
     computed with one global pooled threshold.
+
+    Nothing is printed or logged: each condition met is one message in
+    ``report.warnings``, or in the ValueError raised if no user is reportable.
     """
     if describe_fn is None:
         describe_fn = describe
+    warnings = []
     overlap = set(model.train_sources) & {corpus.source}
     if overlap:
-        logger.warning("evaluation corpus shares source tags %s with the "
-                       "descriptor training set", sorted(overlap))
+        warnings.append(f"evaluation corpus shares source tags {sorted(overlap)} "
+                        "with the descriptor training set")
 
     uids = corpus.user_ids()
     groups = [g for uid in uids for g in (corpus.users[uid].genuine,
@@ -214,13 +213,15 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
             for label, part in zip(LABELS, np.split(scores, cuts)):
                 scored.setdefault((uid, label), []).append(part)
                 rows += [(uid, fold, label, s) for s in part.tolist()]
+    warnings += [f"user {uid} has {len(corpus.users[uid].genuine)} genuine signatures, "
+                 f"fewer than k={k}; excluded from the protocol" for uid in excluded]
 
     per_user, per_user_scores = {}, {}
     for uid in sorted({uid for uid, _ in scored}):
         gen, skl, rnd = (np.concatenate(scored[uid, label]) for label in LABELS)
         forg = np.concatenate([skl, rnd])
         if gen.size == 0 or forg.size == 0:
-            logger.warning("user %s has no reportable score set; skipped", uid)
+            warnings.append(f"user {uid} has no reportable score set; skipped")
             continue
         per_user_scores[uid] = scores = ScoreSet(genuine=gen, forgery=forg, user_id=uid)
         eer_sk = eer(roc(ScoreSet(gen, skl, uid))) if skl.size else float("nan")
@@ -230,7 +231,7 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
                                    eer_skilled=eer_sk, eer_random=eer_rn)
 
     if not per_user:
-        raise ValueError("no user produced a reportable score set")
+        raise ValueError("; ".join(["no user produced a reportable score set", *warnings]))
     all_gen = np.array([r[3] for r in rows if r[2] == LABEL_GENUINE])
     all_forg = np.array([r[3] for r in rows if r[2] != LABEL_GENUINE])
     pooled = eer(roc(ScoreSet(all_gen, all_forg, "pooled")))
@@ -247,6 +248,7 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         excluded_users=excluded,
         score_rows=rows,
         per_user_scores=per_user_scores,
+        warnings=warnings,
     )
 
 

@@ -30,8 +30,8 @@ class PatchConfig:
                              f"size={self.size}")
         if self.train_count < 1:
             raise ValueError("train_count must be at least 1")
-        if self.blank_threshold < 0:
-            raise ValueError("blank_threshold must be non-negative")
+        if not 0 <= self.blank_threshold < np.inf:
+            raise ValueError("blank_threshold must be finite and non-negative")
 
     @property
     def dim(self) -> int:

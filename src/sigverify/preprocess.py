@@ -36,8 +36,8 @@ class PreprocessConfig:
             raise ValueError(f"canvas must be at least 16, got {self.canvas}")
         if self.spline_points_per_segment < 1:
             raise ValueError("spline_points_per_segment must be at least 1")
-        if self.cov_epsilon <= 0:
-            raise ValueError("cov_epsilon must be positive")
+        if not 0 < self.cov_epsilon < math.inf:
+            raise ValueError("cov_epsilon must be finite and positive")
 
 
 @dataclass
@@ -156,8 +156,9 @@ def _walk(r0, c0, r1, c1):
 
     Takes equal-length integer arrays of end points.  Returns the flat
     ``rows`` and ``cols`` of every pixel from (r0, c0) to (r1, c1)
-    inclusive, segment after segment, and each segment's pixel count
-    ``n + 1`` with ``n = max(|dr|, |dc|)``.  Under the scalar rule (``err
+    inclusive, segment after segment; each segment's pixel count ``n + 1``
+    with ``n = max(|dr|, |dc|)``; and per pixel its segment ``seg`` and
+    step ``k`` along it.  Under the scalar rule (``err
     = dc - dr``, ``e2 = 2 err``, step columns when ``e2 >= -dr`` and rows
     when ``e2 <= dc``) the major axis moves on every step and the minor
     axis moves exactly when ``k |d| / n`` reaches the next half pixel,
@@ -172,7 +173,7 @@ def _walk(r0, c0, r1, c1):
     half, whole = n[seg], 2 * np.maximum(n[seg], 1)
     rows, cols = (p0[seg] + np.sign(d)[seg] * ((2 * np.abs(d)[seg] * k + half) // whole)
                   for p0, d in ((r0, r1 - r0), (c0, c1 - c0)))
-    return rows, cols, lengths
+    return rows, cols, lengths, seg, k
 
 
 def rasterize(x, y, t, pressure, pen_down, cfg: PreprocessConfig) -> SignatureImage:
@@ -213,9 +214,7 @@ def rasterize(x, y, t, pressure, pen_down, cfg: PreprocessConfig) -> SignatureIm
 
     i = np.flatnonzero(pen_down)
     j = np.where(np.append(pen_down[1:], False)[i], i + 1, i)
-    pix_rows, pix_cols, lengths = _walk(rows[i], cols[i], rows[j], cols[j])
-    walk = np.repeat(np.arange(len(i)), lengths)
-    k = np.arange(len(walk)) - (np.cumsum(lengths) - lengths)[walk]
+    pix_rows, pix_cols, lengths, walk, k = _walk(rows[i], cols[i], rows[j], cols[j])
     where = pix_rows * side + pix_cols
     # the last write to each pixel wins: first occurrence in reverse order
     _, from_end = np.unique(where[::-1], return_index=True)
@@ -240,8 +239,7 @@ def preprocess(traj, cfg: PreprocessConfig | None = None) -> SignatureImage:
     translation of the input before floating point effects can differ
     (exactly translated inputs give bit-identical images).
     """
-    if cfg is None:
-        cfg = PreprocessConfig()
+    cfg = cfg or PreprocessConfig()
     x, y, t, pressure, pen_down = smooth(traj.x - traj.x.min(), traj.y - traj.y.min(),
                                          traj.t, traj.pressure, traj.pen_down, cfg)
     x, y = rotate(x, y, orientation_angle(x, y, cfg.cov_epsilon))

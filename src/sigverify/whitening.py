@@ -10,12 +10,9 @@ input coordinate system, so dimension is preserved.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 MODES = ("pca", "zca")
 
@@ -27,8 +24,8 @@ class WhitenConfig:
     mode: str = "pca"
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
+        if not 0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and non-negative")
         if not 0 < self.retained_variance <= 1:
             raise ValueError("retained_variance must be in (0, 1]")
         if self.mode not in MODES:
@@ -66,9 +63,11 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
 
 
 def fit_whitening(patches: np.ndarray, cfg: WhitenConfig | None = None) -> WhiteningTransform:
-    """Fit a whitening transform to an (n, d) array of patch vectors."""
-    if cfg is None:
-        cfg = WhitenConfig()
+    """Fit a whitening transform to an (n, d) array of patch vectors.
+
+    Fewer than d + 1 patches leave the covariance rank deficient; the
+    transform records that as ``full_rank_input=False``."""
+    cfg = cfg or WhitenConfig()
     patches = np.asarray(patches, dtype=np.float64)
     if patches.ndim != 2:
         raise ValueError("patches must be a 2-D array (n, d)")
@@ -78,9 +77,6 @@ def fit_whitening(patches: np.ndarray, cfg: WhitenConfig | None = None) -> White
     if not np.all(np.isfinite(patches)):
         raise ValueError("patches contain non-finite values")
     full_rank_input = n >= d + 1
-    if not full_rank_input:
-        logger.warning("whitening fitted on %d patches for dimension %d; "
-                       "covariance is rank deficient", n, d)
     mean = patches.mean(axis=0)
     cov = np.cov(patches, rowvar=False)
     cov = np.atleast_2d(cov)

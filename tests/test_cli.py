@@ -12,6 +12,9 @@ from sigverify.cli import main
 
 FAST = ["--set", "ae.hidden=8", "--set", "ae.max_iter=15",
         "--set", "patch.train_count=800"]
+# the config floats whose range checks must also reject NaN and infinity
+NON_FINITE_KEYS = ["preprocess.cov_epsilon", "patch.blank_threshold", "whiten.epsilon",
+                   "ae.weight_decay", "ae.sparsity_weight", "ae.grad_tol"]
 SMALL = ["--set", "synth.users=4", "--set", "synth.genuine=6",
          "--set", "synth.forgery=2"]
 
@@ -124,6 +127,28 @@ class TestLearnDescriptor:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", NON_FINITE_KEYS)
+    def test_non_finite_config_float_is_refused(self, workspace, tmp_path, capsys,
+                                                key, value):
+        model = tmp_path / "model.sig"
+        code = main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
+                     "--out", str(model), "--set", f"{key}={value}"] + FAST)
+        assert code == 1
+        name = key.split(".")[1]
+        assert f"\nerror: {name} must be finite" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_rank_deficient_whitening_is_a_warning_line(self, workspace, tmp_path, capsys):
+        # 150 patches of dimension 2 * 10 * 10 = 200
+        code = main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
+                     "--out", str(tmp_path / "model.sig")] + FAST
+                    + ["--set", "patch.train_count=150"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("warning: whitening fitted on 150 patches for dimension 200; "
+                         "covariance is rank deficient\n") == 1, err
+
 
 class TestEnroll:
     def test_existing_models_are_skipped_without_force(self, workspace, capsys):
@@ -175,6 +200,20 @@ class TestVerify:
         capsys.readouterr()
         assert code == 2
 
+    def test_user_model_enrolled_for_another_user_is_refused(self, workspace, tmp_path,
+                                                             capsys):
+        users = tmp_path / "users"
+        shutil.copytree(workspace / "users", users)
+        shutil.copy(users / "user000.usermodel", users / "user002.usermodel")
+        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
+        code = main(["verify", "--model", str(workspace / "model.sig"),
+                     "--user-models", str(users), "--user", "user002", str(sig)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "accept" not in out
+        assert (f"error: {users / 'user002.usermodel'} was enrolled for user "
+                "'user000', not 'user002'") in err
+
     def test_unknown_user_fails(self, workspace, capsys):
         sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
         code = main(["verify", "--model", str(workspace / "model.sig"),
@@ -225,12 +264,34 @@ class TestEvaluate:
              "--out", str(tmp_path / "report")],
             capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        for message in (f"skipped {bad}: ",
-                        "user user999 has 2 genuine signatures; the evaluation "
-                        "protocol needs at least 4",
-                        "user user999 has 2 genuine signatures, fewer than k=4; "
-                        "excluded from the protocol"):
+        # the loader no longer states the protocol's rule with its own k
+        assert "the evaluation protocol needs at least 4" not in proc.stderr
+        for message in (f"warning: skipped {bad}: ",
+                        "warning: evaluation corpus shares source tags ['corpus'] "
+                        "with the descriptor training set\n",
+                        "warning: user user999 has 2 genuine signatures, fewer than "
+                        "k=4; excluded from the protocol\n"):
             assert proc.stderr.count(message) == 1, proc.stderr
+        assert all(line.startswith(("config ", "warning: "))
+                   for line in proc.stderr.splitlines()), proc.stderr
+
+    @pytest.mark.parametrize("folds, kept, warned", [(3, 3, False), (5, 4, True)])
+    def test_exclusion_follows_eval_folds(self, workspace, tmp_path, capsys,
+                                          folds, kept, warned):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        for f in sorted((corpus / "user003" / "genuine").glob("*.txt"))[kept:]:
+            f.unlink()
+        out = tmp_path / "report"
+        code = main(["evaluate", "--model", str(workspace / "model.sig"),
+                     "--corpus", str(corpus), "--out", str(out),
+                     "--set", f"eval.folds={folds}"])
+        assert code == 0
+        err = capsys.readouterr().err
+        message = (f"warning: user user003 has {kept} genuine signatures, fewer than "
+                   f"k={folds}; excluded from the protocol\n")
+        assert err.count("user003") == err.count(message) == int(warned), err
+        assert (out / "roc_user003.csv").is_file() is not warned
 
 
 class TestParsing:

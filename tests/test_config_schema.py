@@ -94,6 +94,31 @@ def _rewrite(path, key, value):
     container.write_container(path, meta, arrays)
 
 
+# the config floats whose range checks must also reject NaN and infinity
+NON_FINITE_KEYS = ["preprocess.cov_epsilon", "patch.blank_threshold", "whiten.epsilon",
+                   "ae.weight_decay", "ae.sparsity_weight", "ae.grad_tol"]
+
+
+class TestNonFiniteConfigFloats:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("key", NON_FINITE_KEYS)
+    def test_dataclass_refuses(self, key, value):
+        prefix, name = key.split(".")
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            CONFIG_GROUPS[prefix](**{name: value})
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", NON_FINITE_KEYS)
+    def test_crafted_model_fails_closed(self, tiny_model, tmp_path, key, value):
+        f = tmp_path / "model.sig"
+        save_model(tiny_model, f)
+        _rewrite(f, key, value)
+        prefix, name = key.split(".")
+        with pytest.raises(ContainerError, match=re.escape(
+                f"{f}: bad {prefix}.* metadata: {name} must be finite")):
+            load_model(f)
+
+
 class TestBadModelMetadata:
     @pytest.mark.parametrize("key, value", [
         ("ae.memory", None), ("patch.size", "ten"), ("version", "one"),

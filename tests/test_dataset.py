@@ -3,7 +3,7 @@ import pytest
 
 from sigverify import (GENUINE, SKILLED_FORGERY, ParseError, Trajectory,
                        format_canonical, generate_synthetic_corpus, load_corpus,
-                       parse_canonical, parse_svc2004, save_corpus)
+                       parse_canonical, parse_svc2004, save_corpus, split_protocol)
 
 
 def make_traj(n=5, **meta):
@@ -139,12 +139,17 @@ class TestCorpusIo:
             load_corpus(tmp_path, layout="exotic")
 
     def test_sparse_user_is_flagged(self, tmp_path, tiny_corpus):
+        # the loader keeps sparse users as they are; the protocol, with its
+        # own k, is the one rule that flags them
         save_corpus(tiny_corpus, tmp_path / "c")
-        keep = sorted((tmp_path / "c" / "user000" / "genuine").glob("*.txt"))
-        for f in keep[2:]:
-            f.unlink()
+        for uid, kept in (("user000", 3), ("user001", 4)):
+            for f in sorted((tmp_path / "c" / uid / "genuine").glob("*.txt"))[kept:]:
+                f.unlink()
         corpus = load_corpus(tmp_path / "c")
-        assert any("user000" in w and "at least 4" in w for w in corpus.warnings)
+        assert corpus.warnings == []
+        assert [len(corpus.users[u].genuine) for u in ("user000", "user001")] == [3, 4]
+        for k, excluded in ((3, []), (4, ["user000"]), (5, ["user000", "user001"])):
+            assert split_protocol(corpus, 0, k=k)[1] == excluded
 
 
 class TestSyntheticGenerator:

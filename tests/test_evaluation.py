@@ -185,15 +185,21 @@ class TestSplitProtocol:
         orders = {tuple(train) for train, _ in splits.values()}
         assert len(orders) > 1
 
-    def test_sparse_users_are_excluded_with_warning(self, caplog):
-        corpus = generate_synthetic_corpus(seed=62, n_users=3, n_genuine=3,
-                                           n_forgery=1)
-        with caplog.at_level("WARNING", logger="sigverify.evaluation"):
-            splits, excluded = split_protocol(corpus, 0, k=4, seed=0)
-        assert splits == {}
-        assert excluded == corpus.user_ids()
-        assert all(f"user {uid} has 3 genuine signatures, fewer than k=4"
-                   in caplog.text for uid in excluded)
+    def test_sparse_users_are_excluded_with_warning(self, corpus, capsys, caplog):
+        sparse = corpus.user_ids()[3]
+        users = dict(corpus.users)
+        users[sparse] = UserSignatures(users[sparse].genuine[:3],
+                                       users[sparse].skilled_forgeries)
+        thinned = Corpus(users=users, source=corpus.source)
+        for fold in range(4):
+            splits, excluded = split_protocol(thinned, fold, k=4, seed=0)
+            assert excluded == [sparse]
+            assert sorted(splits) == corpus.user_ids()[:3]
+        report = run_experiment(thinned, FakeModel(), k=4, seed=0,
+                                describe_fn=stub_describe)
+        assert report.warnings == [f"user {sparse} has 3 genuine signatures, "
+                                   "fewer than k=4; excluded from the protocol"]
+        assert capsys.readouterr() == ("", "") and caplog.records == []
 
     def test_fold_and_k_validation(self, corpus):
         with pytest.raises(ValueError, match="folds"):
@@ -292,9 +298,36 @@ class TestRunExperiment:
     def test_all_users_sparse_raises(self):
         corpus = generate_synthetic_corpus(seed=65, n_users=2, n_genuine=3,
                                            n_forgery=1)
-        with pytest.raises(ValueError, match="no user"):
+        with pytest.raises(ValueError, match="no user") as info:
             run_experiment(corpus, FakeModel(), k=4, seed=0,
                            describe_fn=stub_describe)
+        # the conditions that explain the failure travel with it
+        for uid in corpus.user_ids():
+            assert (f"user {uid} has 3 genuine signatures, fewer than k=4; "
+                    "excluded from the protocol") in str(info.value)
+
+    @pytest.mark.parametrize("k, kept, warned", [(3, 3, False), (5, 4, True)])
+    def test_the_exclusion_rule_uses_the_real_k(self, corpus, k, kept, warned):
+        sparse = corpus.user_ids()[0]
+        users = dict(corpus.users)
+        users[sparse] = UserSignatures(users[sparse].genuine[:kept],
+                                       users[sparse].skilled_forgeries)
+        report = run_experiment(Corpus(users=users, source=corpus.source),
+                                FakeModel(), k=k, seed=0, describe_fn=stub_describe)
+        message = (f"user {sparse} has {kept} genuine signatures, fewer than k={k}; "
+                   "excluded from the protocol")
+        assert report.warnings == ([message] if warned else [])
+        assert (sparse in report.per_user) is not warned
+
+    def test_shared_source_is_reported_not_printed(self, corpus, capsys, caplog):
+        class OverlappingModel(FakeModel):
+            train_sources = ("other", corpus.source)
+
+        report = run_experiment(corpus, OverlappingModel(), k=4, seed=0,
+                                describe_fn=stub_describe)
+        assert report.warnings == [f"evaluation corpus shares source tags "
+                                   f"['{corpus.source}'] with the descriptor training set"]
+        assert capsys.readouterr() == ("", "") and caplog.records == []
 
     def test_single_user_corpus_raises(self):
         corpus = generate_synthetic_corpus(seed=66, n_users=1, n_genuine=8,

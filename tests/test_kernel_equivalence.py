@@ -109,17 +109,25 @@ class TestWalk:
     @given(ENDS, ENDS, ENDS, ENDS)
     @example(5, 5, 5, 5)  # a single-pixel segment
     def test_one_segment_matches_the_scalar_walk(self, r0, c0, r1, c1):
-        rows, cols, _ = _walk([r0], [c0], [r1], [c1])
+        rows, cols, *_ = _walk([r0], [c0], [r1], [c1])
         assert list(zip(rows.tolist(), cols.tolist())) == ref.line_pixels(r0, c0, r1, c1)
 
     @SETTINGS
     @given(st.lists(st.tuples(ENDS, ENDS, ENDS, ENDS), max_size=30))
     def test_many_segments_walk_as_one_each(self, segments):
         ends = np.array(segments, dtype=np.int64).reshape(-1, 4)
-        rows, cols, lengths = _walk(*ends.T)
+        rows, cols, lengths, _, _ = _walk(*ends.T)
         expect = [p for seg in segments for p in ref.line_pixels(*seg)]
         assert list(zip(rows.tolist(), cols.tolist())) == expect
         assert lengths.tolist() == [len(ref.line_pixels(*seg)) for seg in segments]
+
+    @SETTINGS
+    @given(st.lists(st.tuples(ENDS, ENDS, ENDS, ENDS), max_size=30))
+    def test_each_pixel_knows_its_segment_and_step(self, segments):
+        ends = np.array(segments, dtype=np.int64).reshape(-1, 4)
+        _, _, lengths, seg, k = _walk(*ends.T)
+        assert seg.tolist() == [s for s, n in enumerate(lengths.tolist()) for _ in range(n)]
+        assert k.tolist() == [step for n in lengths.tolist() for step in range(n)]
 
 
 @st.composite

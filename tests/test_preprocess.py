@@ -110,11 +110,11 @@ class TestNormalizeExtent:
 class TestLinePixels:
     def test_small_grid_exhaustive_walk_properties(self):
         ends = list(itertools.product(range(7), repeat=4))  # (r0, c0, r1, c1)
-        all_rows, all_cols, all_lengths = _walk(*np.array(ends).T)
+        all_rows, all_cols, all_lengths, _, _ = _walk(*np.array(ends).T)
         stops = np.cumsum(all_lengths)
         assert len(all_lengths) == 7 ** 4 and stops[-1] == len(all_rows)
         for (r0, c0, r1, c1), start, stop in zip(ends, stops - all_lengths, stops):
-            rows, cols, _ = _walk([r0], [c0], [r1], [c1])
+            rows, cols, *_ = _walk([r0], [c0], [r1], [c1])
             pix = list(zip(rows.tolist(), cols.tolist()))
             assert pix == ref.line_pixels(r0, c0, r1, c1)
             assert pix == list(zip(all_rows[start:stop].tolist(),
