@@ -136,24 +136,38 @@ def cost(params: AeParams, batch: np.ndarray, cfg: AeConfig) -> float:
 
 
 def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):
-    """Cost and its analytic gradient as an AeParams of the same shapes."""
+    """Cost and its analytic gradient as an AeParams of the same shapes.
+
+    In ``forward``'s operation order, in place: ``a`` ends as ``1 - a``."""
     x = _batch(batch)
     m = x.shape[0]
-    a, xhat = forward(params, x)
-    resid = xhat - x
-    recon = float(np.sum(resid ** 2)) / m
+    a = x @ params.W1.T
+    a += params.b1
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)  # the sigmoid of forward
+    resid = a @ params.W2.T
+    resid += params.b2
+    resid -= x
+    recon = float(np.sum(np.square(resid))) / m
     decay = cfg.weight_decay * (float(np.sum(params.W1 ** 2))
                                 + float(np.sum(params.W2 ** 2)))
     rho = cfg.sparsity_target
     rho_hat = np.clip(a.mean(axis=0), RHO_CLAMP, 1.0 - RHO_CLAMP)
     sparsity = cfg.sparsity_weight * float(np.sum(kl_divergence(rho, rho_hat)))
 
-    delta2 = (2.0 / m) * resid
+    resid *= 2.0 / m
+    delta2 = resid
     gW2 = delta2.T @ a + 2.0 * cfg.weight_decay * params.W2
     gb2 = delta2.sum(axis=0)
     sparse_push = (cfg.sparsity_weight / m) * (-rho / rho_hat
                                                + (1.0 - rho) / (1.0 - rho_hat))
-    delta1 = (delta2 @ params.W2 + sparse_push) * a * (1.0 - a)
+    delta1 = delta2 @ params.W2
+    delta1 += sparse_push
+    delta1 *= a
+    np.subtract(1.0, a, out=a)
+    delta1 *= a
     gW1 = delta1.T @ x + 2.0 * cfg.weight_decay * params.W1
     gb1 = delta1.sum(axis=0)
     grad = AeParams(W1=gW1, b1=gb1, W2=gW2, b2=gb2)

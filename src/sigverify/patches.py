@@ -90,32 +90,35 @@ def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
     uniformly.  Blank patches are rejected and redrawn until the total
     attempt budget (``oversample_factor`` times ``train_count``) runs
     out, after which blanks are admitted.  Deterministic given the seed.
+    The images must share one side (``train_descriptor``'s do: the canvas
+    is one value); a pool of mixed sides raises ``ValueError``.
 
-    The blank test of every offset of an image is computed once, as in
-    ``extract_dense``, so a rejection is a table lookup; the accepted
-    offsets are gathered image by image at the end.  The draws, and so
-    the patches, are the same as drawing and testing one patch at a time.
+    One ``rng.integers`` call draws a block of (image, row, col) triples,
+    the same stream as one scalar call per value, and the blank test of
+    every offset is computed once, as in ``extract_dense``.  The patches
+    are the same as drawing and testing one patch at a time.
     """
     if not images:
         raise ValueError("need at least one image to sample patches from")
-    for im in images:
-        if im.side < cfg.size:
-            raise ValueError(f"image side {im.side} is smaller than patch size {cfg.size}")
-    inked = [_inked(im, cfg, 1) for im in images] if cfg.skip_blank else None
+    sides = sorted({im.side for im in images})
+    if len(sides) > 1:
+        raise ValueError(f"images must share one side, got sides {sides}")
+    if sides[0] < cfg.size:
+        raise ValueError(f"image side {sides[0]} is smaller than patch size {cfg.size}")
+    offsets = sides[0] - cfg.size + 1
+    inked = np.stack([_inked(im, cfg, 1) for im in images]) if cfg.skip_blank else None
     rng = np.random.default_rng(seed)
     budget = cfg.oversample_factor * cfg.train_count
-    attempts = 0
-    drawn = []
-    while len(drawn) < cfg.train_count:
-        attempts += 1
-        k = int(rng.integers(len(images)))
-        offsets = images[k].side - cfg.size + 1
-        r = int(rng.integers(offsets))
-        c = int(rng.integers(offsets))
-        if cfg.skip_blank and attempts < budget and not inked[k][r, c]:
-            continue
-        drawn.append((k, r, c))
-    which, rows, cols = np.array(drawn).T
+    blocks, kept, attempts = [], 0, 0
+    while kept < cfg.train_count:
+        block = rng.integers(0, [len(images), offsets, offsets], size=(cfg.train_count, 3))
+        if cfg.skip_blank:
+            attempt = attempts + np.arange(1, cfg.train_count + 1)
+            block = block[inked[tuple(block.T)] | (attempt >= budget)]
+        attempts += cfg.train_count
+        kept += len(block)
+        blocks.append(block)
+    which, rows, cols = np.concatenate(blocks)[:cfg.train_count].T
     out = np.empty((cfg.train_count, cfg.dim))
     for k in np.unique(which):
         sel = np.flatnonzero(which == k)

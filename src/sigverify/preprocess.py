@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 
 
 @dataclass
@@ -55,15 +55,38 @@ class SignatureImage:
         return self.pressure.shape[0]
 
 
+def _natural_spline(k, v, at):
+    """The natural cubic spline through strictly increasing knots ``k`` and
+    one row of values ``v`` per knot, at ``at``: scipy's, bit for bit (its
+    tridiagonal slope system solved by LAPACK ``gtsv`` as ``solve_banded``
+    does, its Hermite cubics summed from +0.0 in ``PPoly``'s order)."""
+    dk = k[1:] - k[:-1]
+    h = dk[:, None]
+    dv = v[1:] - v[:-1]
+    slope = dv / h
+    rhs = 3 * np.concatenate((dv[:1], h[1:] * slope[:-1] + h[:-1] * slope[1:], dv[-1:]))
+    rhs[-1] += 0.0  # scipy's end row adds +0.0 (its start row adds -0.0, a no-op)
+    off = np.concatenate((dk[:1], dk, dk[-1:]))  # sub-diagonal off[2:], super off[:-2]
+    diag = 2 * np.concatenate((dk[:1], dk[:-1] + dk[1:], dk[-1:]))
+    s = dgtsv(off[2:], diag, off[:-2], rhs)[3]
+    t = (s[:-1] + s[1:] - 2 * slope) / h
+    i = np.searchsorted(k[1:-1], at, "right")  # at in [k[i], k[i + 1]), clipped to 0..n-2
+    c0, c1, c2, c3 = (np.take(c, i, axis=0) for c in (0.0 + v[:-1], s[:-1],
+                                                      (slope - s[:-1]) / h - t, t / h))
+    d = (at - k[i])[:, None]
+    return c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)
+
+
 def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
     """Replace each pen-down stroke by a natural cubic spline resampling.
 
     For every stroke of at least 4 samples (with at least 4 distinct
-    timestamps) a natural cubic spline in t is fitted to x and y, then
-    evaluated at the original timestamps plus ``spline_points_per_segment
-    - 1`` uniformly spaced timestamps inside every inter-sample segment.
-    Pressure and pen state are linearly interpolated at inserted
-    timestamps.  Pen-up samples and short strokes pass through unchanged.
+    timestamps) a natural cubic spline in t is fitted to x and y (in-house,
+    by ``_natural_spline``), then evaluated at the original timestamps plus
+    ``spline_points_per_segment - 1`` uniformly spaced timestamps inside
+    every inter-sample segment.  Pressure and pen state are linearly
+    interpolated at inserted timestamps.  Pen-up samples and short strokes
+    pass through unchanged.
     Returns the five columns ``(x, y, t, pressure, pen_down)``; with
     ``cfg.smooth`` false they are the input columns themselves.
 
@@ -88,8 +111,7 @@ def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
             continue  # a short stroke passes through with its neighbours
         pieces.append(tuple(col[cursor:start] for col in columns))
         cursor = stop
-        xy = np.column_stack((x[start:stop], y[start:stop]))
-        spline = CubicSpline(ts[keep], xy[keep], bc_type="natural")
+        xy = np.column_stack((x[start:stop], y[start:stop]))[keep]
         # row i: the inserted times of segment i (kept only when it has
         # positive length), then the sample time ts[i + 1]
         step = dt / spp
@@ -99,7 +121,7 @@ def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
         mask = np.ones(block.shape, dtype=bool)
         mask[:, :-1] = keep[1:, None]
         eval_t = np.concatenate((ts[:1], block[mask]))
-        xy_out = spline(eval_t)
+        xy_out = _natural_spline(ts[keep], xy, eval_t)
         pieces.append((xy_out[:, 0], xy_out[:, 1], eval_t,
                        np.interp(eval_t, ts, pressure[start:stop]),
                        np.ones(len(eval_t), dtype=bool)))

@@ -139,6 +139,20 @@ class TestLearnDescriptor:
         assert f"\nerror: {name} must be finite" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_bad_config_fails_before_the_corpus_is_read(self, workspace, tmp_path,
+                                                         capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus", corpus)
+        (corpus / "user000" / "genuine" / "bad.txt").write_text("not a signature\n")
+        model = tmp_path / "model.sig"
+        code = main(["learn-descriptor", "--corpus", str(corpus), "--out", str(model),
+                     "--set", "ae.grad_tol=inf"] + FAST)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "\nerror: grad_tol must be finite and positive\n" in err
+        assert "warning: skipped" not in err, err
+        assert not model.exists()
+
     def test_rank_deficient_whitening_is_a_warning_line(self, workspace, tmp_path, capsys):
         # 150 patches of dimension 2 * 10 * 10 = 200
         code = main(["learn-descriptor", "--corpus", str(workspace / "corpus"),

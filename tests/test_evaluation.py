@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import sigverify
 from sigverify import (Corpus, ScoreSet, UserSignatures, auc, eer,
                        generate_synthetic_corpus, roc, run_experiment,
                        split_protocol)
@@ -127,18 +133,22 @@ class TestAuc:
 
     def test_importing_the_package_leaves_scipy_stats_unloaded(self):
         # scipy.stats is slow to import and only auc needs it
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+        assert leaves_unloaded("import sigverify", "scipy.stats")
 
-        import sigverify
-        src = str(Path(sigverify.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        code = "import sys, sigverify; sys.exit('scipy.stats' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env,
-                              timeout=120).returncode == 0
+    def test_importing_the_package_and_cli_leaves_scipy_interpolate_unloaded(self):
+        # the stroke splines are fitted in-house; scipy.interpolate would be
+        # most of the import time of every command
+        assert leaves_unloaded("import sigverify, sigverify.cli", "scipy.interpolate")
+
+
+def leaves_unloaded(statement: str, module: str) -> bool:
+    """Whether ``statement`` runs in a fresh interpreter without loading ``module``."""
+    src = str(Path(sigverify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = f"import sys; {statement}; sys.exit({module!r} in sys.modules)"
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=120).returncode == 0
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,8 @@ kernels replaced.  Every property here requires bit-identical output:
 pixel walks and patch matrices.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -72,10 +74,39 @@ def assert_patches_equal(a: np.ndarray, b: np.ndarray):
 
 class TestSmooth:
     @SETTINGS
-    @given(trajectories(), st.integers(1, 6), st.booleans())
-    def test_matches_the_scalar_resampling(self, traj, spp, enabled):
+    @given(st.data(), trajectories(), st.integers(1, 6), st.booleans(), st.integers(-3, 3))
+    def test_matches_the_scalar_resampling(self, data, traj, spp, enabled, k):
+        # per-sample signs make negative values and zeros of both signs
+        signs = data.draw(arrays(np.float64, 2 * len(traj), elements=st.sampled_from(
+            [1.0, -1.0])))
+        x, y = (traj.x, traj.y) * signs.reshape(2, -1) * 10.0**k
+        traj = Trajectory(x, y, traj.t, traj.pressure, traj.pen_down)
         cfg = PreprocessConfig(smooth=enabled, spline_points_per_segment=spp)
-        assert_columns_equal(smooth(*columns(traj), cfg), ref.smooth(traj, cfg))
+        got, want = smooth(*columns(traj), cfg), ref.smooth(traj, cfg)
+        assert_columns_equal(got, want)
+        for a, b in zip(got[:4], columns(want)[:4]):
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+
+    def test_a_negative_zero_sample_comes_out_as_the_oracle_gives_it(self):
+        # CubicSpline sums each cubic from +0.0, so this -0.0 leaves as +0.0
+        t = np.arange(4.0)
+        traj = Trajectory(-np.array([0.0, 1, 2, 1]), t, t, np.ones(4), np.ones(4, bool))
+        got = smooth(*columns(traj), PreprocessConfig())
+        assert_columns_equal(got, ref.smooth(traj, PreprocessConfig()))
+        assert got[0][0] == 0.0 and not np.signbit(got[0][0])
+
+    def test_shared_boundary_times_and_repeated_tail_do_not_warn(self):
+        # stroke 1 ends at t=3, a pen-up sample sits at t=3 and stroke 2
+        # starts there; stroke 2 repeats its last timestamp twice
+        pen = np.array([True] * 4 + [False] + [True] * 7)
+        t = np.array([0, 1, 2, 3, 3, 3, 4, 5, 6, 7, 7, 7], float)
+        traj = Trajectory(t**2 / 7, np.cos(t), t, np.linspace(0.2, 1, 12), pen)
+        cfg = PreprocessConfig(spline_points_per_segment=3)
+        want = ref.smooth(traj, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smooth(*columns(traj), cfg)
+        assert_columns_equal(got, want)
 
     def test_short_strokes_and_repeated_times_between_long_ones(self):
         # strokes of 1, 3 and 9 samples; the 9-sample one repeats timestamps
@@ -173,9 +204,16 @@ class TestSampleTrainingPatches:
     @given(st.data(), st.integers(0, 2**32 - 1))
     def test_matches_the_scalar_sampler(self, data, seed):
         cfg = data.draw(patch_configs())
-        pool = data.draw(st.lists(images(cfg.size, max_side=16), min_size=1, max_size=4))
+        side = data.draw(st.integers(cfg.size, 16))
+        pool = data.draw(st.lists(images(side, max_side=side), min_size=1, max_size=4))
         assert_patches_equal(sample_training_patches(pool, cfg, seed),
                              ref.sample_training_patches(pool, cfg, seed))
+
+    def test_a_pool_of_mixed_sides_raises(self):
+        pool = [SignatureImage(pressure=np.ones((n, n)), time=np.zeros((n, n)))
+                for n in (12, 10, 12)]
+        with pytest.raises(ValueError, match=r"share one side, got sides \[10, 12\]"):
+            sample_training_patches(pool, PatchConfig(size=4, stride=2), seed=0)
 
 
 def test_full_preprocess_matches_the_scalar_pipeline():
