@@ -89,8 +89,13 @@ class AutoencoderModel:
         return self.config.hidden
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
+def _hidden(params: AeParams, x: np.ndarray) -> np.ndarray:
+    """``sigmoid(x @ W1.T + b1)``, each step in place in one fresh array."""
+    a = x @ params.W1.T
+    a += params.b1
+    np.exp(np.negative(a, out=a), out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
 
 
 def init_params(input_dim: int, cfg: AeConfig) -> AeParams:
@@ -109,8 +114,9 @@ def forward(params: AeParams, x: np.ndarray):
     returned (activation, reconstruction) pair matches that shape.
     """
     x = np.asarray(x, dtype=np.float64)
-    a = _sigmoid(x @ params.W1.T + params.b1)
-    xhat = a @ params.W2.T + params.b2
+    a = _hidden(params, x)
+    xhat = a @ params.W2.T
+    xhat += params.b2
     return a, xhat
 
 
@@ -136,19 +142,10 @@ def cost(params: AeParams, batch: np.ndarray, cfg: AeConfig) -> float:
 
 
 def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):
-    """Cost and its analytic gradient as an AeParams of the same shapes.
-
-    In ``forward``'s operation order, in place: ``a`` ends as ``1 - a``."""
+    """Cost and its analytic gradient as an AeParams of the same shapes."""
     x = _batch(batch)
     m = x.shape[0]
-    a = x @ params.W1.T
-    a += params.b1
-    np.negative(a, out=a)
-    np.exp(a, out=a)
-    a += 1.0
-    np.divide(1.0, a, out=a)  # the sigmoid of forward
-    resid = a @ params.W2.T
-    resid += params.b2
+    a, resid = forward(params, x)  # fresh arrays, worked on in place below
     resid -= x
     recon = float(np.sum(np.square(resid))) / m
     decay = cfg.weight_decay * (float(np.sum(params.W1 ** 2))
@@ -157,8 +154,7 @@ def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):
     rho_hat = np.clip(a.mean(axis=0), RHO_CLAMP, 1.0 - RHO_CLAMP)
     sparsity = cfg.sparsity_weight * float(np.sum(kl_divergence(rho, rho_hat)))
 
-    resid *= 2.0 / m
-    delta2 = resid
+    delta2 = np.multiply(resid, 2.0 / m, out=resid)
     gW2 = delta2.T @ a + 2.0 * cfg.weight_decay * params.W2
     gb2 = delta2.sum(axis=0)
     sparse_push = (cfg.sparsity_weight / m) * (-rho / rho_hat
@@ -166,8 +162,7 @@ def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):
     delta1 = delta2 @ params.W2
     delta1 += sparse_push
     delta1 *= a
-    np.subtract(1.0, a, out=a)
-    delta1 *= a
+    delta1 *= np.subtract(1.0, a, out=a)
     gW1 = delta1.T @ x + 2.0 * cfg.weight_decay * params.W1
     gb1 = delta1.sum(axis=0)
     grad = AeParams(W1=gW1, b1=gb1, W2=gW2, b2=gb2)
@@ -203,4 +198,4 @@ def encode(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
     if x.shape[-1] != model.input_dim:
         raise ValueError(f"input has dimension {x.shape[-1]}, "
                          f"model expects {model.input_dim}")
-    return _sigmoid(x @ model.params.W1.T + model.params.b1)
+    return _hidden(model.params, x)

@@ -143,15 +143,13 @@ def _load_corpus_arg(args, cfg):
 def cmd_learn_descriptor(args) -> int:
     cfg = _build_config(args)
     # a bad config value fails here, before any file is touched
-    pre_cfg, patch_cfg, whiten_cfg, ae_cfg = map(cfg.group, ("preprocess", "patch",
-                                                             "whiten", "ae"))
+    groups = [cfg.group(name) for name in ("preprocess", "patch", "whiten", "ae")]
     out = Path(args.out)
     _require_new(out, args.force, "model file")
     corpus = _load_corpus_arg(args, cfg)
     unlabeled = corpus.all_trajectories()
     started = time.perf_counter()
-    model = train_descriptor(unlabeled, pre_cfg=pre_cfg, patch_cfg=patch_cfg,
-                             whiten_cfg=whiten_cfg, ae_cfg=ae_cfg, seed=cfg["seed"])
+    model = train_descriptor(unlabeled, *groups, seed=cfg["seed"])
     elapsed = time.perf_counter() - started
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)

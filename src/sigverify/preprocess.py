@@ -11,8 +11,9 @@ it, and is the only function here that reads one.  The stages work on
 its sample columns: equal-length float64 arrays ``x``, ``y``, ``t``
 (non-decreasing) and ``pressure`` (non-negative), all finite, and a
 boolean ``pen_down``.  They return columns of the same kinds and check
-only what their own arithmetic can break: ``normalize_extent`` rejects a
-span that overflowed to inf or NaN, ``rasterize`` points off [0, 100].
+only what their own arithmetic can break: ``smooth`` rejects non-finite
+x, y or t and a decreasing t, ``normalize_extent`` a span that overflowed
+to inf or NaN, ``rasterize`` points off [0, 100].
 """
 
 from __future__ import annotations
@@ -68,13 +69,16 @@ def _natural_spline(k, v, at):
     rhs[-1] += 0.0  # scipy's end row adds +0.0 (its start row adds -0.0, a no-op)
     off = np.concatenate((dk[:1], dk, dk[-1:]))  # sub-diagonal off[2:], super off[:-2]
     diag = 2 * np.concatenate((dk[:1], dk[:-1] + dk[1:], dk[-1:]))
-    s = dgtsv(off[2:], diag, off[:-2], rhs)[3]
+    *_, s, info = dgtsv(off[2:], diag, off[:-2], rhs)
     t = (s[:-1] + s[1:] - 2 * slope) / h
     i = np.searchsorted(k[1:-1], at, "right")  # at in [k[i], k[i + 1]), clipped to 0..n-2
     c0, c1, c2, c3 = (np.take(c, i, axis=0) for c in (0.0 + v[:-1], s[:-1],
                                                       (slope - s[:-1]) / h - t, t / h))
     d = (at - k[i])[:, None]
-    return c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)
+    out = c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)
+    if info or not np.isfinite(out).all():
+        raise ValueError("the spline overflows: its knots or values span too far")
+    return out
 
 
 def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
@@ -86,9 +90,9 @@ def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
     ``spline_points_per_segment - 1`` uniformly spaced timestamps inside
     every inter-sample segment.  Pressure and pen state are linearly
     interpolated at inserted timestamps.  Pen-up samples and short strokes
-    pass through unchanged.
-    Returns the five columns ``(x, y, t, pressure, pen_down)``; with
-    ``cfg.smooth`` false they are the input columns themselves.
+    pass through unchanged.  Returns the columns ``(x, y, t, pressure,
+    pen_down)``, the inputs themselves if ``cfg.smooth`` is false; raises
+    ValueError for a non-finite x, y or t, a decreasing t or an overflow.
 
     Strokes are found from the edges of the pen flag; each stroke's
     evaluation times are built as one block with a row per segment, and
@@ -97,6 +101,8 @@ def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
     columns = (x, y, t, pressure, pen_down)
     if not cfg.smooth:
         return columns
+    if not all(np.isfinite(col).all() for col in (x, y, t)) or np.any(t[1:] < t[:-1]):
+        raise ValueError("smooth needs finite x, y and t, with t non-decreasing")
     spp = cfg.spline_points_per_segment
     inner = np.arange(1, spp)
     edges = np.diff(pen_down.astype(np.int8), prepend=0, append=0)

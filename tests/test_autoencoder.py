@@ -5,6 +5,7 @@ import pytest
 
 from sigverify import (AeConfig, AeParams, cost, cost_grad, encode, forward,
                        init_params, kl_divergence, train)
+from sigverify.autoencoder import AutoencoderModel
 
 
 def fd_gradient(params, batch, cfg, h=1e-6):
@@ -131,6 +132,33 @@ class TestForwardAndCost:
         c1 = cost(p, x, cfg)
         c2, _ = cost_grad(p, x, cfg)
         assert c1 == pytest.approx(c2, rel=1e-14)
+
+    def test_in_place_passes_equal_the_plain_formulas_bit_for_bit(self, rng):
+        cfg = AeConfig(hidden=5, seed=6)
+        p = init_params(7, cfg)
+        p.b1[:], p.b2[:] = rng.normal(size=5), rng.normal(size=7)
+        x = rng.normal(size=(40, 7)) * 3
+        a = 1.0 / (1.0 + np.exp(-(x @ p.W1.T + p.b1)))
+        xhat = a @ p.W2.T + p.b2
+        resid = xhat - x
+        rho_hat = np.clip(a.mean(axis=0), 1e-8, 1.0 - 1e-8)
+        push = (cfg.sparsity_weight / 40) * (-cfg.sparsity_target / rho_hat
+                                             + (1.0 - cfg.sparsity_target) / (1.0 - rho_hat))
+        delta2 = (2.0 / 40) * resid
+        delta1 = (delta2 @ p.W2 + push) * a * (1.0 - a)
+        want = (delta1.T @ x + 2.0 * cfg.weight_decay * p.W1, delta1.sum(axis=0),
+                delta2.T @ a + 2.0 * cfg.weight_decay * p.W2, delta2.sum(axis=0))
+        c, grad = cost_grad(p, x, cfg)
+        assert c == (float(np.sum(resid ** 2)) / 40
+                     + cfg.weight_decay * (float(np.sum(p.W1 ** 2)) + float(np.sum(p.W2 ** 2)))
+                     + cfg.sparsity_weight * float(np.sum(kl_divergence(cfg.sparsity_target,
+                                                                        rho_hat))))
+        for got, expect in zip((grad.W1, grad.b1, grad.W2, grad.b2), want, strict=True):
+            assert np.array_equal(got, expect)
+        assert all(np.array_equal(g, w) for g, w in zip(forward(p, x), (a, xhat)))
+        model = AutoencoderModel(params=p, config=cfg, input_dim=7, final_cost=0.0)
+        assert np.array_equal(encode(model, x[3]),
+                              1.0 / (1.0 + np.exp(-(x[3] @ p.W1.T + p.b1))))
 
 
 class TestGradient:

@@ -251,6 +251,27 @@ class TestSmooth:
         assert np.all(np.diff(out.t) >= 0)
         assert np.all(np.isfinite(out.x)) and np.all(np.isfinite(out.y))
 
+    @pytest.mark.parametrize("column, value", [(0, np.nan), (1, np.inf), (2, np.nan),
+                                               (0, -np.inf)])
+    def test_non_finite_columns_raise(self, column, value):
+        cols = [np.arange(6.0), np.arange(6.0) ** 2, np.arange(6.0), np.ones(6),
+                np.ones(6, bool)]
+        cols[column][3] = value
+        with pytest.raises(ValueError, match="finite"):
+            smooth(*cols, self.CFG)
+
+    def test_decreasing_timestamps_raise(self):
+        # after dropping the repeat the knots would be [0, 2, 1.5, 3]
+        t = np.array([0.0, 2.0, 1.0, 1.5, 3.0])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            smooth(np.arange(5.0), np.arange(5.0), t, np.ones(5), np.ones(5, bool), self.CFG)
+
+    def test_knots_spanning_past_the_float_range_raise(self):
+        t = np.array([-1e308, -5e307, 0.0, 5e307, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflows"):
+            smooth(np.arange(5.0), np.arange(5.0), t, np.ones(5), np.ones(5, bool), self.CFG)
+
 
 class TestFullPipeline:
     def test_translation_gives_bit_identical_images(self):
