@@ -23,6 +23,8 @@ from .optimize import minimize_lbfgs
 
 # mean activations are kept away from {0, 1} so the KL term stays finite
 RHO_CLAMP = 1e-8
+# values squared at a time by _sum_squares: its one buffer is 512 KiB
+SQUARE_BLOCK = 1 << 16
 
 
 @dataclass
@@ -136,6 +138,24 @@ def _batch(x) -> np.ndarray:
     return x
 
 
+def _sum_squares(r: np.ndarray, buf: np.ndarray | None = None) -> float:
+    """``np.sum(np.square(r))`` bit for bit, squaring ``SQUARE_BLOCK`` values at a time.
+
+    numpy sums a contiguous array pairwise: it halves a run of n values
+    at ``n//2 - (n//2) % 8`` until a run is short.  Splitting the same way
+    until a run fits the buffer and letting ``np.sum`` reduce each run
+    adds the same partial sums in the same order.  ``r`` is C-contiguous.
+    """
+    flat = r.reshape(-1)
+    n = flat.size
+    if buf is None:
+        buf = np.empty(min(n, SQUARE_BLOCK))
+    if n <= SQUARE_BLOCK:
+        return float(np.sum(np.square(flat, out=buf[:n])))
+    half = n // 2 - (n // 2) % 8
+    return _sum_squares(flat[:half], buf) + _sum_squares(flat[half:], buf)
+
+
 def cost(params: AeParams, batch: np.ndarray, cfg: AeConfig) -> float:
     """The training objective over a batch (the value of ``cost_grad``)."""
     return cost_grad(params, batch, cfg)[0]
@@ -147,7 +167,7 @@ def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):
     m = x.shape[0]
     a, resid = forward(params, x)  # fresh arrays, worked on in place below
     resid -= x
-    recon = float(np.sum(np.square(resid))) / m
+    recon = _sum_squares(resid) / m
     decay = cfg.weight_decay * (float(np.sum(params.W1 ** 2))
                                 + float(np.sum(params.W2 ** 2)))
     rho = cfg.sparsity_target

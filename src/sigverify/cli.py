@@ -21,7 +21,8 @@ import sys
 import time
 from pathlib import Path
 
-from .dataset import generate_synthetic_corpus, load_corpus, parser_for, save_corpus
+from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser_for,
+                      save_corpus)
 from .descriptor import (CONFIG_GROUPS, config_fields, describe, format_value,
                          load_model, parse_value, save_model, train_descriptor)
 from .evaluation import format_report, roc, roc_csv, run_experiment, scores_csv
@@ -221,10 +222,12 @@ def cmd_verify(args) -> int:
             f"descriptor hidden size {model.hidden}")
     sig_path = Path(args.signature)
     try:
-        text = sig_path.read_text()
+        with sig_path.open() as stream:
+            traj = parser_for(cfg["corpus.layout"])(stream, user_id=args.user)
     except OSError as exc:
         raise ValueError(f"cannot read signature file: {exc}") from None
-    traj = parser_for(cfg["corpus.layout"])(text, user_id=args.user)
+    except ParseError as exc:
+        raise ParseError(f"{sig_path}: {exc}") from None
     desc = describe(traj, model)
     accepted, s = verify(user_model, desc)
     word = "accept" if accepted else "reject"

@@ -31,6 +31,9 @@ import numpy as np
 
 MAGIC = b"SIGC"
 CONTAINER_VERSION = 1
+# fixed size limit, far above a model file of any sensible config (the
+# default descriptor model is under 1 MiB); a larger file is never read
+MAX_CONTAINER_BYTES = 256 * 2**20
 
 
 class ContainerError(ValueError):
@@ -78,6 +81,9 @@ class _Reader:
 def read_container(path):
     """Read and verify a container, returning (metadata, arrays)."""
     path = Path(path)
+    if (size := path.stat().st_size) > MAX_CONTAINER_BYTES:
+        raise ContainerError(f"{path}: file is {size} bytes, over the limit "
+                             f"of {MAX_CONTAINER_BYTES} bytes")
     data = path.read_bytes()
     if len(data) < len(MAGIC) + 4 + 32:
         raise ContainerError(f"{path}: truncated container")

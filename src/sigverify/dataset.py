@@ -37,6 +37,13 @@ LABELS = (GENUINE, SKILLED_FORGERY)
 _SYNTH_QUANTUM = 1.0 / 65536.0
 
 
+# Fixed input limits, far above any real signature (a 200 Hz tablet writes
+# 100,000 samples in over 8 minutes): a larger file fails before the
+# per-sample work and before more than the limit is read from a stream.
+MAX_FILE_CHARS = 16 * 2**20
+MAX_SAMPLES = 100_000
+
+
 class ParseError(ValueError):
     """A signature file does not match its declared format."""
 
@@ -123,9 +130,13 @@ def _read_table(stream, width: int, columns: tuple, flag: bool = False):
     ``columns`` (x, y, t, pressure, pen) as a ``(5, samples)`` float array.
     ParseError names the line of an empty file, a wrong field count, a pen
     field not exactly 0 or 1 (with ``flag``), a non-numeric field or a
-    sample that breaks a trajectory rule.
+    sample that breaks a trajectory rule; it names the limit a file of
+    more than ``MAX_FILE_CHARS`` characters or ``MAX_SAMPLES`` samples
+    exceeds.  At most ``MAX_FILE_CHARS + 1`` characters are read from a stream.
     """
-    text = stream.read() if hasattr(stream, "read") else stream
+    text = stream.read(MAX_FILE_CHARS + 1) if hasattr(stream, "read") else stream
+    if len(text) > MAX_FILE_CHARS:
+        raise ParseError(f"file is longer than the limit of {MAX_FILE_CHARS} characters")
     lines, rows = [], []
     for n, ln in enumerate(text.splitlines(), start=1):
         if fields := ln.split():
@@ -133,6 +144,9 @@ def _read_table(stream, width: int, columns: tuple, flag: bool = False):
             rows.append(fields)
     if not rows:
         raise ParseError("line 1: empty file")
+    if len(rows) > MAX_SAMPLES + 1:
+        raise ParseError(f"line {lines[MAX_SAMPLES + 1]}: more samples than "
+                         f"the limit of {MAX_SAMPLES}")
     values = []
     for n, fields in zip(lines[1:], rows[1:]):
         if len(fields) != width:
@@ -255,7 +269,8 @@ def load_corpus(root, layout="canonical", source=None) -> Corpus:
                 continue
             for f in sorted(subdir.glob("*.txt")):
                 try:
-                    bucket.append(parse(f.read_text(), user_id=uid, label=label, source=src))
+                    with f.open() as stream:
+                        bucket.append(parse(stream, user_id=uid, label=label, source=src))
                 except (ParseError, ValueError, OSError) as exc:
                     corpus.warnings.append(f"skipped {f}: {exc}")
         if sigs.genuine or sigs.skilled_forgeries:

@@ -22,7 +22,8 @@ from .autoencoder import AeConfig, AeParams, AutoencoderModel, encode, train
 from .dataset import Trajectory
 from .patches import PatchConfig, extract_dense, sample_training_patches
 from .preprocess import PreprocessConfig, preprocess
-from .whitening import WhitenConfig, WhiteningTransform, apply_whitening, fit_whitening
+from .whitening import (WhitenConfig, WhiteningTransform, _whiten, apply_whitening,
+                        fit_whitening)
 
 MODEL_VERSION = 1
 
@@ -70,8 +71,10 @@ def train_descriptor(unlabeled: list[Trajectory],
     ae_cfg = ae_cfg or AeConfig()
     images = [preprocess(t, pre_cfg) for t in unlabeled]
     raw = sample_training_patches(images, patch_cfg, seed)
+    del images  # from here on each array is dropped once the next is built
     transform = fit_whitening(raw, whiten_cfg)
-    white = apply_whitening(transform, raw)
+    white = _whiten(transform, raw, in_place=True)
+    del raw
     model = train(white, ae_cfg)
     sources = tuple(sorted({t.source for t in unlabeled if t.source}))
     return DescriptorModel(preprocess_cfg=pre_cfg, patch_cfg=patch_cfg,

@@ -94,20 +94,30 @@ def split_protocol(corpus: Corpus, fold: int, k: int = 4, seed: int = 0):
     ``(train_idx, test_idx)``, integer arrays indexing
     ``corpus.users[user_id].genuine``.
     """
-    if k < 2:
-        raise ValueError(f"need at least 2 folds, got k={k}")
+    blocks, excluded = _user_blocks(corpus, k, seed)
     if not 0 <= fold < k:
         raise ValueError(f"fold must lie in [0, {k}), got {fold}")
-    excluded = []
-    splits = {}
+    return {uid: _fold_split(b, fold) for uid, b in blocks.items()}, excluded
+
+
+def _user_blocks(corpus: Corpus, k: int, seed: int):
+    """Each user's genuine indices, shuffled once and cut into k blocks, and
+    the users excluded for having fewer than k."""
+    if k < 2:
+        raise ValueError(f"need at least 2 folds, got k={k}")
+    blocks, excluded = {}, []
     for uid in corpus.user_ids():
         n = len(corpus.users[uid].genuine)
         if n < k:
             excluded.append(uid)
-            continue
-        blocks = np.array_split(_user_rng(seed, uid).permutation(n), k)
-        splits[uid] = (blocks[fold], np.concatenate(blocks[:fold] + blocks[fold + 1:]))
-    return splits, excluded
+        else:
+            blocks[uid] = np.array_split(_user_rng(seed, uid).permutation(n), k)
+    return blocks, excluded
+
+
+def _fold_split(blocks: list, fold: int):
+    """(train_idx, test_idx): block ``fold`` trains, the others in order test."""
+    return blocks[fold], np.concatenate(blocks[:fold] + blocks[fold + 1:])
 
 
 def roc(scores: ScoreSet) -> RocCurve:
@@ -201,10 +211,11 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     stacked = np.split(values, np.cumsum([len(g) for g in groups])[:-1])
     genuine, skilled = dict(zip(uids, stacked[0::2])), dict(zip(uids, stacked[1::2]))
 
-    rows, scored, excluded = [], {}, []  # scored: (user, label) -> scores per fold
+    blocks, excluded = _user_blocks(corpus, k, seed)
+    rows, scored = [], {}  # scored: (user, label) -> scores per fold
     for fold in range(k):
-        splits, excluded = split_protocol(corpus, fold, k, seed)
-        for uid, (train_idx, test_idx) in sorted(splits.items()):
+        for uid in sorted(blocks):
+            train_idx, test_idx = _fold_split(blocks[uid], fold)
             user_model = fit_user_model(genuine[uid][train_idx], reg=reg, user_id=uid)
             others = [genuine[o] for o in uids if o != uid]
             block = np.concatenate([genuine[uid][test_idx], skilled[uid], *others])
@@ -216,10 +227,12 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     warnings += [f"user {uid} has {len(corpus.users[uid].genuine)} genuine signatures, "
                  f"fewer than k={k}; excluded from the protocol" for uid in excluded]
 
-    per_user, per_user_scores = {}, {}
+    per_user, per_user_scores, pooled_gen, pooled_forg = {}, {}, [], []
     for uid in sorted({uid for uid, _ in scored}):
         gen, skl, rnd = (np.concatenate(scored[uid, label]) for label in LABELS)
         forg = np.concatenate([skl, rnd])
+        pooled_gen.append(gen)
+        pooled_forg.append(forg)
         if gen.size == 0 or forg.size == 0:
             warnings.append(f"user {uid} has no reportable score set; skipped")
             continue
@@ -232,9 +245,9 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
 
     if not per_user:
         raise ValueError("; ".join(["no user produced a reportable score set", *warnings]))
-    all_gen = np.array([r[3] for r in rows if r[2] == LABEL_GENUINE])
-    all_forg = np.array([r[3] for r in rows if r[2] != LABEL_GENUINE])
-    pooled = eer(roc(ScoreSet(all_gen, all_forg, "pooled")))
+    # roc sorts its input, so pooling per-user arrays in user order changes nothing
+    pooled = eer(roc(ScoreSet(np.concatenate(pooled_gen), np.concatenate(pooled_forg),
+                              "pooled")))
     return EvalReport(
         per_user=per_user,
         mean_eer=float(np.mean([u.eer for u in per_user.values()])),

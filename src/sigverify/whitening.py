@@ -109,4 +109,11 @@ def apply_whitening(transform: WhiteningTransform, patch: np.ndarray) -> np.ndar
     if patch.shape[-1] != transform.input_dim:
         raise ValueError(f"patch has dimension {patch.shape[-1]}, "
                          f"transform expects {transform.input_dim}")
-    return (patch - transform.mean) @ transform.basis.T
+    return _whiten(transform, patch)
+
+
+def _whiten(transform: WhiteningTransform, patch: np.ndarray,
+            in_place: bool = False) -> np.ndarray:
+    """``(patch - mean) @ basis.T``; ``in_place`` centres ``patch`` itself."""
+    centred = np.subtract(patch, transform.mean, out=patch if in_place else None)
+    return centred @ transform.basis.T

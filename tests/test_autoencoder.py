@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sigverify import (AeConfig, AeParams, cost, cost_grad, encode, forward,
                        init_params, kl_divergence, train)
-from sigverify.autoencoder import AutoencoderModel
+from sigverify.autoencoder import SQUARE_BLOCK, AutoencoderModel, _sum_squares
 
 
 def fd_gradient(params, batch, cfg, h=1e-6):
@@ -133,32 +135,64 @@ class TestForwardAndCost:
         c2, _ = cost_grad(p, x, cfg)
         assert c1 == pytest.approx(c2, rel=1e-14)
 
-    def test_in_place_passes_equal_the_plain_formulas_bit_for_bit(self, rng):
-        cfg = AeConfig(hidden=5, seed=6)
-        p = init_params(7, cfg)
-        p.b1[:], p.b2[:] = rng.normal(size=5), rng.normal(size=7)
-        x = rng.normal(size=(40, 7)) * 3
+    # 20,000 x 151 is the whitened training batch of the benchmark's descriptor:
+    # its residual spans several SQUARE_BLOCK runs of the blockwise sum
+    @pytest.mark.parametrize("m, d, hidden", [(40, 7, 5), (20_000, 151, 8)])
+    def test_in_place_passes_equal_the_plain_formulas_bit_for_bit(self, rng, m, d, hidden):
+        cfg = AeConfig(hidden=hidden, seed=6)
+        p = init_params(d, cfg)
+        p.b1[:], p.b2[:] = rng.normal(size=hidden), rng.normal(size=d)
+        x = rng.normal(size=(m, d)) * 3
         a = 1.0 / (1.0 + np.exp(-(x @ p.W1.T + p.b1)))
         xhat = a @ p.W2.T + p.b2
         resid = xhat - x
         rho_hat = np.clip(a.mean(axis=0), 1e-8, 1.0 - 1e-8)
-        push = (cfg.sparsity_weight / 40) * (-cfg.sparsity_target / rho_hat
-                                             + (1.0 - cfg.sparsity_target) / (1.0 - rho_hat))
-        delta2 = (2.0 / 40) * resid
+        push = (cfg.sparsity_weight / m) * (-cfg.sparsity_target / rho_hat
+                                            + (1.0 - cfg.sparsity_target) / (1.0 - rho_hat))
+        delta2 = (2.0 / m) * resid
         delta1 = (delta2 @ p.W2 + push) * a * (1.0 - a)
         want = (delta1.T @ x + 2.0 * cfg.weight_decay * p.W1, delta1.sum(axis=0),
                 delta2.T @ a + 2.0 * cfg.weight_decay * p.W2, delta2.sum(axis=0))
         c, grad = cost_grad(p, x, cfg)
-        assert c == (float(np.sum(resid ** 2)) / 40
+        assert c == (float(np.sum(resid ** 2)) / m
                      + cfg.weight_decay * (float(np.sum(p.W1 ** 2)) + float(np.sum(p.W2 ** 2)))
                      + cfg.sparsity_weight * float(np.sum(kl_divergence(cfg.sparsity_target,
                                                                         rho_hat))))
         for got, expect in zip((grad.W1, grad.b1, grad.W2, grad.b2), want, strict=True):
             assert np.array_equal(got, expect)
         assert all(np.array_equal(g, w) for g, w in zip(forward(p, x), (a, xhat)))
-        model = AutoencoderModel(params=p, config=cfg, input_dim=7, final_cost=0.0)
+        model = AutoencoderModel(params=p, config=cfg, input_dim=d, final_cost=0.0)
         assert np.array_equal(encode(model, x[3]),
                               1.0 / (1.0 + np.exp(-(x[3] @ p.W1.T + p.b1))))
+
+
+class TestSumSquares:
+    """The blockwise reconstruction sum is numpy's pairwise sum, bit for bit."""
+
+    # element counts below, at and just above one block, several blocks long,
+    # and not multiples of 8, so every split rule of the pairwise sum is met
+    SIZES = st.one_of(st.integers(1, 300),
+                      st.integers(SQUARE_BLOCK - 20, SQUARE_BLOCK + 20),
+                      st.integers(2 * SQUARE_BLOCK - 9, 5 * SQUARE_BLOCK + 9))
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=SIZES, cols=st.sampled_from([1, 3, 8, 151]), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-150, 1e-3, 1.0, 7.0, 1e150]))
+    @example(n=SQUARE_BLOCK, cols=1, seed=0, scale=1.0)
+    @example(n=SQUARE_BLOCK + 1, cols=1, seed=0, scale=1.0)
+    @example(n=3 * SQUARE_BLOCK + 5, cols=1, seed=0, scale=1.0)
+    def test_equals_numpy_sum_of_squares(self, n, cols, seed, scale):
+        rows = max(1, n // cols)
+        r = np.random.default_rng(seed).normal(size=(rows, cols)) * scale
+        assert _sum_squares(r) == float(np.sum(np.square(r)))
+
+    def test_zero_and_non_finite_values(self):
+        r = np.zeros((3, SQUARE_BLOCK))
+        assert _sum_squares(r) == 0.0
+        r[2, 7] = np.inf
+        assert _sum_squares(r) == np.inf
+        r[0, 0] = np.nan
+        assert np.isnan(_sum_squares(r))
 
 
 class TestGradient:

@@ -236,6 +236,16 @@ class TestVerify:
         assert code == 1
         assert "no enrolled model" in capsys.readouterr().err
 
+    def test_parse_error_names_the_signature_file(self, workspace, capsys, monkeypatch):
+        monkeypatch.setattr(sigverify.dataset, "MAX_SAMPLES", 5)
+        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
+        code = main(["verify", "--model", str(workspace / "model.sig"),
+                     "--user-models", str(workspace / "users"),
+                     "--user", "user000", str(sig)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: {sig}: line 7: more samples than the limit of 5")
+
     def test_unreadable_signature_fails(self, workspace, capsys):
         code = main(["verify", "--model", str(workspace / "model.sig"),
                      "--user-models", str(workspace / "users"),

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sigverify import container
 from sigverify.container import (CONTAINER_VERSION, MAGIC, ContainerError,
                                  read_container, write_container)
 
@@ -144,6 +145,17 @@ class TestCorruptionDetection:
         f = tmp_path / "broken.bin"
         f.write_bytes(b"x" * 64)
         with pytest.raises(ContainerError, match="broken.bin"):
+            read_container(f)
+
+    def test_file_size_limit(self, tmp_path, rng, monkeypatch):
+        f = tmp_path / "big.bin"
+        write_container(f, *sample_payload(rng))
+        size = f.stat().st_size
+        monkeypatch.setattr(container, "MAX_CONTAINER_BYTES", size)
+        read_container(f)
+        monkeypatch.setattr(container, "MAX_CONTAINER_BYTES", size - 1)
+        with pytest.raises(ContainerError,
+                           match=f"big.bin: file is {size} bytes, over the limit of {size - 1}"):
             read_container(f)
 
 

@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from sigverify import dataset
 from sigverify import (GENUINE, SKILLED_FORGERY, ParseError, Trajectory,
                        format_canonical, generate_synthetic_corpus, load_corpus,
                        parse_canonical, parse_svc2004, save_corpus, split_protocol)
@@ -104,6 +107,45 @@ class TestCanonicalFormat:
         text = "x y t p d\n0 0 0 1 1\n1 1 1 1 2\n"
         with pytest.raises(ParseError, match="3"):
             parse_canonical(text)
+
+
+class TestInputLimits:
+    """Fixed size limits, tested at small values patched in (no large files)."""
+
+    def test_sample_limit(self, monkeypatch):
+        monkeypatch.setattr(dataset, "MAX_SAMPLES", 3)
+        rows = [f"{i} {i} {i} 1 1\n" for i in range(4)]
+        assert len(parse_canonical("x y t p d\n" + "".join(rows[:3]))) == 3
+        with pytest.raises(ParseError, match="line 5: more samples than the limit of 3"):
+            parse_canonical("x y t p d\n" + "".join(rows))
+        svc = "4\n" + "".join(f"{i} {i} {i} 1 0 0 1\n" for i in range(4))
+        with pytest.raises(ParseError, match="limit of 3"):
+            parse_svc2004(svc)
+
+    def test_file_size_limit_stops_reading_a_stream(self, monkeypatch):
+        text = "x y t p d\n0 0 0 1 1\n1 1 1 1 1\n"
+        monkeypatch.setattr(dataset, "MAX_FILE_CHARS", len(text))
+        assert len(parse_canonical(text)) == 2
+        stream = io.StringIO(text + "2 2 2 1 1\n" * 1000)
+        with pytest.raises(ParseError, match=f"limit of {len(text)} characters"):
+            parse_canonical(stream)
+        assert stream.tell() == len(text) + 1
+
+    def test_corpus_warning_names_the_file_and_the_limit(self, tmp_path, tiny_corpus,
+                                                         monkeypatch):
+        save_corpus(tiny_corpus, tmp_path / "c")
+        longest = max(len(t) for t in tiny_corpus.all_trajectories())
+        monkeypatch.setattr(dataset, "MAX_SAMPLES", longest - 1)
+        corpus = load_corpus(tmp_path / "c")
+        assert corpus.warnings
+        assert all(w.startswith(f"skipped {tmp_path / 'c'}") and
+                   f"limit of {longest - 1}" in w for w in corpus.warnings)
+
+    def test_real_inputs_sit_far_below_the_limits(self, tiny_corpus):
+        longest = max(len(t) for t in tiny_corpus.all_trajectories())
+        assert 100 * longest < dataset.MAX_SAMPLES
+        text = max((format_canonical(t) for t in tiny_corpus.all_trajectories()), key=len)
+        assert 100 * len(text) < dataset.MAX_FILE_CHARS
 
 
 class TestCorpusIo:

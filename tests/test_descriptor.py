@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sigverify import (AeConfig, PatchConfig, Trajectory, describe,
-                       describe_baseline, load_model, save_model,
-                       train_descriptor)
+from sigverify import (AeConfig, PatchConfig, PreprocessConfig, Trajectory,
+                       apply_whitening, describe, describe_baseline, fit_whitening,
+                       load_model, preprocess, sample_training_patches, save_model,
+                       train, train_descriptor)
 from sigverify.container import ContainerError
 from sigverify.descriptor import _dense_whitened
 from sigverify.autoencoder import encode
@@ -28,6 +31,33 @@ class TestTrainDescriptor:
     def test_empty_training_set_raises(self):
         with pytest.raises(ValueError, match="at least one"):
             train_descriptor([])
+
+    def test_equals_the_stages_run_one_at_a_time(self, tiny_corpus):
+        trajs = tiny_corpus.all_trajectories()[:6]
+        patch_cfg, ae_cfg = PatchConfig(train_count=800), AeConfig(hidden=6, max_iter=5)
+        model = train_descriptor(trajs, patch_cfg=patch_cfg, ae_cfg=ae_cfg, seed=3)
+        images = [preprocess(t, PreprocessConfig()) for t in trajs]
+        raw = sample_training_patches(images, patch_cfg, 3)
+        transform = fit_whitening(raw)
+        ae = train(apply_whitening(transform, raw), ae_cfg)
+        for name in ("mean", "basis", "eigenvalues"):
+            assert np.array_equal(getattr(model.whitening, name), getattr(transform, name))
+        assert np.array_equal(model.ae.params.pack(), ae.params.pack())
+        assert model.ae.cost_history == ae.cost_history
+
+    def test_traced_peak_stays_under_three_patch_arrays(self, tiny_corpus):
+        # images, raw patches, whitened patches and the cost_grad batch
+        # temporaries are never all alive at once
+        patch_cfg = PatchConfig(train_count=5000)
+        trajs = tiny_corpus.all_trajectories()
+        tracemalloc.start()
+        try:
+            train_descriptor(trajs, patch_cfg=patch_cfg, ae_cfg=AeConfig(hidden=64, max_iter=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw_bytes = patch_cfg.train_count * patch_cfg.dim * 8
+        assert peak < 3 * raw_bytes, f"traced peak is {peak / raw_bytes:.2f}x the raw patches"
 
 
 class TestDescribe:

@@ -11,6 +11,7 @@ from sigverify import (Corpus, ScoreSet, UserSignatures, auc, eer,
                        generate_synthetic_corpus, roc, run_experiment,
                        split_protocol)
 from sigverify.descriptor import Descriptor
+from sigverify import evaluation
 from sigverify.evaluation import format_report, roc_csv, scores_csv
 
 
@@ -281,6 +282,24 @@ class TestRunExperiment:
                           if r[0] == uid and r[1] == fold]
                 assert labels == (["genuine"] * (9 - (3 if fold == 0 else 2))
                                   + ["skilled"] * 3 + ["random"] * others)
+
+    def test_pooled_eer_uses_every_score_row(self, report):
+        rows = report.score_rows
+        pooled = ScoreSet([r[3] for r in rows if r[2] == "genuine"],
+                          [r[3] for r in rows if r[2] != "genuine"])
+        assert report.pooled_eer == eer(roc(pooled))
+
+    def test_each_user_is_shuffled_once_per_run(self, corpus, monkeypatch):
+        drawn = []
+
+        def counting_rng(seed, uid):
+            drawn.append(uid)
+            return user_rng(seed, uid)
+
+        user_rng = evaluation._user_rng
+        monkeypatch.setattr(evaluation, "_user_rng", counting_rng)
+        run_experiment(corpus, FakeModel(), k=4, seed=0, describe_fn=stub_describe)
+        assert drawn == corpus.user_ids()
 
     def test_subset_rates_are_populated(self, report):
         for result in report.per_user.values():
