@@ -21,10 +21,11 @@ import sys
 import time
 from pathlib import Path
 
+from .container import format_value, parse_value
 from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser_for,
                       save_corpus)
-from .descriptor import (CONFIG_GROUPS, config_fields, describe, format_value,
-                         load_model, parse_value, save_model, train_descriptor)
+from .descriptor import (CONFIG_GROUPS, config_fields, describe, load_model, save_model,
+                         train_descriptor)
 from .evaluation import format_report, roc, roc_csv, run_experiment, scores_csv
 from .oneclass import (calibrate_threshold, fit_user_model, load_user_model,
                        save_user_model, score, verify)
@@ -108,11 +109,6 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
-def _require_new(path: Path, force: bool, what: str):
-    if path.exists() and not force:
-        raise ValueError(f"{what} {path} already exists (use --force to overwrite)")
-
-
 def cmd_synth(args) -> int:
     cfg = _build_config(args)
     out = Path(args.out)
@@ -146,7 +142,8 @@ def cmd_learn_descriptor(args) -> int:
     # a bad config value fails here, before any file is touched
     groups = [cfg.group(name) for name in ("preprocess", "patch", "whiten", "ae")]
     out = Path(args.out)
-    _require_new(out, args.force, "model file")
+    if out.exists() and not args.force:
+        raise ValueError(f"model file {out} already exists (use --force to overwrite)")
     corpus = _load_corpus_arg(args, cfg)
     unlabeled = corpus.all_trajectories()
     started = time.perf_counter()
@@ -226,7 +223,7 @@ def cmd_verify(args) -> int:
             traj = parser_for(cfg["corpus.layout"])(stream, user_id=args.user)
     except OSError as exc:
         raise ValueError(f"cannot read signature file: {exc}") from None
-    except ParseError as exc:
+    except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"{sig_path}: {exc}") from None
     desc = describe(traj, model)
     accepted, s = verify(user_model, desc)
@@ -264,56 +261,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _common(sub):
-    sub.add_argument("--config", help="key = value configuration file")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the run seed")
-    sub.add_argument("--set", action="append", metavar="KEY=VALUE",
-                     help="override one configuration key")
+_MODEL = {"--model": "descriptor model file"}
+# subcommand -> (help, function, {argument: help}): every --flag but --force
+# is required, and a name without dashes is positional
+COMMANDS = {
+    "synth": ("generate a synthetic corpus", cmd_synth,
+              {"--out": "corpus output directory", "--force": None}),
+    "learn-descriptor": ("train the descriptor on an unlabeled corpus", cmd_learn_descriptor,
+                         {"--corpus": None, "--out": "descriptor model file",
+                          "--force": None}),
+    "enroll": ("fit and calibrate per-user models", cmd_enroll,
+               {**_MODEL, "--corpus": None, "--out": "user model output directory",
+                "--force": None}),
+    "verify": ("verify one signature against a user", cmd_verify,
+               {**_MODEL, "--user-models": "directory of enrolled user models",
+                "--user": None, "signature": "signature file to verify"}),
+    "evaluate": ("run the k-fold protocol on a corpus", cmd_evaluate,
+                 {**_MODEL, "--corpus": None, "--out": "report output directory"}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="sigverify",
                      description="online signature verification toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", parents=[], help="generate a synthetic corpus")
-    p.add_argument("--out", required=True, help="corpus output directory")
-    p.add_argument("--force", action="store_true")
-    _common(p)
-    p.set_defaults(fn=cmd_synth)
-
-    p = sub.add_parser("learn-descriptor",
-                       help="train the descriptor on an unlabeled corpus")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="descriptor model file")
-    p.add_argument("--force", action="store_true")
-    _common(p)
-    p.set_defaults(fn=cmd_learn_descriptor)
-
-    p = sub.add_parser("enroll", help="fit and calibrate per-user models")
-    p.add_argument("--model", required=True, help="descriptor model file")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="user model output directory")
-    p.add_argument("--force", action="store_true")
-    _common(p)
-    p.set_defaults(fn=cmd_enroll)
-
-    p = sub.add_parser("verify", help="verify one signature against a user")
-    p.add_argument("--model", required=True, help="descriptor model file")
-    p.add_argument("--user-models", required=True, dest="user_models",
-                   help="directory of enrolled user models")
-    p.add_argument("--user", required=True)
-    p.add_argument("signature", help="signature file to verify")
-    _common(p)
-    p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("evaluate", help="run the k-fold protocol on a corpus")
-    p.add_argument("--model", required=True, help="descriptor model file")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True, help="report output directory")
-    _common(p)
-    p.set_defaults(fn=cmd_evaluate)
+    for name, (text, fn, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for arg, arg_help in arguments.items():
+            if arg == "--force":
+                p.add_argument(arg, action="store_true")
+            elif arg.startswith("--"):
+                p.add_argument(arg, required=True, help=arg_help)
+            else:
+                p.add_argument(arg, help=arg_help)
+        p.add_argument("--config", help="key = value configuration file")
+        p.add_argument("--seed", type=int, default=None, help="override the run seed")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override one configuration key")
+        p.set_defaults(fn=fn)
     return parser
 
 

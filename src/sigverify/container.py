@@ -17,7 +17,8 @@ Layout (all integers little-endian):
     end     32           SHA-256 digest of every preceding byte
 
 Metadata keys and array names are written in sorted order, so a given
-(metadata, arrays) pair always produces identical bytes.
+(metadata, arrays) pair always produces identical bytes.  ``read_model``
+reads a model file of either kind against its schema.
 """
 
 from __future__ import annotations
@@ -37,14 +38,35 @@ MAX_CONTAINER_BYTES = 256 * 2**20
 
 
 class ContainerError(ValueError):
-    """The file is not a valid model container (wrong magic, truncated,
-    corrupted payload, or unsupported container version)."""
+    """The file is not a valid model container, or does not fit its model schema."""
+
+
+def format_value(v) -> str:
+    """Text form of a config or metadata value; ``parse_value`` inverts it."""
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def parse_value(text: str, kind):
+    """Read ``text`` as a value of the declared type ``kind``."""
+    if kind is bool:
+        if text not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {text!r}")
+        return text == "true"
+    return kind(text)
 
 
 def write_container(path, metadata: dict, arrays: dict) -> None:
     chunks = [MAGIC, struct.pack("<I", CONTAINER_VERSION)]
-    meta_text = "".join(f"{k}={metadata[k]}\n" for k in sorted(metadata))
-    meta_bytes = meta_text.encode("utf-8")
+    meta = {key: format_value(value) for key, value in metadata.items()}
+    for key, value in meta.items():
+        if "=" in key or "\n" in key + value:
+            raise ValueError(f"cannot store metadata {key!r}={value!r}: a key may "
+                             "hold no '=' or newline, a value no newline")
+    meta_bytes = "".join(f"{k}={meta[k]}\n" for k in sorted(meta)).encode("utf-8")
     chunks.append(struct.pack("<I", len(meta_bytes)))
     chunks.append(meta_bytes)
     chunks.append(struct.pack("<I", len(arrays)))
@@ -77,6 +99,12 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
+    def text(self, n: int, what: str) -> str:
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise ContainerError(f"{self.path}: {what} is not UTF-8 text") from None
+
 
 def read_container(path):
     """Read and verify a container, returning (metadata, arrays)."""
@@ -100,15 +128,20 @@ def read_container(path):
                              f"is not the supported version {CONTAINER_VERSION}")
     (meta_len,) = r.unpack("<I")
     metadata = {}
-    for line in r.take(meta_len).decode("utf-8").splitlines():
-        if line:
-            key, _, value = line.partition("=")
-            metadata[key] = value
+    for line in filter(None, r.text(meta_len, "metadata").split("\n")):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise ContainerError(f"{path}: metadata line {line!r} has no '='")
+        if key in metadata:
+            raise ContainerError(f"{path}: metadata key {key!r} is stored twice")
+        metadata[key] = value
     (n_arrays,) = r.unpack("<I")
     arrays = {}
     for _ in range(n_arrays):
         (name_len,) = r.unpack("<H")
-        name = r.take(name_len).decode("utf-8")
+        name = r.text(name_len, "an array name")
+        if name in arrays:
+            raise ContainerError(f"{path}: array {name!r} is stored twice")
         (ndim,) = r.unpack("<B")
         shape = r.unpack(f"<{ndim}Q") if ndim else ()
         count = math.prod(shape)  # a Python int: cannot wrap
@@ -122,6 +155,43 @@ def read_container(path):
             raise ContainerError(f"{path}: array {name!r} has unusable shape "
                                  f"{shape}: {exc}") from None
     if r.pos != len(payload):
-        raise ContainerError(f"{path}: {len(payload) - r.pos} unexpected "
-                             "trailing bytes")
+        raise ContainerError(f"{path}: {len(payload) - r.pos} unexpected trailing bytes")
     return metadata, arrays
+
+
+def _field(meta: dict, key: str, reader, path):
+    if key not in meta:
+        raise ContainerError(f"{path}: metadata key {key!r} is missing")
+    try:
+        return parse_value(meta[key], reader)
+    except ValueError as exc:
+        raise ContainerError(f"{path}: bad metadata value for {key}: {exc}") from None
+
+
+def read_model(path, kind: str, version: int, fields: dict, shapes: dict):
+    """(values, arrays) of a ``kind`` model file of ``version``, or ContainerError.
+
+    ``fields`` maps each metadata key to its type or reader (a callable
+    raising ValueError), ``shapes`` each array to its dimension names.
+    A dimension named after a field takes that field's value; any other
+    takes its size from the first array that uses it.
+    """
+    meta, arrays = read_container(path)
+    name = {"descriptor": "descriptor model", "usermodel": "user model"}[kind]
+    if meta.get("kind") != kind:
+        raise ContainerError(f"{path}: expected a {name}, found kind={meta.get('kind')!r}")
+    if (found := _field(meta, "version", int, path)) != version:
+        raise ContainerError(
+            f"{path}: {name} version {found} does not match supported version {version}")
+    values = {key: _field(meta, key, reader, path) for key, reader in fields.items()}
+    sizes = dict(values)
+    for key, dims in shapes.items():
+        if key not in arrays:
+            raise ContainerError(f"{path}: array {key!r} is missing")
+        shape = arrays[key].shape
+        if len(shape) != len(dims) or shape != tuple(
+                sizes.setdefault(d, n) for d, n in zip(dims, shape)):
+            expected = tuple(sizes.get(d, d) for d in dims)
+            raise ContainerError(f"{path}: array {key!r} has shape {shape}, "
+                                 f"expected {expected}")
+    return values, arrays

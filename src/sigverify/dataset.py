@@ -85,12 +85,6 @@ class Trajectory:
     def __len__(self):
         return len(self.x)
 
-    def with_meta(self, **meta) -> "Trajectory":
-        """Copy of this trajectory with some metadata fields replaced."""
-        kw = {"user_id": self.user_id, "label": self.label, "source": self.source}
-        kw.update(meta)
-        return Trajectory(self.x, self.y, self.t, self.pressure, self.pen_down, **kw)
-
     def equals(self, other) -> bool:
         """Exact field-for-field equality, metadata included."""
         return (

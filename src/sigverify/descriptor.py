@@ -43,7 +43,6 @@ class DescriptorModel:
     ae: AutoencoderModel
     seed: int = 0
     train_sources: tuple = ()
-    version: int = MODEL_VERSION
 
     @property
     def hidden(self) -> int:
@@ -121,72 +120,15 @@ def config_fields(prefix: str) -> tuple:
     return tuple((f.name, types[f.name], f.default) for f in dataclasses.fields(cls))
 
 
-def format_value(v) -> str:
-    """Text form of a config or metadata value; ``parse_value`` inverts it."""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def parse_value(text: str, kind):
-    """Read ``text`` as a value of the declared type ``kind``."""
-    if kind is bool:
-        if text not in ("true", "false"):
-            raise ValueError(f"expected true or false, got {text!r}")
-        return text == "true"
-    return kind(text)
-
-
-def meta_value(meta: dict, key: str, kind, path):
-    """Metadata entry ``key`` read as ``kind``; ContainerError if unusable."""
-    if key not in meta:
-        raise container.ContainerError(f"{path}: metadata key {key!r} is missing")
-    try:
-        return parse_value(meta[key], kind)
-    except ValueError as exc:
-        raise container.ContainerError(
-            f"{path}: bad metadata value for {key}: {exc}") from None
-
-
-def check_header(meta: dict, kind: str, version: int, path) -> None:
-    """ContainerError unless ``meta`` heads a ``kind`` model file of ``version``."""
-    name = {"descriptor": "descriptor model", "usermodel": "user model"}[kind]
-    if meta.get("kind") != kind:
-        raise container.ContainerError(
-            f"{path}: expected a {name}, found kind={meta.get('kind')!r}")
-    if (found := meta_value(meta, "version", int, path)) != version:
-        raise container.ContainerError(
-            f"{path}: {name} version {found} does not match supported version {version}")
-
-
-def check_arrays(arrays: dict, shapes: dict, path, **sizes) -> None:
-    """ContainerError naming the file and any array missing or not of its shape.
-
-    A shape is a tuple of dimension names; a name not given in ``sizes``
-    takes its size from the first array that uses it.
-    """
-    for key, dims in shapes.items():
-        if key not in arrays:
-            raise container.ContainerError(f"{path}: array {key!r} is missing")
-        shape = arrays[key].shape
-        if len(shape) != len(dims) or shape != tuple(
-                sizes.setdefault(d, n) for d, n in zip(dims, shape)):
-            expected = tuple(sizes.get(d, d) for d in dims)
-            raise container.ContainerError(
-                f"{path}: array {key!r} has shape {shape}, expected {expected}")
-
-
 def save_model(model: DescriptorModel, path) -> None:
     wt, ae = model.whitening, model.ae
     meta = {
         "kind": "descriptor",
-        "version": model.version,
+        "version": MODEL_VERSION,
         "seed": model.seed,
         "sources": ",".join(model.train_sources),
         "whiten.full_rank_input": wt.full_rank_input,
-        "ae.final_cost": float(ae.final_cost),
+        "ae.final_cost": ae.final_cost,
         "ae.n_iter": ae.n_iter,
         "ae.converged": ae.converged,
         "ae.line_search_failed": ae.line_search_failed,
@@ -198,39 +140,38 @@ def save_model(model: DescriptorModel, path) -> None:
             meta[f"{prefix}.{name}"] = getattr(obj, name)
     arrays = {f"whitening.{n}": getattr(wt, n) for n in ("mean", "basis", "eigenvalues")}
     arrays.update({f"ae.{n}": getattr(ae.params, n) for n in ("W1", "b1", "W2", "b2")})
-    container.write_container(path, {k: format_value(v) for k, v in meta.items()},
-                              arrays)
+    container.write_container(path, meta, arrays)
+
+
+# the descriptor model file schema (see container.read_model)
+MODEL_FIELDS = {"seed": int, "sources": lambda text: tuple(s for s in text.split(",") if s),
+                "whiten.full_rank_input": bool, "ae.final_cost": float, "ae.n_iter": int,
+                "ae.converged": bool, "ae.line_search_failed": bool,
+                **{f"{prefix}.{name}": kind for prefix in CONFIG_GROUPS
+                   for name, kind, _ in config_fields(prefix)}}
+MODEL_SHAPES = {"whitening.basis": ("out", "in"), "whitening.mean": ("in",),
+                "whitening.eigenvalues": ("out",), "ae.W1": ("ae.hidden", "out"),
+                "ae.b1": ("ae.hidden",), "ae.W2": ("out", "ae.hidden"), "ae.b2": ("out",)}
 
 
 def load_model(path) -> DescriptorModel:
-    meta, arrays = container.read_container(path)
-    check_header(meta, "descriptor", MODEL_VERSION, path)
+    values, arrays = container.read_model(path, "descriptor", MODEL_VERSION,
+                                          MODEL_FIELDS, MODEL_SHAPES)
     cfgs = {}
     for prefix, cls in CONFIG_GROUPS.items():
-        values = {name: meta_value(meta, f"{prefix}.{name}", kind, path)
-                  for name, kind, _ in config_fields(prefix)}
         try:
-            cfgs[prefix] = cls(**values)
+            cfgs[prefix] = cls(**{name: values[f"{prefix}.{name}"]
+                                  for name, _, _ in config_fields(prefix)})
         except ValueError as exc:  # a failed config check, such as stride <= size
             raise container.ContainerError(f"{path}: bad {prefix}.* metadata: {exc}") from None
-    check_arrays(arrays, {
-        "whitening.basis": ("out", "in"), "whitening.mean": ("in",),
-        "whitening.eigenvalues": ("out",), "ae.W1": ("hidden", "out"),
-        "ae.b1": ("hidden",), "ae.W2": ("out", "hidden"), "ae.b2": ("out",),
-    }, path, hidden=cfgs["ae"].hidden)
     transform = WhiteningTransform(
         **{n: arrays[f"whitening.{n}"] for n in ("mean", "basis", "eigenvalues")},
-        full_rank_input=meta_value(meta, "whiten.full_rank_input", bool, path),
-        **vars(cfgs["whiten"]))
+        full_rank_input=values["whiten.full_rank_input"], **vars(cfgs["whiten"]))
     params = AeParams(**{n: arrays[f"ae.{n}"] for n in ("W1", "b1", "W2", "b2")})
     ae = AutoencoderModel(
         params=params, config=cfgs["ae"], input_dim=params.W1.shape[1],
-        final_cost=meta_value(meta, "ae.final_cost", float, path),
-        n_iter=meta_value(meta, "ae.n_iter", int, path),
-        converged=meta_value(meta, "ae.converged", bool, path),
-        line_search_failed=meta_value(meta, "ae.line_search_failed", bool, path))
-    sources = tuple(s for s in meta.get("sources", "").split(",") if s)
+        **{n: values[f"ae.{n}"]
+           for n in ("final_cost", "n_iter", "converged", "line_search_failed")})
     return DescriptorModel(preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],
-                           whitening=transform, ae=ae,
-                           seed=meta_value(meta, "seed", int, path),
-                           train_sources=sources)
+                           whitening=transform, ae=ae, seed=values["seed"],
+                           train_sources=values["sources"])

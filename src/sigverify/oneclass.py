@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import container
-from .descriptor import Descriptor, check_arrays, check_header, format_value, meta_value
+from .descriptor import Descriptor
 
 # covariance floor used when training descriptors show no variance at all
 ZERO_VARIANCE_EPSILON = 1e-6
@@ -142,32 +142,40 @@ def save_user_model(model: UserModel, path) -> None:
         "kind": "usermodel",
         "version": USER_MODEL_VERSION,
         "user_id": model.user_id,
-        "reg": float(model.reg),  # a numpy scalar would be written as np.float64(...)
+        "reg": model.reg,
         "n_train": model.n_train,
         "threshold": "unset" if model.threshold is None else model.threshold,
     }
-    container.write_container(path, {k: format_value(v) for k, v in meta.items()},
+    container.write_container(path, meta,
                               {"mean": model.mean, "covariance": model.covariance})
 
 
+def _bounded(read, valid):
+    """Field reader: ``read(text)``, refused unless the value is ``valid``."""
+    def reader(text):
+        if not valid(value := read(text)):  # NaN fails every comparison
+            raise ValueError(f"{text!r} is out of range")
+        return value
+    return reader
+
+
+# the user model file schema (see container.read_model)
+USER_MODEL_FIELDS = {
+    "user_id": str,
+    "reg": _bounded(float, lambda v: 0 <= v <= 1),
+    "n_train": _bounded(int, lambda v: v >= 1),
+    "threshold": _bounded(lambda text: None if text == "unset" else float(text),
+                          lambda v: v is None or 0 <= v < np.inf),
+}
+USER_MODEL_SHAPES = {"covariance": ("dim", "dim"), "mean": ("dim",)}
+
+
 def load_user_model(path) -> UserModel:
-    meta, arrays = container.read_container(path)
-    check_header(meta, "usermodel", USER_MODEL_VERSION, path)
-    threshold = (None if meta.get("threshold") == "unset"
-                 else meta_value(meta, "threshold", float, path))
-    check_arrays(arrays, {"covariance": ("dim", "dim"), "mean": ("dim",)}, path)
+    values, arrays = container.read_model(path, "usermodel", USER_MODEL_VERSION,
+                                          USER_MODEL_FIELDS, USER_MODEL_SHAPES)
     if not np.all(np.isfinite(arrays["mean"])):
         raise container.ContainerError(f"{path}: array 'mean' is not finite")
-    model = UserModel(user_id=meta_value(meta, "user_id", str, path),
-                      mean=arrays["mean"], covariance=arrays["covariance"],
-                      reg=meta_value(meta, "reg", float, path),
-                      n_train=meta_value(meta, "n_train", int, path),
-                      threshold=threshold)
-    for key, valid in (("threshold", threshold is None or 0 <= threshold < np.inf),
-                       ("n_train", model.n_train >= 1), ("reg", 0 <= model.reg <= 1)):
-        if not valid:  # NaN fails every comparison
-            raise container.ContainerError(
-                f"{path}: bad metadata value for {key}: {meta[key]!r} is out of range")
+    model = UserModel(mean=arrays["mean"], covariance=arrays["covariance"], **values)
     try:
         model._chol = _factor(model.covariance)
     except ValueError:  # also np.linalg.LinAlgError

@@ -15,6 +15,8 @@ import numpy as np
 # Wolfe constants: sufficient decrease and curvature.
 C1 = 1e-4
 C2 = 0.9
+# trial evaluations a line search may spend before the run stops
+MAX_LINE_STEPS = 40
 
 
 @dataclass
@@ -94,13 +96,12 @@ def _strong_wolfe(fun, x, f0, g0, p, alpha0, max_evals):
     return None, None, None, evals
 
 
-def minimize_lbfgs(fun, x0, max_iter=200, memory=10, grad_tol=1e-5,
-                   max_line_steps=40) -> MinimizeResult:
+def minimize_lbfgs(fun, x0, max_iter=200, memory=10, grad_tol=1e-5) -> MinimizeResult:
     """Minimize ``fun(x) -> (cost, grad)`` starting from ``x0``.
 
     Stops after ``max_iter`` accepted iterations or once the gradient
     infinity norm drops to ``grad_tol``.  A line search that cannot find
-    a strong-Wolfe step within ``max_line_steps`` trial evaluations stops
+    a strong-Wolfe step within ``MAX_LINE_STEPS`` trial evaluations stops
     the run and flags ``line_search_failed``; the last accepted iterate
     is returned.  Accepted costs are strictly non-increasing.
     """
@@ -139,7 +140,7 @@ def minimize_lbfgs(fun, x0, max_iter=200, memory=10, grad_tol=1e-5,
 
         alpha0 = 1.0 if pairs or n_iter > 0 else min(1.0, 1.0 / max(g_inf, 1e-8))
         alpha, f_new, g_new, evals = _strong_wolfe(fun, x, f, g, p, alpha0,
-                                                   max_line_steps)
+                                                   MAX_LINE_STEPS)
         n_evals += evals
         if alpha is None:
             line_search_failed = True

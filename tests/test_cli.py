@@ -180,6 +180,17 @@ class TestEnroll:
         out = capsys.readouterr().out
         assert "enrolled 4 users" in out
 
+    def test_user_id_with_a_newline_is_not_enrolled(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus" / "user000", corpus / "user000")
+        shutil.copytree(workspace / "corpus" / "user001", corpus / "user\nid=x")
+        code = main(["enroll", "--model", str(workspace / "model.sig"),
+                     "--corpus", str(corpus), "--out", str(tmp_path / "users")])
+        assert code == 0
+        assert ("warning: could not enroll user\nid=x: cannot store metadata "
+                "'user_id'='user\\nid=x'") in capsys.readouterr().err
+        assert [f.name for f in (tmp_path / "users").iterdir()] == ["user000.usermodel"]
+
     def test_writes_one_file_per_user(self, workspace):
         files = sorted(p.name for p in (workspace / "users").glob("*.usermodel"))
         assert files == [f"user{i:03d}.usermodel" for i in range(4)]
@@ -245,6 +256,16 @@ class TestVerify:
         assert code == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"error: {sig}: line 7: more samples than the limit of 5")
+
+    def test_undecodable_signature_names_the_file(self, workspace, tmp_path, capsys):
+        sig = tmp_path / "latin1.txt"
+        sig.write_bytes(b"x y t p d\n0 0 0 1 1\n1 1 10 \xff 1\n")
+        code = main(["verify", "--model", str(workspace / "model.sig"),
+                     "--user-models", str(workspace / "users"),
+                     "--user", "user000", str(sig)])
+        assert code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {sig}: ") and "can't decode byte 0xff" in last
 
     def test_unreadable_signature_fails(self, workspace, capsys):
         code = main(["verify", "--model", str(workspace / "model.sig"),

@@ -16,8 +16,8 @@ from sigverify import (AeConfig, AeParams, PatchConfig, PreprocessConfig,
                        save_model, save_user_model)
 from sigverify.cli import RunConfig
 from sigverify.container import ContainerError
-from sigverify.descriptor import CONFIG_GROUPS
-from sigverify.oneclass import fit_user_model
+from sigverify.descriptor import CONFIG_GROUPS, MODEL_FIELDS, MODEL_SHAPES
+from sigverify.oneclass import USER_MODEL_FIELDS, USER_MODEL_SHAPES, fit_user_model
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -269,6 +269,64 @@ class TestBadModelArrays:
         _rewrite_array(f, "mean", np.array([0.2, value]))
         with pytest.raises(ContainerError, match=re.escape(f"{f}: array 'mean' is not finite")):
             load_user_model(f)
+
+
+# each model file kind: its loader and the schema that loader reads
+SCHEMAS = {"descriptor": (load_model, MODEL_FIELDS, MODEL_SHAPES),
+           "usermodel": (load_user_model, USER_MODEL_FIELDS, USER_MODEL_SHAPES)}
+
+
+def _saved(kind, tiny_model, directory):
+    if kind == "usermodel":
+        return _user_model_file(directory)
+    save_model(tiny_model, directory / "model.sig")
+    return directory / "model.sig"
+
+
+class TestModelFileSchema:
+    @pytest.mark.parametrize("kind", SCHEMAS)
+    def test_the_writer_writes_exactly_what_the_schema_reads(self, tiny_model,
+                                                            tmp_path, kind):
+        load, fields, shapes = SCHEMAS[kind]
+        f = _saved(kind, tiny_model, tmp_path)
+        meta, arrays = container.read_container(f)
+        assert set(meta) == {"kind", "version", *fields}
+        assert set(arrays) == set(shapes)
+        original = f.read_bytes()
+        for key in meta:
+            _rewrite(f, key, None)
+            named = "found kind=None" if key == "kind" else f"metadata key {key!r} is missing"
+            with pytest.raises(ContainerError,
+                               match=re.escape(f"{f}: ") + ".*" + re.escape(named)):
+                load(f)
+            f.write_bytes(original)
+        for key in arrays:
+            _rewrite_array(f, key, None)
+            with pytest.raises(ContainerError,
+                               match=re.escape(f"{f}: array {key!r} is missing")):
+                load(f)
+            f.write_bytes(original)
+
+    @pytest.mark.parametrize("kind", SCHEMAS)
+    def test_any_flipped_byte_is_refused(self, tiny_model, tmp_path, kind):
+        load = SCHEMAS[kind][0]
+        f = _saved(kind, tiny_model, tmp_path)
+        original = f.read_bytes()
+        n = len(original)
+        # the header and metadata, any byte, and the digest
+        at = st.one_of(st.integers(0, min(n, 1024) - 1), st.integers(0, n - 1),
+                       st.integers(n - 32, n - 1))
+
+        @settings(max_examples=300, deadline=None)
+        @given(at=at, mask=st.integers(1, 255))
+        def flipped_byte_is_refused(at, mask):
+            raw = bytearray(original)
+            raw[at] ^= mask
+            f.write_bytes(bytes(raw))
+            with pytest.raises(ContainerError):
+                load(f)
+
+        flipped_byte_is_refused()
 
 
 class TestModelHeader:

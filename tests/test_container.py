@@ -1,3 +1,7 @@
+import hashlib
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -190,3 +194,64 @@ class TestByteLayout:
         raw = f.read_bytes()
         flat = np.frombuffer(raw[-32 - 48:-32], dtype="<f8")
         assert flat.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+def _crafted(path, meta: bytes, names=()):
+    """A digest-valid container of raw metadata bytes and one empty array per name."""
+    body = MAGIC + struct.pack("<I", CONTAINER_VERSION)
+    body += struct.pack("<I", len(meta)) + meta + struct.pack("<I", len(names))
+    for name in names:
+        body += struct.pack("<H", len(name)) + name + struct.pack("<BQ", 1, 0)
+    path.write_bytes(body + hashlib.sha256(body).digest())
+
+
+class TestMalformedText:
+    @staticmethod
+    def _refused(path, message):
+        with pytest.raises(ContainerError, match=re.escape(f"{path}: {message}")):
+            read_container(path)
+
+    def test_crafted_helper_makes_a_readable_container(self, tmp_path):
+        f = tmp_path / "m.bin"
+        _crafted(f, b"k=v\n", [b"a"])
+        meta, arrays = read_container(f)
+        assert meta == {"k": "v"} and arrays["a"].shape == (0,)
+
+    def test_metadata_that_is_not_utf8_is_refused(self, tmp_path):
+        f = tmp_path / "m.bin"
+        _crafted(f, b"user_id=\xff\n")
+        self._refused(f, "metadata is not UTF-8 text")
+
+    def test_array_name_that_is_not_utf8_is_refused(self, tmp_path):
+        f = tmp_path / "m.bin"
+        _crafted(f, b"", [b"\xfe"])
+        self._refused(f, "an array name is not UTF-8 text")
+
+    def test_repeated_metadata_key_is_refused(self, tmp_path):
+        f = tmp_path / "m.bin"
+        _crafted(f, b"threshold=1.0\nthreshold=inf\n")
+        self._refused(f, "metadata key 'threshold' is stored twice")
+
+    def test_repeated_array_name_is_refused(self, tmp_path):
+        f = tmp_path / "m.bin"
+        _crafted(f, b"", [b"mean", b"mean"])
+        self._refused(f, "array 'mean' is stored twice")
+
+    def test_metadata_line_without_equals_is_refused(self, tmp_path):
+        f = tmp_path / "m.bin"
+        _crafted(f, b"kind=usermodel\nreg\n")
+        self._refused(f, "metadata line 'reg' has no '='")
+
+    @pytest.mark.parametrize("key, value", [("user_id", "a\nb"), ("a\nb", "v"),
+                                            ("a=b", "v")])
+    def test_unreadable_metadata_is_refused_on_write(self, tmp_path, key, value):
+        f = tmp_path / "m.bin"
+        with pytest.raises(ValueError, match="cannot store metadata"):
+            write_container(f, {key: value}, {})
+        assert not f.exists()
+
+    def test_other_line_breaks_in_values_survive(self, tmp_path):
+        f = tmp_path / "m.bin"
+        meta = {"user_id": "a\rb\x0bc\x1cd\x85e\u2028f"}
+        write_container(f, meta, {})
+        assert read_container(f)[0] == meta

@@ -49,12 +49,6 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="equal length"):
             Trajectory([0, 1, 2], [0, 1], [0, 1], [1, 1], [True, True])
 
-    def test_with_meta_replaces_only_named_fields(self):
-        tr = make_traj(user_id="alice", label=GENUINE)
-        out = tr.with_meta(label=SKILLED_FORGERY)
-        assert out.user_id == "alice" and out.label == SKILLED_FORGERY
-        assert np.array_equal(out.x, tr.x)
-
 
 class TestSvcFormat:
     TEXT = ("3\n"
