@@ -85,15 +85,19 @@ class AutoencoderModel:
     converged: bool = False
     line_search_failed: bool = False
     cost_history: list = field(default_factory=list)
+    # L-BFGS evaluations and the final gradient's infinity norm, known
+    # after training only: a model file does not store them
+    n_evals: int = 0
+    grad_inf: float = float("nan")
 
     @property
     def hidden(self) -> int:
         return self.config.hidden
 
 
-def _hidden(params: AeParams, x: np.ndarray) -> np.ndarray:
-    """``sigmoid(x @ W1.T + b1)``, each step in place in one fresh array."""
-    a = x @ params.W1.T
+def _hidden(params: AeParams, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``sigmoid(x @ W1.T + b1)``, each step in place in ``out`` (or a fresh array)."""
+    a = np.matmul(x, params.W1.T, out=out)
     a += params.b1
     np.exp(np.negative(a, out=a), out=a)
     a += 1.0
@@ -109,15 +113,16 @@ def init_params(input_dim: int, cfg: AeConfig) -> AeParams:
     return AeParams(W1=W1, b1=np.zeros(cfg.hidden), W2=W2, b2=np.zeros(input_dim))
 
 
-def forward(params: AeParams, x: np.ndarray):
+def forward(params: AeParams, x: np.ndarray, out=(None, None)):
     """Hidden activations and linear reconstruction.
 
     ``x`` is one input vector or a batch with samples as rows; the
-    returned (activation, reconstruction) pair matches that shape.
+    returned (activation, reconstruction) pair matches that shape.  Given
+    ``out``, a pair of arrays of those shapes, the results are written there.
     """
     x = np.asarray(x, dtype=np.float64)
-    a = _hidden(params, x)
-    xhat = a @ params.W2.T
+    a = _hidden(params, x, out[0])
+    xhat = np.matmul(a, params.W2.T, out=out[1])
     xhat += params.b2
     return a, xhat
 
@@ -161,11 +166,24 @@ def cost(params: AeParams, batch: np.ndarray, cfg: AeConfig) -> float:
     return cost_grad(params, batch, cfg)[0]
 
 
-def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):
-    """Cost and its analytic gradient as an AeParams of the same shapes."""
+def _workspace(m: int, d: int, hidden: int):
+    """The (m, hidden), (m, d) and (m, hidden) arrays ``cost_grad`` works in."""
+    return np.empty((m, hidden)), np.empty((m, d)), np.empty((m, hidden))
+
+
+def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig, work=None):
+    """Cost and its analytic gradient as an AeParams of the same shapes.
+
+    ``work`` is a ``_workspace`` of the batch's shape whose contents are
+    overwritten; ``train`` passes one for every evaluation, so no
+    batch-sized array is allocated per call.  Without it, one is made.
+    """
     x = _batch(batch)
     m = x.shape[0]
-    a, resid = forward(params, x)  # fresh arrays, worked on in place below
+    if work is None:
+        work = _workspace(m, x.shape[1], params.b1.size)
+    a, resid, delta1 = work
+    forward(params, x, out=(a, resid))
     resid -= x
     recon = _sum_squares(resid) / m
     decay = cfg.weight_decay * (float(np.sum(params.W1 ** 2))
@@ -179,7 +197,7 @@ def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig):
     gb2 = delta2.sum(axis=0)
     sparse_push = (cfg.sparsity_weight / m) * (-rho / rho_hat
                                                + (1.0 - rho) / (1.0 - rho_hat))
-    delta1 = delta2 @ params.W2
+    np.matmul(delta2, params.W2, out=delta1)
     delta1 += sparse_push
     delta1 *= a
     delta1 *= np.subtract(1.0, a, out=a)
@@ -195,21 +213,24 @@ def train(batch: np.ndarray, cfg: AeConfig | None = None) -> AutoencoderModel:
     x = _batch(batch)
     if not np.all(np.isfinite(x)):
         raise ValueError("training batch contains non-finite values")
-    d = x.shape[1]
+    m, d = x.shape
     params0 = init_params(d, cfg)
+    work = _workspace(m, d, cfg.hidden)
 
     def objective(theta):
         p = AeParams.unpack(theta, d, cfg.hidden)
-        c, g = cost_grad(p, x, cfg)
+        c, g = cost_grad(p, x, cfg, work)
         return c, g.pack()
 
     res = minimize_lbfgs(objective, params0.pack(), max_iter=cfg.max_iter,
                          memory=cfg.memory, grad_tol=cfg.grad_tol)
+    grad_inf = float(np.max(np.abs(res.grad))) if res.grad.size else 0.0
     return AutoencoderModel(params=AeParams.unpack(res.x, d, cfg.hidden),
                             config=cfg, input_dim=d, final_cost=res.fun,
                             n_iter=res.n_iter, converged=res.converged,
                             line_search_failed=res.line_search_failed,
-                            cost_history=res.cost_history)
+                            cost_history=res.cost_history, n_evals=res.n_evals,
+                            grad_inf=grad_inf)
 
 
 def encode(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:

@@ -164,7 +164,8 @@ def cmd_learn_descriptor(args) -> int:
     print(f"trained on {len(unlabeled)} signatures: whitened patch dim "
           f"{model.whitening.output_dim}, hidden {model.hidden}, "
           f"final cost {model.ae.final_cost:.6f}, "
-          f"{model.ae.n_iter} iterations, {elapsed:.1f}s")
+          f"{model.ae.n_iter} iterations, {model.ae.n_evals} evaluations, "
+          f"final gradient inf-norm {model.ae.grad_inf:.3g}, {elapsed:.1f}s")
     print(f"saved descriptor model to {out}")
     return 0
 

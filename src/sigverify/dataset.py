@@ -42,6 +42,8 @@ _SYNTH_QUANTUM = 1.0 / 65536.0
 # per-sample work and before more than the limit is read from a stream.
 MAX_FILE_CHARS = 16 * 2**20
 MAX_SAMPLES = 100_000
+# characters asked of a stream per read call
+READ_CHUNK = 1 << 16
 
 
 class ParseError(ValueError):
@@ -116,6 +118,17 @@ def _sample_fault(x, y, t, pressure):
     return min(faults, key=lambda fault: fault[0], default=None)
 
 
+def _read_bounded(stream) -> str:
+    """At most ``MAX_FILE_CHARS + 1`` characters of a stream, read
+    ``READ_CHUNK`` at a time: ``read(n)`` sets aside room for n characters
+    before it reads, 16 MiB for ``n = MAX_FILE_CHARS + 1``."""
+    parts, left = [], MAX_FILE_CHARS + 1
+    while left and (part := stream.read(min(left, READ_CHUNK))):
+        parts.append(part)
+        left -= len(part)
+    return "".join(parts)
+
+
 def _read_table(stream, width: int, columns: tuple, flag: bool = False):
     """Header tokens, file lines and sample columns of a signature file.
 
@@ -128,7 +141,7 @@ def _read_table(stream, width: int, columns: tuple, flag: bool = False):
     more than ``MAX_FILE_CHARS`` characters or ``MAX_SAMPLES`` samples
     exceeds.  At most ``MAX_FILE_CHARS + 1`` characters are read from a stream.
     """
-    text = stream.read(MAX_FILE_CHARS + 1) if hasattr(stream, "read") else stream
+    text = _read_bounded(stream) if hasattr(stream, "read") else stream
     if len(text) > MAX_FILE_CHARS:
         raise ParseError(f"file is longer than the limit of {MAX_FILE_CHARS} characters")
     lines, rows = [], []

@@ -22,8 +22,7 @@ from .autoencoder import AeConfig, AeParams, AutoencoderModel, encode, train
 from .dataset import Trajectory
 from .patches import PatchConfig, extract_dense, sample_training_patches
 from .preprocess import PreprocessConfig, preprocess
-from .whitening import (WhitenConfig, WhiteningTransform, _whiten, apply_whitening,
-                        fit_whitening)
+from .whitening import WhitenConfig, WhiteningTransform, _fit_centring, apply_whitening
 
 MODEL_VERSION = 1
 
@@ -68,12 +67,11 @@ def train_descriptor(unlabeled: list[Trajectory],
     patch_cfg = patch_cfg or PatchConfig()
     whiten_cfg = whiten_cfg or WhitenConfig()
     ae_cfg = ae_cfg or AeConfig()
-    images = [preprocess(t, pre_cfg) for t in unlabeled]
-    raw = sample_training_patches(images, patch_cfg, seed)
-    del images  # from here on each array is dropped once the next is built
-    transform = fit_whitening(raw, whiten_cfg)
-    white = _whiten(transform, raw, in_place=True)
-    del raw
+    raw = sample_training_patches((preprocess(t, pre_cfg) for t in unlabeled),
+                                  patch_cfg, seed)
+    transform = _fit_centring(raw, whiten_cfg)
+    white = raw @ transform.basis.T  # raw is centred: apply_whitening's projection
+    del raw  # each array is dropped once the next is built
     model = train(white, ae_cfg)
     sources = tuple(sorted({t.source for t in unlabeled if t.source}))
     return DescriptorModel(preprocess_cfg=pre_cfg, patch_cfg=patch_cfg,

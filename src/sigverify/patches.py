@@ -6,6 +6,7 @@ all time values row-major) into a vector of length 2 * size * size.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,21 @@ def _inked(image: SignatureImage, cfg: PatchConfig, stride: int) -> np.ndarray:
     return cover @ ink.astype(np.float64) @ cover.T > 0
 
 
-def _gather(image: SignatureImage, rows, cols, size: int) -> np.ndarray:
-    """Patch vectors at the given top-left offsets, one per row."""
+def _gather(channels, rows, cols, size: int) -> np.ndarray:
+    """Patch vectors at the given top-left offsets, one per row, of the
+    (pressure, time) channel pair."""
     return np.concatenate(
         [sliding_window_view(channel, (size, size))[rows, cols].reshape(len(rows), -1)
-         for channel in (image.pressure, image.time)], axis=1)
+         for channel in channels], axis=1)
+
+
+def _compact(image: SignatureImage):
+    """Flat indices of the pixels whose bit pattern is non-zero in either
+    channel, and both channels' values there: a ``-0.0`` is kept, so
+    writing the values into zeros restores the image bit for bit."""
+    p, t = (np.asarray(c, dtype=np.float64).ravel() for c in (image.pressure, image.time))
+    at = np.flatnonzero((p.view(np.uint64) != 0) | (t.view(np.uint64) != 0))
+    return at, np.stack([p[at], t[at]])
 
 
 def extract_dense(image: SignatureImage, cfg: PatchConfig) -> np.ndarray:
@@ -79,10 +90,10 @@ def extract_dense(image: SignatureImage, cfg: PatchConfig) -> np.ndarray:
     if cfg.skip_blank:
         keep = _inked(image, cfg, cfg.stride).ravel()
         rows, cols = (rows[keep], cols[keep]) if keep.any() else (rows[:1], cols[:1])
-    return _gather(image, rows, cols, cfg.size)
+    return _gather((image.pressure, image.time), rows, cols, cfg.size)
 
 
-def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
+def sample_training_patches(images: Iterable[SignatureImage], cfg: PatchConfig,
                             seed: int) -> np.ndarray:
     """Uniform random patches for dictionary training, rejection-sampled.
 
@@ -93,25 +104,35 @@ def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
     The images must share one side (``train_descriptor``'s do: the canvas
     is one value); a pool of mixed sides raises ``ValueError``.
 
+    ``images`` is read once, so it may be a generator: each image is held
+    dense only while its blank map and its ``_compact`` copy are taken,
+    and the patches are gathered from one image at a time, written back
+    into a single zeroed raster.
     One ``rng.integers`` call draws a block of (image, row, col) triples,
     the same stream as one scalar call per value, and the blank test of
     every offset is computed once, as in ``extract_dense``.  The patches
     are the same as drawing and testing one patch at a time.
     """
-    if not images:
+    pool, inked, sides = [], [], set()
+    for image in images:
+        sides.add(image.side)
+        if cfg.skip_blank:
+            inked.append(_inked(image, cfg, 1))
+        pool.append(_compact(image))
+    if not pool:
         raise ValueError("need at least one image to sample patches from")
-    sides = sorted({im.side for im in images})
     if len(sides) > 1:
-        raise ValueError(f"images must share one side, got sides {sides}")
-    if sides[0] < cfg.size:
-        raise ValueError(f"image side {sides[0]} is smaller than patch size {cfg.size}")
-    offsets = sides[0] - cfg.size + 1
-    inked = np.stack([_inked(im, cfg, 1) for im in images]) if cfg.skip_blank else None
+        raise ValueError(f"images must share one side, got sides {sorted(sides)}")
+    side = sides.pop()
+    if side < cfg.size:
+        raise ValueError(f"image side {side} is smaller than patch size {cfg.size}")
+    offsets = side - cfg.size + 1
+    inked = np.stack(inked) if cfg.skip_blank else None
     rng = np.random.default_rng(seed)
     budget = cfg.oversample_factor * cfg.train_count
     blocks, kept, attempts = [], 0, 0
     while kept < cfg.train_count:
-        block = rng.integers(0, [len(images), offsets, offsets], size=(cfg.train_count, 3))
+        block = rng.integers(0, [len(pool), offsets, offsets], size=(cfg.train_count, 3))
         if cfg.skip_blank:
             attempt = attempts + np.arange(1, cfg.train_count + 1)
             block = block[inked[tuple(block.T)] | (attempt >= budget)]
@@ -120,7 +141,11 @@ def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
         blocks.append(block)
     which, rows, cols = np.concatenate(blocks)[:cfg.train_count].T
     out = np.empty((cfg.train_count, cfg.dim))
+    dense = np.zeros((2, side * side))  # one image at a time, zeroed after use
     for k in np.unique(which):
         sel = np.flatnonzero(which == k)
-        out[sel] = _gather(images[k], rows[sel], cols[sel], cfg.size)
+        at, values = pool[k]
+        dense[:, at] = values
+        out[sel] = _gather(dense.reshape(2, side, side), rows[sel], cols[sel], cfg.size)
+        dense[:, at] = 0.0
     return out

@@ -66,9 +66,18 @@ def fit_whitening(patches: np.ndarray, cfg: WhitenConfig | None = None) -> White
     """Fit a whitening transform to an (n, d) array of patch vectors.
 
     Fewer than d + 1 patches leave the covariance rank deficient; the
-    transform records that as ``full_rank_input=False``."""
-    cfg = cfg or WhitenConfig()
-    patches = np.asarray(patches, dtype=np.float64)
+    transform records that as ``full_rank_input=False``.  ``patches`` is
+    left unchanged."""
+    return _fit_centring(np.array(patches, dtype=np.float64), cfg or WhitenConfig())
+
+
+def _fit_centring(patches: np.ndarray, cfg: WhitenConfig) -> WhiteningTransform:
+    """``fit_whitening`` on a float64 array that it centres in place.
+
+    The covariance is ``np.cov(patches, rowvar=False)`` bit for bit: its
+    mean is ``patches.mean(axis=0)``, and it scales the ``dot`` of the
+    centred transpose by ``true_divide(1, n - 1)``, as here, without
+    ``np.cov``'s two copies of the patches."""
     if patches.ndim != 2:
         raise ValueError("patches must be a 2-D array (n, d)")
     n, d = patches.shape
@@ -78,8 +87,9 @@ def fit_whitening(patches: np.ndarray, cfg: WhitenConfig | None = None) -> White
         raise ValueError("patches contain non-finite values")
     full_rank_input = n >= d + 1
     mean = patches.mean(axis=0)
-    cov = np.cov(patches, rowvar=False)
-    cov = np.atleast_2d(cov)
+    centred = np.subtract(patches, mean, out=patches).T
+    cov = np.dot(centred, centred.T)
+    cov *= np.true_divide(1, n - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
@@ -109,11 +119,4 @@ def apply_whitening(transform: WhiteningTransform, patch: np.ndarray) -> np.ndar
     if patch.shape[-1] != transform.input_dim:
         raise ValueError(f"patch has dimension {patch.shape[-1]}, "
                          f"transform expects {transform.input_dim}")
-    return _whiten(transform, patch)
-
-
-def _whiten(transform: WhiteningTransform, patch: np.ndarray,
-            in_place: bool = False) -> np.ndarray:
-    """``(patch - mean) @ basis.T``; ``in_place`` centres ``patch`` itself."""
-    centred = np.subtract(patch, transform.mean, out=patch if in_place else None)
-    return centred @ transform.basis.T
+    return (patch - transform.mean) @ transform.basis.T

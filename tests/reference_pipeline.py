@@ -2,11 +2,13 @@
 
 These are the per-line signature file parsers that ``sigverify.dataset``
 once ran, the per-sample and per-pixel loops that ``sigverify.preprocess``
-and ``sigverify.patches`` once ran, and the per-descriptor scoring loop of
+and ``sigverify.patches`` once ran, the ``np.cov`` whitening fit of
+``sigverify.whitening`` and the per-descriptor scoring loop of
 ``sigverify.evaluation.run_experiment``.  The library computes the same
-results with one table reader and array kernels; the property tests in
-``test_parse_equivalence.py``, ``test_kernel_equivalence.py`` and
-``test_batched_scoring.py`` require both to agree exactly.  Test-only:
+results with one table reader, array kernels and in-place centring; the
+property tests in ``test_parse_equivalence.py``, ``test_kernel_equivalence.py``,
+``test_whitening.py`` and ``test_batched_scoring.py`` require both to agree
+exactly.  Test-only:
 nothing in ``src`` imports this.
 """
 
@@ -17,8 +19,9 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import cho_solve
 
 from sigverify import (GENUINE, ParseError, PatchConfig, PreprocessConfig, SignatureImage,
-                       Trajectory, fit_user_model)
+                       Trajectory, WhitenConfig, fit_user_model)
 from sigverify.evaluation import _user_rng
+from sigverify.whitening import _fix_eigenvector_signs
 
 
 def _parse_float(token, lineno):
@@ -253,6 +256,25 @@ def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
             continue
         out.append(_patch_vector(im, r, c, cfg.size))
     return np.asarray(out)
+
+
+def fit_whitening(patches: np.ndarray, cfg: WhitenConfig):
+    """(mean, basis, eigenvalues) of the whitening fit on ``np.cov``, which
+    centres a copy of the patches with its own mean."""
+    mean = patches.mean(axis=0)
+    cov = np.atleast_2d(np.cov(patches, rowvar=False))
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = np.clip(eigvals[order], 0.0, None)
+    eigvecs = _fix_eigenvector_signs(eigvecs[:, order])
+    k = len(eigvals)
+    if cfg.mode == "pca":
+        mass = np.cumsum(eigvals)
+        k = min(int(np.searchsorted(mass, cfg.retained_variance * float(eigvals.sum())) + 1), k)
+    basis = (1.0 / np.sqrt(eigvals[:k] + cfg.epsilon))[:, None] * eigvecs[:, :k].T
+    if cfg.mode == "zca":
+        basis = eigvecs[:, :k] @ basis
+    return mean, basis, eigvals[:k]
 
 
 def score(model, values) -> float:

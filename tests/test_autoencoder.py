@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from sigverify import (AeConfig, AeParams, cost, cost_grad, encode, forward,
                        init_params, kl_divergence, train)
-from sigverify.autoencoder import SQUARE_BLOCK, AutoencoderModel, _sum_squares
+from sigverify.autoencoder import SQUARE_BLOCK, AutoencoderModel, _sum_squares, _workspace
 
 
 def fd_gradient(params, batch, cfg, h=1e-6):
@@ -164,6 +164,21 @@ class TestForwardAndCost:
         model = AutoencoderModel(params=p, config=cfg, input_dim=d, final_cost=0.0)
         assert np.array_equal(encode(model, x[3]),
                               1.0 / (1.0 + np.exp(-(x[3] @ p.W1.T + p.b1))))
+
+
+    def test_a_reused_workspace_gives_the_fresh_results(self, rng):
+        m, d, cfg = 30, 7, AeConfig(hidden=5, seed=2)
+        x = rng.normal(size=(m, d))
+        theta = init_params(d, cfg).pack()
+        params = [AeParams.unpack(theta + 0.1 * k * rng.normal(size=theta.size), d, cfg.hidden)
+                  for k in range(3)]
+        work = _workspace(m, d, cfg.hidden)
+        reused = [cost_grad(p, x, cfg, work) for p in params]
+        for p, (c, grad) in zip(params, reused, strict=True):
+            want_c, want = cost_grad(p, x, cfg)
+            assert c == want_c
+            for name in ("W1", "b1", "W2", "b2"):
+                assert np.array_equal(getattr(grad, name), getattr(want, name))
 
 
 class TestSumSquares:

@@ -121,6 +121,27 @@ class TestLearnDescriptor:
         assert "warning: training stopped unconverged" in err
         assert "ae.max_iter=1" in err
 
+    def test_prints_the_evaluation_count_and_final_gradient_norm(self, workspace, tmp_path,
+                                                                   capsys):
+        model = tmp_path / "m.sig"
+        assert main(["learn-descriptor", "--corpus", str(workspace / "corpus"), "--out",
+                     str(model), "--seed", "13"] + FAST) == 0
+        out = capsys.readouterr().out
+        found = re.search(r"(\d+) iterations, (\d+) evaluations, "
+                          r"final gradient inf-norm (\S+), ", out)
+        assert found, out
+        trained = sigverify.train_descriptor(
+            sigverify.load_corpus(workspace / "corpus").all_trajectories(),
+            patch_cfg=sigverify.PatchConfig(train_count=800),
+            ae_cfg=sigverify.AeConfig(hidden=8, max_iter=15), seed=13).ae
+        assert found.groups() == (str(trained.n_iter), str(trained.n_evals),
+                                  f"{trained.grad_inf:.3g}")
+        assert trained.n_evals > trained.n_iter > 0
+        # in memory only: the model file does not store them
+        meta, _ = sigverify.container.read_container(model)
+        assert not [key for key in meta if "evals" in key or "grad_inf" in key]
+        assert sigverify.load_model(model).ae.n_evals == 0
+
     def test_missing_corpus_fails(self, tmp_path, capsys):
         code = main(["learn-descriptor", "--corpus", str(tmp_path / "none"),
                      "--out", str(tmp_path / "m.sig")] + FAST)

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,20 @@ class TestInputLimits:
         with pytest.raises(ParseError, match=f"limit of {len(text)} characters"):
             parse_canonical(stream)
         assert stream.tell() == len(text) + 1
+
+    def test_reading_a_file_sets_aside_no_room_for_the_limit(self, tmp_path, tiny_corpus):
+        path = tmp_path / "sig.txt"
+        traj = tiny_corpus.all_trajectories()[0]
+        path.write_text(format_canonical(traj))
+        with path.open() as stream:
+            tracemalloc.start()
+            try:
+                parsed = parse_canonical(stream)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert np.array_equal(parsed.x, traj.x)
+        assert peak < 2**20, f"parsing a {path.stat().st_size}-byte file traced {peak} bytes"
 
     def test_corpus_warning_names_the_file_and_the_limit(self, tmp_path, tiny_corpus,
                                                          monkeypatch):

@@ -5,8 +5,8 @@ import pytest
 
 from sigverify import (AeConfig, PatchConfig, PreprocessConfig, Trajectory,
                        apply_whitening, describe, describe_baseline, fit_whitening,
-                       load_model, preprocess, sample_training_patches, save_model,
-                       train, train_descriptor)
+                       generate_synthetic_corpus, load_model, preprocess,
+                       sample_training_patches, save_model, train, train_descriptor)
 from sigverify.container import ContainerError
 from sigverify.descriptor import _dense_whitened
 from sigverify.autoencoder import encode
@@ -58,6 +58,22 @@ class TestTrainDescriptor:
             tracemalloc.stop()
         raw_bytes = patch_cfg.train_count * patch_cfg.dim * 8
         assert peak < 3 * raw_bytes, f"traced peak is {peak / raw_bytes:.2f}x the raw patches"
+
+    def test_traced_peak_stays_under_a_third_of_the_dense_rasters(self):
+        # the pool is held compact, so memory does not grow by a raster
+        # per unlabeled signature
+        trajs = generate_synthetic_corpus(seed=23, n_users=12, n_genuine=10,
+                                          n_forgery=0).all_trajectories()
+        tracemalloc.start()
+        try:
+            train_descriptor(trajs, patch_cfg=PatchConfig(train_count=500),
+                             ae_cfg=AeConfig(max_iter=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        side = PreprocessConfig().canvas
+        dense_bytes = len(trajs) * 2 * side * side * 8
+        assert peak < dense_bytes / 3, f"traced peak is {peak / dense_bytes:.2f}x the rasters"
 
 
 class TestDescribe:

@@ -171,6 +171,16 @@ def images(draw, min_side, max_side=24):
 
 
 @st.composite
+def signed_images(draw, side):
+    """Images of zeros of both signs and sparse ink; some are blank."""
+    zero = st.sampled_from([0.0, -0.0])
+    ink = zero if draw(st.booleans()) else zero | st.sampled_from([0.1, 0.25, 0.5, 1.0])
+    pressure = draw(arrays(np.float64, (side, side), elements=ink))
+    time = draw(arrays(np.float64, (side, side), elements=zero | st.floats(0.0, 1.0)))
+    return SignatureImage(pressure=pressure, time=time)
+
+
+@st.composite
 def patch_configs(draw, max_size=8):
     size = draw(st.integers(1, max_size))
     return PatchConfig(size=size, stride=draw(st.integers(1, size)),
@@ -208,6 +218,30 @@ class TestSampleTrainingPatches:
         pool = data.draw(st.lists(images(side, max_side=side), min_size=1, max_size=4))
         assert_patches_equal(sample_training_patches(pool, cfg, seed),
                              ref.sample_training_patches(pool, cfg, seed))
+
+    @SETTINGS
+    @given(st.data(), st.integers(0, 2**32 - 1))
+    def test_a_one_shot_generator_gives_the_list_form_bit_for_bit(self, data, seed):
+        cfg = data.draw(patch_configs())
+        side = data.draw(st.integers(cfg.size, 16))
+        pool = data.draw(st.lists(signed_images(side), min_size=1, max_size=4))
+        got = sample_training_patches((image for image in pool), cfg, seed)
+        for want in (sample_training_patches(pool, cfg, seed),
+                     ref.sample_training_patches(pool, cfg, seed)):
+            assert_patches_equal(got, want)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_an_exhausted_budget_admits_negative_zero_blanks(self):
+        blank = SignatureImage(pressure=np.full((12, 12), -0.0), time=np.zeros((12, 12)))
+        cfg = PatchConfig(size=4, stride=2, train_count=30, oversample_factor=2)
+        got = sample_training_patches((image for image in [blank, blank]), cfg, seed=1)
+        want = ref.sample_training_patches([blank, blank], cfg, seed=1)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.signbit(got[:, :16]).all()
+
+    def test_an_empty_generator_raises(self):
+        with pytest.raises(ValueError, match="need at least one image"):
+            sample_training_patches(iter(()), PatchConfig(), seed=0)
 
     def test_a_pool_of_mixed_sides_raises(self):
         pool = [SignatureImage(pressure=np.ones((n, n)), time=np.zeros((n, n)))

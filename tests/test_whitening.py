@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import reference_pipeline as ref
 from sigverify import WhitenConfig, apply_whitening, fit_whitening
 
 
@@ -14,6 +18,26 @@ def correlated_cloud(rng, n, scales, mixing=None):
 
 
 class TestFitWhitening:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_equals_the_np_cov_fit_and_leaves_its_input_alone(self, data):
+        n, d = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 8))
+        values = st.sampled_from([0.0, -0.0, 1.0, 0.25]) | st.floats(-1e3, 1e3)
+        x = data.draw(arrays(np.float64, (n, d), elements=values))
+        if data.draw(st.booleans()):
+            x = np.asfortranarray(x)
+        cfg = WhitenConfig(epsilon=data.draw(st.sampled_from([1e-6, 0.01])),
+                           retained_variance=data.draw(st.sampled_from([0.5, 0.99, 1.0])),
+                           mode=data.draw(st.sampled_from(["pca", "zca"])))
+        before = x.copy(order="K")
+        tf = fit_whitening(x, cfg)
+        assert np.array_equal(x.view(np.uint64), before.view(np.uint64))
+        assert x.flags.f_contiguous == before.flags.f_contiguous
+        for got, want in zip((tf.mean, tf.basis, tf.eigenvalues), ref.fit_whitening(x, cfg),
+                             strict=True):
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_matches_svd_reference_on_3d_cloud(self):
         # independent route: principal axes straight from the SVD of the
         # centered data, then the same variance equalization
