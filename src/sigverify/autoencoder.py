@@ -79,7 +79,6 @@ class AeParams:
 class AutoencoderModel:
     params: AeParams
     config: AeConfig
-    input_dim: int
     final_cost: float
     n_iter: int = 0
     converged: bool = False
@@ -89,6 +88,10 @@ class AutoencoderModel:
     # after training only: a model file does not store them
     n_evals: int = 0
     grad_inf: float = float("nan")
+
+    @property
+    def input_dim(self) -> int:
+        return self.params.W1.shape[1]
 
     @property
     def hidden(self) -> int:
@@ -226,7 +229,7 @@ def train(batch: np.ndarray, cfg: AeConfig | None = None) -> AutoencoderModel:
                          memory=cfg.memory, grad_tol=cfg.grad_tol)
     grad_inf = float(np.max(np.abs(res.grad))) if res.grad.size else 0.0
     return AutoencoderModel(params=AeParams.unpack(res.x, d, cfg.hidden),
-                            config=cfg, input_dim=d, final_cost=res.fun,
+                            config=cfg, final_cost=res.fun,
                             n_iter=res.n_iter, converged=res.converged,
                             line_search_failed=res.line_search_failed,
                             cost_history=res.cost_history, n_evals=res.n_evals,

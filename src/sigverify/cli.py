@@ -24,8 +24,8 @@ from pathlib import Path
 from .container import format_value, parse_value
 from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser_for,
                       save_corpus)
-from .descriptor import (CONFIG_GROUPS, config_fields, describe, load_model, save_model,
-                         train_descriptor)
+from .descriptor import (CONFIG_GROUPS, config_fields, config_group, describe, load_model,
+                         save_model, train_descriptor)
 from .evaluation import format_report, roc, roc_csv, run_experiment, scores_csv
 from .oneclass import (calibrate_threshold, fit_user_model, load_user_model,
                        save_user_model, score, verify)
@@ -88,11 +88,6 @@ class RunConfig:
         for key in sorted(self.values):
             print(f"config {key} = {format_value(self.values[key])}", file=stream)
 
-    def group(self, prefix: str):
-        """The config dataclass of ``prefix`` built from this run's values."""
-        return CONFIG_GROUPS[prefix](**{name: self[f"{prefix}.{name}"]
-                                        for name, _, _ in config_fields(prefix)})
-
 
 def _build_config(args) -> RunConfig:
     cfg = RunConfig()
@@ -139,8 +134,9 @@ def _load_corpus_arg(args, cfg):
 
 def cmd_learn_descriptor(args) -> int:
     cfg = _build_config(args)
-    # a bad config value fails here, before any file is touched
-    groups = [cfg.group(name) for name in ("preprocess", "patch", "whiten", "ae")]
+    # a bad config value fails here, before any file is touched; the groups
+    # come in train_descriptor's argument order
+    groups = [config_group(prefix, cfg.values) for prefix in CONFIG_GROUPS]
     out = Path(args.out)
     if out.exists() and not args.force:
         raise ValueError(f"model file {out} already exists (use --force to overwrite)")

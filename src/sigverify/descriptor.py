@@ -118,6 +118,12 @@ def config_fields(prefix: str) -> tuple:
     return tuple((f.name, types[f.name], f.default) for f in dataclasses.fields(cls))
 
 
+def config_group(prefix: str, values):
+    """The config dataclass of ``prefix`` built from flat ``prefix.name`` values."""
+    return CONFIG_GROUPS[prefix](**{name: values[f"{prefix}.{name}"]
+                                    for name, _, _ in config_fields(prefix)})
+
+
 def save_model(model: DescriptorModel, path) -> None:
     wt, ae = model.whitening, model.ae
     meta = {
@@ -132,7 +138,7 @@ def save_model(model: DescriptorModel, path) -> None:
         "ae.line_search_failed": ae.line_search_failed,
     }
     groups = {"preprocess": model.preprocess_cfg, "patch": model.patch_cfg,
-              "whiten": wt, "ae": ae.config}
+              "whiten": wt.config, "ae": ae.config}
     for prefix, obj in groups.items():
         for name, _, _ in config_fields(prefix):
             meta[f"{prefix}.{name}"] = getattr(obj, name)
@@ -156,18 +162,17 @@ def load_model(path) -> DescriptorModel:
     values, arrays = container.read_model(path, "descriptor", MODEL_VERSION,
                                           MODEL_FIELDS, MODEL_SHAPES)
     cfgs = {}
-    for prefix, cls in CONFIG_GROUPS.items():
+    for prefix in CONFIG_GROUPS:
         try:
-            cfgs[prefix] = cls(**{name: values[f"{prefix}.{name}"]
-                                  for name, _, _ in config_fields(prefix)})
+            cfgs[prefix] = config_group(prefix, values)
         except ValueError as exc:  # a failed config check, such as stride <= size
             raise container.ContainerError(f"{path}: bad {prefix}.* metadata: {exc}") from None
     transform = WhiteningTransform(
         **{n: arrays[f"whitening.{n}"] for n in ("mean", "basis", "eigenvalues")},
-        full_rank_input=values["whiten.full_rank_input"], **vars(cfgs["whiten"]))
+        config=cfgs["whiten"], full_rank_input=values["whiten.full_rank_input"])
     params = AeParams(**{n: arrays[f"ae.{n}"] for n in ("W1", "b1", "W2", "b2")})
     ae = AutoencoderModel(
-        params=params, config=cfgs["ae"], input_dim=params.W1.shape[1],
+        params=params, config=cfgs["ae"],
         **{n: values[f"ae.{n}"]
            for n in ("final_cost", "n_iter", "converged", "line_search_failed")})
     return DescriptorModel(preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],

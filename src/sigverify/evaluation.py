@@ -28,7 +28,6 @@ LABELS = (LABEL_GENUINE, LABEL_SKILLED, LABEL_RANDOM)
 class ScoreSet:
     genuine: np.ndarray
     forgery: np.ndarray
-    user_id: str = ""
 
     def __post_init__(self):
         self.genuine = np.asarray(self.genuine, dtype=np.float64)
@@ -67,7 +66,6 @@ class EvalReport:
     pooled_eer: float
     mean_eer_skilled: float
     mean_eer_random: float
-    fold_count: int
     config: dict
     excluded_users: list = field(default_factory=list)
     score_rows: list = field(default_factory=list)  # (user, fold, label, score)
@@ -236,9 +234,9 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         if gen.size == 0 or forg.size == 0:
             warnings.append(f"user {uid} has no reportable score set; skipped")
             continue
-        per_user_scores[uid] = scores = ScoreSet(genuine=gen, forgery=forg, user_id=uid)
-        eer_sk = eer(roc(ScoreSet(gen, skl, uid))) if skl.size else float("nan")
-        eer_rn = eer(roc(ScoreSet(gen, rnd, uid))) if rnd.size else float("nan")
+        per_user_scores[uid] = scores = ScoreSet(genuine=gen, forgery=forg)
+        eer_sk = eer(roc(ScoreSet(gen, skl))) if skl.size else float("nan")
+        eer_rn = eer(roc(ScoreSet(gen, rnd))) if rnd.size else float("nan")
         per_user[uid] = UserResult(eer=eer(roc(scores)), auc=auc(scores),
                                    n_genuine_test=gen.size, n_forgery_test=forg.size,
                                    eer_skilled=eer_sk, eer_random=eer_rn)
@@ -246,8 +244,7 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     if not per_user:
         raise ValueError("; ".join(["no user produced a reportable score set", *warnings]))
     # roc sorts its input, so pooling per-user arrays in user order changes nothing
-    pooled = eer(roc(ScoreSet(np.concatenate(pooled_gen), np.concatenate(pooled_forg),
-                              "pooled")))
+    pooled = eer(roc(ScoreSet(np.concatenate(pooled_gen), np.concatenate(pooled_forg))))
     return EvalReport(
         per_user=per_user,
         mean_eer=float(np.mean([u.eer for u in per_user.values()])),
@@ -255,7 +252,6 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         pooled_eer=pooled,
         mean_eer_skilled=_nanmean([u.eer_skilled for u in per_user.values()]),
         mean_eer_random=_nanmean([u.eer_random for u in per_user.values()]),
-        fold_count=k,
         config={"k": k, "reg": reg, "seed": seed, "hidden": model.hidden,
                 "source": corpus.source},
         excluded_users=excluded,

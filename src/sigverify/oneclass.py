@@ -10,7 +10,7 @@ scores only, so no forgeries are needed to enroll a user.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -33,15 +33,14 @@ class UserModel:
     reg: float
     n_train: int
     threshold: float | None = None
-    _chol: tuple = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        # derived, not a field, so dataclasses.replace factors the new covariance
+        self._chol = cho_factor(self.covariance, lower=True)
 
     @property
     def dim(self) -> int:
         return len(self.mean)
-
-
-def _factor(covariance: np.ndarray):
-    return cho_factor(covariance, lower=True)
 
 
 def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) -> UserModel:
@@ -81,12 +80,12 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
         covariance = ((1.0 - reg) * sample_cov
                       + reg * (np.trace(sample_cov) / h) * np.eye(h))
     try:
-        chol = _factor(covariance)
+        return UserModel(user_id=user_id, mean=mean, covariance=covariance,
+                         reg=reg, n_train=n)
     except np.linalg.LinAlgError:
-        covariance = covariance + ZERO_VARIANCE_EPSILON * np.eye(h)
-        chol = _factor(covariance)
-    return UserModel(user_id=user_id, mean=mean, covariance=covariance,
-                     reg=reg, n_train=n, _chol=chol)
+        return UserModel(user_id=user_id, mean=mean,
+                         covariance=covariance + ZERO_VARIANCE_EPSILON * np.eye(h),
+                         reg=reg, n_train=n)
 
 
 def score(model: UserModel, descriptor) -> float:
@@ -105,9 +104,8 @@ def _scores(model: UserModel, rows: np.ndarray) -> np.ndarray:
     One multi-column ``cho_solve`` (with its finiteness check) serves the
     whole block; each row's score equals the one-vector solve bit for bit.
     """
-    chol = model._chol if model._chol is not None else _factor(model.covariance)
     diff = rows - model.mean
-    solved = cho_solve(chol, diff.T)
+    solved = cho_solve(model._chol, diff.T)
     return (diff[:, None, :] @ solved.T[:, :, None])[:, 0, 0]
 
 
@@ -175,10 +173,8 @@ def load_user_model(path) -> UserModel:
                                           USER_MODEL_FIELDS, USER_MODEL_SHAPES)
     if not np.all(np.isfinite(arrays["mean"])):
         raise container.ContainerError(f"{path}: array 'mean' is not finite")
-    model = UserModel(mean=arrays["mean"], covariance=arrays["covariance"], **values)
     try:
-        model._chol = _factor(model.covariance)
+        return UserModel(mean=arrays["mean"], covariance=arrays["covariance"], **values)
     except ValueError:  # also np.linalg.LinAlgError
         raise container.ContainerError(
             f"{path}: covariance is not finite positive definite") from None
-    return model

@@ -10,7 +10,7 @@ input coordinate system, so dimension is preserved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,10 +37,8 @@ class WhiteningTransform:
     mean: np.ndarray
     basis: np.ndarray          # (d_kept, d); rows already include 1/sqrt(eig + eps)
     eigenvalues: np.ndarray    # kept spectrum, descending
-    epsilon: float
-    retained_variance: float
-    mode: str
-    full_rank_input: bool = field(default=True)
+    config: WhitenConfig
+    full_rank_input: bool = True
 
     @property
     def input_dim(self) -> int:
@@ -108,9 +106,7 @@ def _fit_centring(patches: np.ndarray, cfg: WhitenConfig) -> WhiteningTransform:
     if cfg.mode == "zca":
         basis = eigvecs[:, :k] @ basis
     return WhiteningTransform(mean=mean, basis=basis, eigenvalues=kept_vals,
-                              epsilon=cfg.epsilon,
-                              retained_variance=cfg.retained_variance,
-                              mode=cfg.mode, full_rank_input=full_rank_input)
+                              config=cfg, full_rank_input=full_rank_input)
 
 
 def apply_whitening(transform: WhiteningTransform, patch: np.ndarray) -> np.ndarray:

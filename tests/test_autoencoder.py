@@ -161,7 +161,7 @@ class TestForwardAndCost:
         for got, expect in zip((grad.W1, grad.b1, grad.W2, grad.b2), want, strict=True):
             assert np.array_equal(got, expect)
         assert all(np.array_equal(g, w) for g, w in zip(forward(p, x), (a, xhat)))
-        model = AutoencoderModel(params=p, config=cfg, input_dim=d, final_cost=0.0)
+        model = AutoencoderModel(params=p, config=cfg, final_cost=0.0)
         assert np.array_equal(encode(model, x[3]),
                               1.0 / (1.0 + np.exp(-(x[3] @ p.W1.T + p.b1))))
 

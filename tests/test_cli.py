@@ -212,6 +212,65 @@ class TestEnroll:
                 "'user_id'='user\\nid=x'") in capsys.readouterr().err
         assert [f.name for f in (tmp_path / "users").iterdir()] == ["user000.usermodel"]
 
+    def test_a_user_without_genuine_signatures_is_not_enrolled(self, workspace, tmp_path,
+                                                               capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus" / "user000", corpus / "user000")
+        shutil.copytree(workspace / "corpus" / "user001" / "forgery",
+                        corpus / "user001" / "forgery")
+        code = main(["enroll", "--model", str(workspace / "model.sig"),
+                     "--corpus", str(corpus), "--out", str(tmp_path / "users")])
+        assert code == 0
+        assert ("warning: could not enroll user001: no genuine signatures"
+                in capsys.readouterr().err)
+        assert [f.name for f in (tmp_path / "users").iterdir()] == ["user000.usermodel"]
+
+    def test_a_corpus_with_no_enrollable_user_fails(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(workspace / "corpus" / "user001" / "forgery",
+                        corpus / "user001" / "forgery")
+        code = main(["enroll", "--model", str(workspace / "model.sig"),
+                     "--corpus", str(corpus), "--out", str(tmp_path / "users")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: no user could be enrolled (1 failures)")
+        assert not any((tmp_path / "users").iterdir())
+
+    def test_svc2004_corpus_enrolls_and_verifies_like_its_canonical_copy(
+            self, workspace, tmp_path, capsys):
+        from sigverify import load_corpus
+        canonical = load_corpus(workspace / "corpus")
+        svc = tmp_path / "svc"
+        for uid, sigs in canonical.users.items():
+            for sub, trajs in (("genuine", sigs.genuine),
+                               ("forgery", sigs.skilled_forgeries)):
+                (svc / uid / sub).mkdir(parents=True)
+                for i, t in enumerate(trajs):
+                    # x y t button azimuth altitude pressure, after the count
+                    rows = [f"{x!r} {y!r} {ts!r} {int(down)} 0 0 {p!r}" for x, y, ts, down, p
+                            in zip(*(a.tolist() for a in (t.x, t.y, t.t, t.pen_down,
+                                                          t.pressure)))]
+                    (svc / uid / sub / f"{i:03d}.txt").write_text(
+                        "\n".join([str(len(t)), *rows]) + "\n")
+        model = str(workspace / "model.sig")
+        svc_set = ["--set", "corpus.layout=svc2004"]
+        for corpus, users, extra in ((workspace / "corpus", tmp_path / "u", []),
+                                     (svc, tmp_path / "u-svc", svc_set)):
+            assert main(["enroll", "--model", model, "--corpus", str(corpus),
+                         "--out", str(users)] + extra) == 0
+        capsys.readouterr()
+        for uid in canonical.user_ids():
+            assert ((tmp_path / "u" / f"{uid}.usermodel").read_bytes()
+                    == (tmp_path / "u-svc" / f"{uid}.usermodel").read_bytes())
+        outputs = []
+        for sig, extra in ((workspace / "corpus" / "user000" / "forgery" / "000.txt", []),
+                           (svc / "user000" / "forgery" / "000.txt", svc_set)):
+            outputs.append((main(["verify", "--model", model, "--user-models",
+                                  str(tmp_path / "u"), "--user", "user000", str(sig)]
+                                 + extra), capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0] == 2 and outputs[1][1].startswith("reject score=")
+
     def test_writes_one_file_per_user(self, workspace):
         files = sorted(p.name for p in (workspace / "users").glob("*.usermodel"))
         assert files == [f"user{i:03d}.usermodel" for i in range(4)]
@@ -259,6 +318,23 @@ class TestVerify:
         assert "accept" not in out
         assert (f"error: {users / 'user002.usermodel'} was enrolled for user "
                 "'user000', not 'user002'") in err
+
+    def test_user_model_of_another_width_is_refused(self, workspace, tmp_path, capsys):
+        import numpy as np
+
+        from sigverify import calibrate_threshold, fit_user_model, save_user_model
+        user_model = fit_user_model(np.random.default_rng(0).normal(size=(5, 3)),
+                                    user_id="user000")
+        calibrate_threshold(user_model, [1.0])
+        save_user_model(user_model, tmp_path / "user000.usermodel")
+        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
+        code = main(["verify", "--model", str(workspace / "model.sig"),
+                     "--user-models", str(tmp_path), "--user", "user000", str(sig)])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert "accept" not in out and "reject" not in out
+        assert err.splitlines()[-1] == (
+            "error: user model dimension 3 does not match descriptor hidden size 8")
 
     def test_unknown_user_fails(self, workspace, capsys):
         sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"

@@ -16,7 +16,7 @@ from sigverify import (AeConfig, AeParams, PatchConfig, PreprocessConfig,
                        save_model, save_user_model)
 from sigverify.cli import RunConfig
 from sigverify.container import ContainerError
-from sigverify.descriptor import CONFIG_GROUPS, MODEL_FIELDS, MODEL_SHAPES
+from sigverify.descriptor import CONFIG_GROUPS, MODEL_FIELDS, MODEL_SHAPES, config_group
 from sigverify.oneclass import USER_MODEL_FIELDS, USER_MODEL_SHAPES, fit_user_model
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -68,8 +68,7 @@ class TestModelMetadataRoundTrip:
                           W2=np.zeros((d, h)), b2=np.zeros(d))
         model = dataclasses.replace(
             tiny_model, preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],
-            whitening=dataclasses.replace(tiny_model.whitening,
-                                          **dataclasses.asdict(whiten)),
+            whitening=dataclasses.replace(tiny_model.whitening, config=whiten),
             ae=dataclasses.replace(tiny_model.ae, config=cfgs["ae"], params=params))
         with tempfile.TemporaryDirectory() as tmp:
             f = Path(tmp) / "model.sig"
@@ -77,9 +76,7 @@ class TestModelMetadataRoundTrip:
             back = load_model(f)
         assert back.preprocess_cfg == cfgs["preprocess"]
         assert back.patch_cfg == cfgs["patch"]
-        assert WhitenConfig(epsilon=back.whitening.epsilon,
-                            retained_variance=back.whitening.retained_variance,
-                            mode=back.whitening.mode) == whiten
+        assert back.whitening.config == whiten
         assert back.ae.config == cfgs["ae"]
         assert back.whitening.full_rank_input == tiny_model.whitening.full_rank_input
 
@@ -371,10 +368,10 @@ class TestCliSchema:
         cfg.set("patch.oversample_factor", "3")
         cfg.set("whiten.mode", "zca")
         cfg.set("preprocess.smooth", "false")
-        assert cfg.group("patch") == PatchConfig(oversample_factor=3)
-        assert cfg.group("whiten") == WhitenConfig(mode="zca")
-        assert cfg.group("preprocess") == PreprocessConfig(smooth=False)
-        assert cfg.group("ae") == AeConfig()
+        assert config_group("patch", cfg.values) == PatchConfig(oversample_factor=3)
+        assert config_group("whiten", cfg.values) == WhitenConfig(mode="zca")
+        assert config_group("preprocess", cfg.values) == PreprocessConfig(smooth=False)
+        assert config_group("ae", cfg.values) == AeConfig()
 
     def test_readme_configuration_table_matches_the_echoed_defaults(self):
         text = README.read_text()

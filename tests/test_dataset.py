@@ -77,6 +77,10 @@ class TestSvcFormat:
         with pytest.raises(ParseError):
             parse_svc2004("5\n0 0 0 1 0 0 1\n1 1 1 1 0 0 1\n")
 
+    def test_rejects_a_malformed_sample_count(self):
+        with pytest.raises(ParseError, match="line 1: malformed sample count 'two'"):
+            parse_svc2004("two\n0 0 0 1 0 0 1\n1 1 1 1 0 0 1\n")
+
     def test_rejects_wrong_field_count(self):
         with pytest.raises(ParseError, match="expected 7 fields"):
             parse_svc2004("2\n0 0 0 1 0 0 1\n0 0 1 1\n")

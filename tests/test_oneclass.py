@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,11 @@ class TestFitUserModel:
         with pytest.raises(ValueError, match="at least one"):
             fit_user_model([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_descriptors_are_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_user_model([np.array([0.0, 1.0]), np.array([bad, 0.0])])
+
     def test_plain_arrays_are_accepted(self):
         m = fit_user_model([np.array([0.0, 0.0]), np.array([2.0, 2.0])],
                            user_id="raw")
@@ -92,6 +99,15 @@ class TestScore:
         far = score(m, np.array([5.0, 1.0]))
         assert 0 < near < far
 
+    def test_a_replaced_covariance_is_factored_anew(self, rng):
+        m = fit_user_model(descriptors_from(rng.normal(size=(12, 4))), reg=0.5)
+        q = rng.normal(size=4)
+        diff = q - m.mean
+        for k in (0.01, 100.0):
+            scaled = dataclasses.replace(m, covariance=k * m.covariance)
+            expect = float(diff @ np.linalg.solve(scaled.covariance, diff))
+            assert score(scaled, q) == pytest.approx(expect, rel=1e-9)
+
     def test_dimension_mismatch_is_rejected(self):
         m = fit_user_model(descriptors_from(CORNERS))
         with pytest.raises(ValueError, match="dimension"):
@@ -115,6 +131,13 @@ class TestThresholdAndVerify:
                 calibrate_threshold(m, [1.0], quantile=q)
         with pytest.raises(ValueError, match="at least one"):
             calibrate_threshold(m, [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_training_scores_are_rejected(self, bad):
+        m = fit_user_model(descriptors_from(CORNERS))
+        with pytest.raises(ValueError, match="non-finite"):
+            calibrate_threshold(m, [1.0, bad])
+        assert m.threshold is None
 
     def test_verify_respects_the_threshold(self):
         m = fit_user_model(descriptors_from(CORNERS))

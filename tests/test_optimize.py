@@ -150,3 +150,21 @@ class TestStrongWolfe:
                                           np.array([-1.0]), 1.0, 40)
         assert alpha is None
         assert used <= 40 and evals <= 40
+
+    def test_a_decreasing_but_steep_trial_becomes_the_low_end(self):
+        from sigverify.optimize import C1, C2, _strong_wolfe
+
+        def kink(x):
+            # slope -1 up to x = 1, then a steep parabola with its minimum at 1.0005
+            t = max(float(x[0]) - 1.0, 0.0)
+            return -float(x[0]) + 1000.0 * t * t, np.array([-1.0 + 2000.0 * t])
+
+        x, p = np.zeros(1), np.ones(1)
+        f0, g0 = kink(x)
+        # alpha0 = 2 overshoots; zoom's first trial, 1, decreases enough but
+        # keeps slope -1, so it must replace 0 as the bracket's low end
+        alpha, f_a, g_a, evals = _strong_wolfe(kink, x, f0, g0, p, alpha0=2.0, max_evals=40)
+        assert alpha == pytest.approx(1.0005) and evals <= 40
+        d0 = float(g0 @ p)
+        assert f_a <= f0 + C1 * alpha * d0
+        assert abs(float(g_a @ p)) <= -C2 * d0
