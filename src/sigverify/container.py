@@ -84,12 +84,12 @@ def write_container(path, metadata: dict, arrays: dict) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
+    def __init__(self, data: memoryview, path):
         self.data = data
         self.pos = 0
         self.path = path
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise ContainerError(f"{self.path}: truncated container")
         out = self.data[self.pos:self.pos + n]
@@ -101,7 +101,7 @@ class _Reader:
 
     def text(self, n: int, what: str) -> str:
         try:
-            return self.take(n).decode("utf-8")
+            return str(self.take(n), "utf-8")
         except UnicodeDecodeError:
             raise ContainerError(f"{self.path}: {what} is not UTF-8 text") from None
 
@@ -115,7 +115,7 @@ def read_container(path):
     data = path.read_bytes()
     if len(data) < len(MAGIC) + 4 + 32:
         raise ContainerError(f"{path}: truncated container")
-    payload, digest = data[:-32], data[-32:]
+    payload, digest = memoryview(data)[:-32], data[-32:]
     if hashlib.sha256(payload).digest() != digest:
         raise ContainerError(f"{path}: payload checksum mismatch "
                              "(truncated or corrupted file)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -183,9 +184,10 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     Every trajectory is described once, into one stacked array of each
     user's genuine descriptors and one of their skilled forgeries.  For
     each fold and user a one-class model is fitted on the training rows
-    and scores, in one solve, the block of the user's test genuine rows,
-    their skilled forgeries and every other user's genuine rows (random
-    forgeries); the scores equal per-signature scoring bit for bit.
+    and scores, in one solve, the user's test genuine rows and their
+    forgery block, built once per user: skilled forgeries and every other
+    user's genuine rows (random forgeries); the scores equal per-signature
+    scoring bit for bit.
     Scores pool across folds per user; the report carries per-user
     EER/AUC, their means, the forgery-type subsets, and a secondary EER
     computed with one global pooled threshold.
@@ -210,18 +212,17 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     genuine, skilled = dict(zip(uids, stacked[0::2])), dict(zip(uids, stacked[1::2]))
 
     blocks, excluded = _user_blocks(corpus, k, seed)
-    rows, scored = [], {}  # scored: (user, label) -> scores per fold
-    for fold in range(k):
-        for uid in sorted(blocks):
+    rows, scored = [[] for _ in range(k)], {}  # scored: (user, label) -> scores per fold
+    for uid in sorted(blocks):  # rows[fold]: scores.csv keeps its fold-major order
+        forgeries = np.concatenate([skilled[uid], *(genuine[o] for o in uids if o != uid)])
+        for fold in range(k):
             train_idx, test_idx = _fold_split(blocks[uid], fold)
             user_model = fit_user_model(genuine[uid][train_idx], reg=reg, user_id=uid)
-            others = [genuine[o] for o in uids if o != uid]
-            block = np.concatenate([genuine[uid][test_idx], skilled[uid], *others])
-            scores = _scores(user_model, block)
-            cuts = np.cumsum([len(test_idx), len(skilled[uid])])
-            for label, part in zip(LABELS, np.split(scores, cuts)):
+            scores = _scores(user_model, np.concatenate([genuine[uid][test_idx], forgeries]))
+            a, b = len(test_idx), len(test_idx) + len(skilled[uid])
+            for label, part in zip(LABELS, (scores[:a], scores[a:b], scores[b:])):
                 scored.setdefault((uid, label), []).append(part)
-                rows += [(uid, fold, label, s) for s in part.tolist()]
+                rows[fold].extend(zip(repeat(uid), repeat(fold), repeat(label), part.tolist()))
     warnings += [f"user {uid} has {len(corpus.users[uid].genuine)} genuine signatures, "
                  f"fewer than k={k}; excluded from the protocol" for uid in excluded]
 
@@ -255,7 +256,7 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         config={"k": k, "reg": reg, "seed": seed, "hidden": model.hidden,
                 "source": corpus.source},
         excluded_users=excluded,
-        score_rows=rows,
+        score_rows=list(chain.from_iterable(rows)),
         per_user_scores=per_user_scores,
         warnings=warnings,
     )

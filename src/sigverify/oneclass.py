@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import container
 from .descriptor import Descriptor
@@ -35,8 +35,15 @@ class UserModel:
     threshold: float | None = None
 
     def __post_init__(self):
-        # derived, not a field, so dataclasses.replace factors the new covariance
-        self._chol = cho_factor(self.covariance, lower=True)
+        # derived, not a field, so dataclasses.replace factors the new covariance;
+        # cho_factor's checks and potrf call, so the pair is cho_factor's bit for bit
+        cov = self.covariance
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not np.isfinite(cov).all():
+            raise ValueError("covariance must be a finite square matrix")
+        factor, info = dpotrf(cov, lower=1, clean=0)
+        if info:
+            raise np.linalg.LinAlgError(f"covariance is not positive definite (info {info})")
+        self._chol = (factor, True)
 
     @property
     def dim(self) -> int:
@@ -55,7 +62,8 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
         raise ValueError(f"reg must lie in [0, 1], got {reg}")
     if len(descriptors) == 0:
         raise ValueError("need at least one training descriptor")
-    labelled = [d for d in descriptors if isinstance(d, Descriptor)]
+    labelled = [] if isinstance(descriptors, np.ndarray) else [  # stacked: no labels
+        d for d in descriptors if isinstance(d, Descriptor)]
     if user_id is None:
         user_id = labelled[0].user_id if labelled else "anonymous"
     for d in labelled:
@@ -64,16 +72,17 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
                              f"training set of {user_id!r}")
         if d.label != "genuine":
             raise ValueError("user models are trained on genuine signatures only")
-    x = np.asarray([d.values if isinstance(d, Descriptor) else d for d in descriptors],
-                   dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if labelled:
+        descriptors = [d.values if isinstance(d, Descriptor) else d for d in descriptors]
+    # np.cov's copy, layout and arithmetic; one row centres to zeros (divisor 1)
+    centred = np.array(descriptors, dtype=np.float64).T
+    if not np.all(np.isfinite(centred)):
         raise ValueError("descriptors contain non-finite values")
-    n, h = x.shape
-    mean = x.mean(axis=0)
-    if n == 1:
-        sample_cov = np.zeros((h, h))
-    else:
-        sample_cov = np.atleast_2d(np.cov(x, rowvar=False))
+    h, n = centred.shape
+    mean = centred.mean(axis=1)
+    centred -= mean[:, None]
+    sample_cov = np.dot(centred, centred.T)
+    sample_cov *= np.true_divide(1, max(n - 1, 1))
     if not sample_cov.any():
         covariance = ZERO_VARIANCE_EPSILON * np.eye(h)
     else:
@@ -101,11 +110,16 @@ def score(model: UserModel, descriptor) -> float:
 def _scores(model: UserModel, rows: np.ndarray) -> np.ndarray:
     """Squared Mahalanobis distance of each row of ``rows`` to the model.
 
-    One multi-column ``cho_solve`` (with its finiteness check) serves the
-    whole block; each row's score equals the one-vector solve bit for bit.
+    One multi-column LAPACK ``potrs`` solve, with ``cho_solve``'s
+    finiteness check, serves the whole block; each row's score equals
+    the one-vector ``cho_solve`` bit for bit.
     """
     diff = rows - model.mean
-    solved = cho_solve(model._chol, diff.T)
+    if not np.isfinite(diff).all():
+        raise ValueError("array must not contain infs or NaNs")
+    solved, info = dpotrs(model._chol[0], diff.T, lower=1)
+    if info:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
     return (diff[:, None, :] @ solved.T[:, :, None])[:, 0, 0]
 
 

@@ -3,24 +3,28 @@
 These are the per-line signature file parsers that ``sigverify.dataset``
 once ran, the per-sample and per-pixel loops that ``sigverify.preprocess``
 and ``sigverify.patches`` once ran, the ``np.cov`` whitening fit of
-``sigverify.whitening`` and the per-descriptor scoring loop of
+``sigverify.whitening``, the ``np.cov`` and ``cho_factor`` user-model fit
+of ``sigverify.oneclass`` and the per-descriptor scoring loop of
 ``sigverify.evaluation.run_experiment``.  The library computes the same
-results with one table reader, array kernels and in-place centring; the
-property tests in ``test_parse_equivalence.py``, ``test_kernel_equivalence.py``,
-``test_whitening.py`` and ``test_batched_scoring.py`` require both to agree
-exactly.  Test-only:
+results with one table reader, array kernels, in-place centring and
+direct LAPACK calls; the property tests in ``test_parse_equivalence.py``,
+``test_kernel_equivalence.py``, ``test_whitening.py`` and
+``test_batched_scoring.py`` require both to agree exactly.  Test-only:
 nothing in ``src`` imports this.
 """
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_factor, cho_solve
 
 from sigverify import (GENUINE, ParseError, PatchConfig, PreprocessConfig, SignatureImage,
-                       Trajectory, WhitenConfig, fit_user_model)
+                       Trajectory, WhitenConfig)
 from sigverify.evaluation import _user_rng
+from sigverify.oneclass import ZERO_VARIANCE_EPSILON
 from sigverify.whitening import _fix_eigenvector_signs
 
 
@@ -277,6 +281,25 @@ def fit_whitening(patches: np.ndarray, cfg: WhitenConfig):
     return mean, basis, eigvals[:k]
 
 
+def fit_user_model(train, reg: float) -> SimpleNamespace:
+    """The user model's mean, covariance and ``_chol`` pair, fitted with
+    ``np.cov`` and ``cho_factor``."""
+    x = np.asarray(train, dtype=np.float64)
+    n, h = x.shape
+    sample_cov = np.zeros((h, h)) if n == 1 else np.atleast_2d(np.cov(x, rowvar=False))
+    if not sample_cov.any():
+        covariance = ZERO_VARIANCE_EPSILON * np.eye(h)
+    else:
+        covariance = ((1.0 - reg) * sample_cov
+                      + reg * (np.trace(sample_cov) / h) * np.eye(h))
+    try:
+        chol = cho_factor(covariance, lower=True)
+    except np.linalg.LinAlgError:
+        covariance = covariance + ZERO_VARIANCE_EPSILON * np.eye(h)
+        chol = cho_factor(covariance, lower=True)
+    return SimpleNamespace(mean=x.mean(axis=0), covariance=covariance, _chol=chol)
+
+
 def score(model, values) -> float:
     """Squared Mahalanobis distance of one descriptor: one solve per vector."""
     diff = np.asarray(values, dtype=np.float64) - model.mean
@@ -322,8 +345,7 @@ def run_experiment_rows(corpus, model, k: int, reg: float, seed: int,
     for fold in range(k):
         for uid, (train, test, skilled, random) in sorted(
                 split_protocol(corpus, fold, k, seed).items()):
-            user_model = fit_user_model([genuine_of(t, uid) for t in train],
-                                        reg=reg, user_id=uid)
+            user_model = fit_user_model([genuine_of(t, uid) for t in train], reg)
             rows += [(uid, fold, "genuine", score(user_model, genuine_of(t, uid)))
                      for t in test]
             rows += [(uid, fold, "skilled", score(user_model, skilled_desc[uid][i].values))

@@ -1,10 +1,12 @@
 """Batched evaluation agrees exactly with one-descriptor-at-a-time scoring.
 
-``reference_pipeline`` keeps the per-vector ``cho_solve`` score and the
-evaluation loop that scored every test row with its own call.  The
-library scores each (user, fold) block with one solve; every property
-here requires bit-identical scores, and ``scores.csv`` text equal byte
-for byte.  The rank-based AUC is checked against ``scipy.stats.rankdata``.
+``reference_pipeline`` keeps the ``np.cov`` and ``cho_factor`` user-model
+fit, the per-vector ``cho_solve`` score and the evaluation loop that
+scored every test row with its own call.  The library fits with direct
+LAPACK calls and scores each (user, fold) block with one solve; every
+property here requires bit-identical fits and scores, and ``scores.csv``
+text equal byte for byte.  The rank-based AUC is checked against
+``scipy.stats.rankdata``.
 """
 
 from types import SimpleNamespace
@@ -26,7 +28,8 @@ SETTINGS = settings(max_examples=150, deadline=None,
 
 @st.composite
 def user_models(draw):
-    """A fitted user model and rows to score, over every fit branch."""
+    """A fitted user model, rows to score and the training rows, over every
+    fit branch."""
     kind = draw(st.sampled_from(["spread", "identical", "single", "jitter"]))
     dim = draw(st.integers(2 if kind == "jitter" else 1, 128))
     batch = draw(st.integers(1, 300))
@@ -50,14 +53,32 @@ def user_models(draw):
         assert model.covariance[0, 0] == ZERO_VARIANCE_EPSILON
     rows = model.mean + rng.normal(size=(batch, dim)) * scale * draw(
         st.sampled_from([0.1, 1.0, 10.0]))
-    return model, rows
+    return model, rows, train
+
+
+class TestFitOracle:
+    @SETTINGS
+    @given(case=user_models())
+    def test_fit_equals_np_cov_and_cho_factor(self, case):
+        model, _, train = case
+        expect = ref.fit_user_model(train, model.reg)
+        for got, want in ((model.mean, expect.mean), (model.covariance, expect.covariance),
+                          (model._chol[0], expect._chol[0])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert model._chol[1] is True
+        listed = fit_user_model(list(train), reg=model.reg)  # rows one by one
+        assert listed.covariance.tobytes() == model.covariance.tobytes()
+        kept = train.copy()
+        fit_user_model(train, reg=model.reg)
+        assert np.array_equal(train, kept)  # the caller's rows are not centred
 
 
 class TestScoreKernel:
     @SETTINGS
     @given(case=user_models())
     def test_block_scores_equal_per_vector_solves(self, case):
-        model, rows = case
+        model, rows, _ = case
         expect = np.array([ref.score(model, r) for r in rows])
         got = _scores(model, rows)
         assert got.dtype == np.float64 and got.shape == (len(rows),)

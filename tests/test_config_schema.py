@@ -253,7 +253,8 @@ class TestBadModelArrays:
             load_user_model(f)
 
     @pytest.mark.parametrize("covariance", [np.array([[1.0, 2.0], [2.0, 1.0]]),
-                                            np.array([[1.0, 0.0], [0.0, np.nan]])])
+                                            np.array([[1.0, 0.0], [0.0, np.nan]]),
+                                            np.array([[1.0, np.inf], [0.0, 1.0]])])
     def test_unusable_covariance_fails_closed(self, tmp_path, covariance):
         f = _user_model_file(tmp_path)
         _rewrite_array(f, "covariance", covariance)

@@ -6,7 +6,8 @@ import pytest
 from sigverify import (calibrate_threshold, fit_user_model, load_user_model,
                        save_user_model, verify)
 from sigverify.descriptor import Descriptor
-from sigverify.oneclass import THRESHOLD_SLACK, ZERO_VARIANCE_EPSILON, score
+from sigverify.oneclass import (THRESHOLD_SLACK, ZERO_VARIANCE_EPSILON, UserModel, _scores,
+                                score)
 
 
 def descriptors_from(rows, user_id="u", label="genuine"):
@@ -112,6 +113,23 @@ class TestScore:
         m = fit_user_model(descriptors_from(CORNERS))
         with pytest.raises(ValueError, match="dimension"):
             score(m, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rows_are_refused(self, bad):
+        m = fit_user_model(descriptors_from(CORNERS))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            score(m, np.array([1.0, bad]))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            _scores(m, np.array([[1.0, 1.0], [bad, 1.0]]))
+
+    @pytest.mark.parametrize("covariance, error", [
+        (np.ones((2, 3)), ValueError), (np.ones(2), ValueError),
+        # inf only in the upper half, which a lower factorization never reads
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), ValueError),
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), np.linalg.LinAlgError)])
+    def test_unusable_covariance_is_refused(self, covariance, error):
+        with pytest.raises(error):
+            UserModel("u", np.zeros(2), covariance, reg=0.5, n_train=1)
 
 
 class TestThresholdAndVerify:
