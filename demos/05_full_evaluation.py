@@ -7,7 +7,7 @@ scores across folds; the headline number is the mean equal error rate.
 """
 
 from sigverify import (AeConfig, PatchConfig, describe_baseline, eer,
-                       format_report, generate_synthetic_corpus, roc,
+                       format_report, generate_synthetic_corpus,
                        run_experiment, train_descriptor)
 
 
@@ -32,7 +32,7 @@ def main():
 
     # A few operating points from one user's pooled ROC curve.
     uid = sorted(report.per_user)[0]
-    curve = roc(report.per_user_scores[uid])
+    curve = report.per_user[uid].roc
     print(f"ROC of {uid} (EER {eer(curve):.4f}), every 20th point:")
     print(f"{'threshold':>12} {'FAR':>8} {'FRR':>8}")
     for i in range(0, len(curve.thresholds), 20):

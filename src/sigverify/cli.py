@@ -26,7 +26,7 @@ from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser
                       save_corpus)
 from .descriptor import (CONFIG_GROUPS, config_fields, config_group, describe, load_model,
                          save_model, train_descriptor)
-from .evaluation import format_report, roc, roc_csv, run_experiment, scores_csv
+from .evaluation import format_report, roc_csv, run_experiment, scores_csv
 from .oneclass import (calibrate_threshold, fit_user_model, load_user_model,
                        save_user_model, score, verify)
 
@@ -241,8 +241,8 @@ def cmd_evaluate(args) -> int:
     _warn(*report.warnings)
     (out / "report.txt").write_text(format_report(report))
     (out / "scores.csv").write_text(scores_csv(report))
-    for uid, scores in sorted(report.per_user_scores.items()):
-        (out / f"roc_{uid}.csv").write_text(roc_csv(roc(scores)))
+    for uid, result in sorted(report.per_user.items()):
+        (out / f"roc_{uid}.csv").write_text(roc_csv(result.roc))
     print(f"mean EER {report.mean_eer:.6f}  mean AUC {report.mean_auc:.6f}  "
           f"pooled EER {report.pooled_eer:.6f}  "
           f"({time.perf_counter() - started:.1f}s)")

@@ -247,9 +247,6 @@ class Corpus:
             out.extend(self.users[uid].skilled_forgeries)
         return out
 
-    def n_trajectories(self) -> int:
-        return len(self.all_trajectories())
-
 
 def load_corpus(root, layout="canonical", source=None) -> Corpus:
     """Load ``<root>/<user>/{genuine,forgery}/*.txt`` into a Corpus.
@@ -282,7 +279,7 @@ def load_corpus(root, layout="canonical", source=None) -> Corpus:
                     corpus.warnings.append(f"skipped {f}: {exc}")
         if sigs.genuine or sigs.skilled_forgeries:
             corpus.users[uid] = sigs
-    if corpus.n_trajectories() == 0:
+    if not corpus.users:  # a user is added only with a signature
         raise ValueError(f"no signatures could be loaded from {root}")
     return corpus
 

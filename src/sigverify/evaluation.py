@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -57,6 +56,7 @@ class UserResult:
     n_forgery_test: int
     eer_skilled: float
     eer_random: float
+    roc: RocCurve  # the pooled curve that eer is read from
 
 
 @dataclass
@@ -70,7 +70,6 @@ class EvalReport:
     config: dict
     excluded_users: list = field(default_factory=list)
     score_rows: list = field(default_factory=list)  # (user, fold, label, score)
-    per_user_scores: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)  # one message per condition met
 
 
@@ -182,15 +181,14 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     """Full k-fold verification experiment over a labelled corpus.
 
     Every trajectory is described once, into one stacked array of each
-    user's genuine descriptors and one of their skilled forgeries.  For
-    each fold and user a one-class model is fitted on the training rows
-    and scores, in one solve, the user's test genuine rows and their
-    forgery block, built once per user: skilled forgeries and every other
-    user's genuine rows (random forgeries); the scores equal per-signature
-    scoring bit for bit.
-    Scores pool across folds per user; the report carries per-user
-    EER/AUC, their means, the forgery-type subsets, and a secondary EER
-    computed with one global pooled threshold.
+    user's genuine descriptors and one of their skilled forgeries.  Each
+    user is evaluated in one pass: per fold, a model fitted on the training
+    rows scores, in one solve, the test genuine rows and the user's forgery
+    block (skilled forgeries and every other user's genuine rows, built
+    once), bit for bit as per-signature scoring; the scores pool across
+    folds into the ROC curve kept on the user's result.  The report carries
+    per-user EER/AUC, their means, the forgery-type subsets, a secondary
+    EER with one global pooled threshold, and every score, fold-major.
 
     Nothing is printed or logged: each condition met is one message in
     ``report.warnings``, or in the ValueError raised if no user is reportable.
@@ -212,35 +210,33 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     genuine, skilled = dict(zip(uids, stacked[0::2])), dict(zip(uids, stacked[1::2]))
 
     blocks, excluded = _user_blocks(corpus, k, seed)
-    rows, scored = [[] for _ in range(k)], {}  # scored: (user, label) -> scores per fold
-    for uid in sorted(blocks):  # rows[fold]: scores.csv keeps its fold-major order
+    warnings += [f"user {uid} has {len(corpus.users[uid].genuine)} genuine signatures, "
+                 f"fewer than k={k}; excluded from the protocol" for uid in excluded]
+    per_user, parts, pooled_gen, pooled_forg = {}, {}, [], []
+    for uid in sorted(blocks):
         forgeries = np.concatenate([skilled[uid], *(genuine[o] for o in uids if o != uid)])
+        parts[uid] = []  # per fold: (genuine, skilled, random) scores
         for fold in range(k):
             train_idx, test_idx = _fold_split(blocks[uid], fold)
             user_model = fit_user_model(genuine[uid][train_idx], reg=reg, user_id=uid)
             scores = _scores(user_model, np.concatenate([genuine[uid][test_idx], forgeries]))
             a, b = len(test_idx), len(test_idx) + len(skilled[uid])
-            for label, part in zip(LABELS, (scores[:a], scores[a:b], scores[b:])):
-                scored.setdefault((uid, label), []).append(part)
-                rows[fold].extend(zip(repeat(uid), repeat(fold), repeat(label), part.tolist()))
-    warnings += [f"user {uid} has {len(corpus.users[uid].genuine)} genuine signatures, "
-                 f"fewer than k={k}; excluded from the protocol" for uid in excluded]
-
-    per_user, per_user_scores, pooled_gen, pooled_forg = {}, {}, [], []
-    for uid in sorted({uid for uid, _ in scored}):
-        gen, skl, rnd = (np.concatenate(scored[uid, label]) for label in LABELS)
+            parts[uid].append((scores[:a], scores[a:b], scores[b:]))
+        # each fold tests k - 1 genuine blocks of at least one row: only forg can be empty
+        gen, skl, rnd = (np.concatenate(p) for p in zip(*parts[uid]))
         forg = np.concatenate([skl, rnd])
         pooled_gen.append(gen)
         pooled_forg.append(forg)
-        if gen.size == 0 or forg.size == 0:
+        if forg.size == 0:
             warnings.append(f"user {uid} has no reportable score set; skipped")
             continue
-        per_user_scores[uid] = scores = ScoreSet(genuine=gen, forgery=forg)
+        scores = ScoreSet(genuine=gen, forgery=forg)
+        curve = roc(scores)
         eer_sk = eer(roc(ScoreSet(gen, skl))) if skl.size else float("nan")
         eer_rn = eer(roc(ScoreSet(gen, rnd))) if rnd.size else float("nan")
-        per_user[uid] = UserResult(eer=eer(roc(scores)), auc=auc(scores),
+        per_user[uid] = UserResult(eer=eer(curve), auc=auc(scores),
                                    n_genuine_test=gen.size, n_forgery_test=forg.size,
-                                   eer_skilled=eer_sk, eer_random=eer_rn)
+                                   eer_skilled=eer_sk, eer_random=eer_rn, roc=curve)
 
     if not per_user:
         raise ValueError("; ".join(["no user produced a reportable score set", *warnings]))
@@ -256,8 +252,9 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         config={"k": k, "reg": reg, "seed": seed, "hidden": model.hidden,
                 "source": corpus.source},
         excluded_users=excluded,
-        score_rows=list(chain.from_iterable(rows)),
-        per_user_scores=per_user_scores,
+        # scores.csv is fold-major: fold, then user, then label
+        score_rows=[(uid, fold, label, s) for fold in range(k) for uid in parts
+                    for label, part in zip(LABELS, parts[uid][fold]) for s in part.tolist()],
         warnings=warnings,
     )
 

@@ -18,7 +18,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from . import container
 from .descriptor import Descriptor
 
-# covariance floor used when training descriptors show no variance at all
+# isotropic floor added to a shrunk covariance that is not positive definite
 ZERO_VARIANCE_EPSILON = 1e-6
 # safety margin applied on top of the calibration quantile
 THRESHOLD_SLACK = 1.5
@@ -54,9 +54,9 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
     """Fit the Gaussian model from one user's genuine descriptors.
 
     The covariance is ``(1 - reg) * S + reg * (trace(S) / dim) * I`` with
-    S the sample covariance; when S is identically zero (a single
-    training descriptor, or identical ones) a small isotropic floor is
-    used instead so the model stays positive definite.
+    S the sample covariance, plus ``ZERO_VARIANCE_EPSILON * I`` when that
+    is not positive definite (S identically zero, from one training
+    descriptor or identical ones, or a singular S with ``reg = 0``).
     """
     if not 0 <= reg <= 1:
         raise ValueError(f"reg must lie in [0, 1], got {reg}")
@@ -83,11 +83,7 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
     centred -= mean[:, None]
     sample_cov = np.dot(centred, centred.T)
     sample_cov *= np.true_divide(1, max(n - 1, 1))
-    if not sample_cov.any():
-        covariance = ZERO_VARIANCE_EPSILON * np.eye(h)
-    else:
-        covariance = ((1.0 - reg) * sample_cov
-                      + reg * (np.trace(sample_cov) / h) * np.eye(h))
+    covariance = (1.0 - reg) * sample_cov + reg * (np.trace(sample_cov) / h) * np.eye(h)
     try:
         return UserModel(user_id=user_id, mean=mean, covariance=covariance,
                          reg=reg, n_train=n)

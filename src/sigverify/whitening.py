@@ -51,12 +51,12 @@ class WhiteningTransform:
 
 def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip eigenvector columns so the first nonzero component is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
-        if nz.size and col[nz[0]] < 0:
-            out[:, j] = -col
+    out = vectors.copy()  # C order: the basis's layout picks its BLAS kernel
+    magnitude = np.abs(out)
+    nonzero = magnitude > 1e-12 * np.maximum(magnitude.max(axis=0), 1e-300)
+    first = out[nonzero.argmax(axis=0), np.arange(out.shape[1])]
+    flip = nonzero.any(axis=0) & (first < 0)
+    out[:, flip] = -out[:, flip]
     return out
 
 

@@ -2,15 +2,15 @@
 
 These are the per-line signature file parsers that ``sigverify.dataset``
 once ran, the per-sample and per-pixel loops that ``sigverify.preprocess``
-and ``sigverify.patches`` once ran, the ``np.cov`` whitening fit of
-``sigverify.whitening``, the ``np.cov`` and ``cho_factor`` user-model fit
-of ``sigverify.oneclass`` and the per-descriptor scoring loop of
-``sigverify.evaluation.run_experiment``.  The library computes the same
-results with one table reader, array kernels, in-place centring and
-direct LAPACK calls; the property tests in ``test_parse_equivalence.py``,
-``test_kernel_equivalence.py``, ``test_whitening.py`` and
-``test_batched_scoring.py`` require both to agree exactly.  Test-only:
-nothing in ``src`` imports this.
+and ``sigverify.patches`` once ran, the ``np.cov`` whitening fit and
+per-column eigenvector sign fix of ``sigverify.whitening``, the ``np.cov``
+and ``cho_factor`` user-model fit of ``sigverify.oneclass`` and the
+per-descriptor scoring loop of ``sigverify.evaluation.run_experiment``.
+The library computes the same results with one table reader, array
+kernels, in-place centring and direct LAPACK calls; the property tests
+in ``test_parse_equivalence.py``, ``test_kernel_equivalence.py``,
+``test_whitening.py`` and ``test_batched_scoring.py`` require both to
+agree exactly.  Test-only: nothing in ``src`` imports this.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from sigverify import (GENUINE, ParseError, PatchConfig, PreprocessConfig, Signa
                        Trajectory, WhitenConfig)
 from sigverify.evaluation import _user_rng
 from sigverify.oneclass import ZERO_VARIANCE_EPSILON
-from sigverify.whitening import _fix_eigenvector_signs
 
 
 def _parse_float(token, lineno):
@@ -262,6 +261,18 @@ def sample_training_patches(images: list[SignatureImage], cfg: PatchConfig,
     return np.asarray(out)
 
 
+def fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip eigenvector columns so the first nonzero component is positive,
+    one column at a time."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
+
+
 def fit_whitening(patches: np.ndarray, cfg: WhitenConfig):
     """(mean, basis, eigenvalues) of the whitening fit on ``np.cov``, which
     centres a copy of the patches with its own mean."""
@@ -270,7 +281,7 @@ def fit_whitening(patches: np.ndarray, cfg: WhitenConfig):
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)
-    eigvecs = _fix_eigenvector_signs(eigvecs[:, order])
+    eigvecs = fix_eigenvector_signs(eigvecs[:, order])
     k = len(eigvals)
     if cfg.mode == "pca":
         mass = np.cumsum(eigvals)

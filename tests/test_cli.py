@@ -388,6 +388,19 @@ class TestEvaluate:
         text = (out / "report.txt").read_text()
         assert "mean eer" in text
 
+    def test_each_roc_file_is_the_curve_its_eer_was_read_from(self, workspace, tmp_path):
+        from sigverify import format_report, load_corpus, load_model, roc_csv, run_experiment
+        out = tmp_path / "report"
+        assert main(["evaluate", "--model", str(workspace / "model.sig"),
+                     "--corpus", str(workspace / "corpus"), "--out", str(out)]) == 0
+        report = run_experiment(load_corpus(workspace / "corpus"),
+                                load_model(workspace / "model.sig"))
+        assert (out / "report.txt").read_text() == format_report(report)  # same run
+        assert sorted(out.glob("roc_*.csv")) == [out / f"roc_{uid}.csv"
+                                                 for uid in sorted(report.per_user)]
+        for uid, result in report.per_user.items():
+            assert (out / f"roc_{uid}.csv").read_text() == roc_csv(result.roc)
+
     def test_each_corpus_and_exclusion_warning_prints_once(self, workspace, tmp_path):
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace / "corpus", corpus)

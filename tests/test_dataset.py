@@ -228,7 +228,7 @@ class TestSyntheticGenerator:
     def test_shapes_labels_and_counts(self):
         c = generate_synthetic_corpus(seed=1, n_users=3, n_genuine=4, n_forgery=2)
         assert c.user_ids() == ["user000", "user001", "user002"]
-        assert c.n_trajectories() == 3 * (4 + 2)
+        assert len(c.all_trajectories()) == 3 * (4 + 2)
         for uid in c.user_ids():
             for tr in c.users[uid].genuine:
                 assert tr.label == GENUINE and tr.user_id == uid

@@ -289,6 +289,15 @@ class TestRunExperiment:
                           [r[3] for r in rows if r[2] != "genuine"])
         assert report.pooled_eer == eer(roc(pooled))
 
+    def test_each_user_keeps_the_curve_its_eer_is_read_from(self, report):
+        for uid, result in report.per_user.items():
+            rows = [r for r in report.score_rows if r[0] == uid]
+            curve = roc(ScoreSet([r[3] for r in rows if r[2] == "genuine"],
+                                 [r[3] for r in rows if r[2] != "genuine"]))
+            for name in ("far", "frr", "thresholds"):
+                assert getattr(result.roc, name).tobytes() == getattr(curve, name).tobytes()
+            assert eer(result.roc) == result.eer
+
     def test_each_user_is_shuffled_once_per_run(self, corpus, monkeypatch):
         drawn = []
 
@@ -357,6 +366,20 @@ class TestRunExperiment:
         assert report.warnings == [f"evaluation corpus shares source tags "
                                    f"['{corpus.source}'] with the descriptor training set"]
         assert capsys.readouterr() == ("", "") and caplog.records == []
+
+    def test_a_user_without_forgeries_is_warned_after_the_exclusions(self, corpus):
+        # one user without genuine signatures (excluded), one without forgeries
+        sole, empty = corpus.user_ids()[:2]
+        users = {sole: UserSignatures(corpus.users[sole].genuine, []),
+                 empty: UserSignatures([], corpus.users[empty].skilled_forgeries)}
+        with pytest.raises(ValueError) as info:
+            run_experiment(Corpus(users=users, source=corpus.source), FakeModel(),
+                           k=4, seed=0, describe_fn=stub_describe)
+        assert str(info.value) == "; ".join([
+            "no user produced a reportable score set",
+            f"user {empty} has 0 genuine signatures, fewer than k=4; "
+            "excluded from the protocol",
+            f"user {sole} has no reportable score set; skipped"])
 
     def test_single_user_corpus_raises(self):
         corpus = generate_synthetic_corpus(seed=66, n_users=1, n_genuine=8,

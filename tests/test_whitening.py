@@ -6,6 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 import reference_pipeline as ref
 from sigverify import WhitenConfig, apply_whitening, fit_whitening
+from sigverify.whitening import _fix_eigenvector_signs
 
 
 def correlated_cloud(rng, n, scales, mixing=None):
@@ -127,6 +128,33 @@ class TestFitWhitening:
             WhitenConfig(retained_variance=1.2)
         with pytest.raises(ValueError):
             WhitenConfig(mode="lda")
+
+
+class TestFixEigenvectorSigns:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_per_column_loop_in_c_order(self, data):
+        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(0, 8))
+        values = (st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-13, -1e-13])
+                  | st.floats(-1e3, 1e3))
+        vectors = data.draw(arrays(np.float64, (rows, cols), elements=values))
+        if data.draw(st.booleans()):
+            vectors = np.asfortranarray(vectors)  # as eigh's columns come reordered
+        before = vectors.copy(order="K")
+        got, want = _fix_eigenvector_signs(vectors), ref.fix_eigenvector_signs(vectors)
+        assert got.tobytes() == want.tobytes()
+        assert got.flags.c_contiguous
+        assert vectors.tobytes(order="A") == before.tobytes(order="A")
+
+    def test_a_reordered_eigenbasis_matches_the_loop(self):
+        x = correlated_cloud(np.random.default_rng(5), 400, np.linspace(0.1, 3.0, 24))
+        eigvals, eigvecs = np.linalg.eigh(np.cov(x, rowvar=False))
+        vectors = eigvecs[:, np.argsort(eigvals)[::-1]]
+        assert vectors.flags.f_contiguous and not vectors.flags.c_contiguous
+        got = _fix_eigenvector_signs(vectors)
+        assert got.tobytes() == ref.fix_eigenvector_signs(vectors).tobytes()
+        assert got.flags.c_contiguous
+        assert np.all(got[0] > 0)  # a generic basis has no zero in its first row
 
 
 class TestZca:
