@@ -21,14 +21,16 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .container import format_value, parse_value
 from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser_for,
                       save_corpus)
 from .descriptor import (CONFIG_GROUPS, config_fields, config_group, describe, load_model,
                          save_model, train_descriptor)
 from .evaluation import format_report, roc_csv, run_experiment, scores_csv
-from .oneclass import (calibrate_threshold, fit_user_model, load_user_model,
-                       save_user_model, score, verify)
+from .oneclass import (_scores, calibrate_threshold, fit_user_model, load_user_model,
+                       save_user_model, verify)
 
 
 def _layout(text: str) -> str:
@@ -183,13 +185,13 @@ def cmd_enroll(args) -> int:
         try:
             if not genuine:
                 raise ValueError("no genuine signatures")
-            descs = [describe(t, model) for t in genuine]
-            user_model = fit_user_model(descs, reg=cfg["oneclass.reg"], user_id=uid)
-            train_scores = [score(user_model, d) for d in descs]
+            values = np.array([describe(t, model).values for t in genuine])
+            user_model = fit_user_model(values, reg=cfg["oneclass.reg"], user_id=uid)
+            train_scores = _scores(user_model, values)
             calibrate_threshold(user_model, train_scores, cfg["oneclass.quantile"])
             save_user_model(user_model, target)
             enrolled += 1
-            print(f"enrolled {uid}: {len(descs)} genuine signatures, "
+            print(f"enrolled {uid}: {len(values)} genuine signatures, "
                   f"threshold {user_model.threshold:.6f}")
         except (ValueError, OSError) as exc:
             failed += 1
@@ -278,11 +280,17 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
+    """The ``sigverify`` parser with a subparser for each command in ``names``
+    (all five by default).  Its usage line names all five either way."""
     parser = _Parser(prog="sigverify",
                      description="online signature verification toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, fn, arguments) in COMMANDS.items():
+    # a partial parser's usage names all five through a metavar; the full one has
+    # none, as a metavar would rename the action ("command") in its errors
+    every = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        text, fn, arguments = COMMANDS[name]
         p = sub.add_parser(name, help=text)
         for arg, arg_help in arguments.items():
             if arg == "--force":
@@ -300,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a named command needs only its own subparser; anything else gets all five
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
     try:
         args = parser.parse_args(argv)
         return args.fn(args)

@@ -18,10 +18,7 @@ from .dataset import Corpus
 from .descriptor import DescriptorModel, describe
 from .oneclass import _scores, fit_user_model
 
-LABEL_GENUINE = "genuine"
-LABEL_SKILLED = "skilled"
-LABEL_RANDOM = "random"
-LABELS = (LABEL_GENUINE, LABEL_SKILLED, LABEL_RANDOM)
+LABELS = ("genuine", "skilled", "random")
 
 
 @dataclass
@@ -69,8 +66,15 @@ class EvalReport:
     mean_eer_random: float
     config: dict
     excluded_users: list = field(default_factory=list)
-    score_rows: list = field(default_factory=list)  # (user, fold, label, score)
+    # (user, fold, label, scores) per part, fold-major: fold, then user, then label
+    score_parts: list = field(default_factory=list)
     warnings: list = field(default_factory=list)  # one message per condition met
+
+    @property
+    def score_rows(self) -> list:
+        """Every score as a (user, fold, label, score) row, in ``score_parts`` order."""
+        return [(uid, fold, label, s) for uid, fold, label, part in self.score_parts
+                for s in part.tolist()]
 
 
 def _user_rng(seed: int, user_id: str):
@@ -126,11 +130,15 @@ def roc(scores: ScoreSet) -> RocCurve:
     (far 1, frr 0).  Thresholds are strictly increasing; far is
     non-decreasing and frr non-increasing along the curve.
     """
-    pooled = np.unique(np.concatenate([scores.genuine, scores.forgery]))
+    return _roc_sorted(np.sort(scores.genuine), np.sort(scores.forgery))
+
+
+def _roc_sorted(genuine: np.ndarray, forgery: np.ndarray) -> RocCurve:
+    """``roc`` of sorted scores; a stable sort (timsort) merges the two runs."""
+    pooled = np.sort(np.concatenate([genuine, forgery]), kind="stable")
+    pooled = pooled[np.concatenate([[True], pooled[1:] != pooled[:-1]])]
     mids = (pooled[:-1] + pooled[1:]) / 2.0
     thresholds = np.concatenate([[pooled[0] - 1.0], mids, [pooled[-1] + 1.0]])
-    genuine = np.sort(scores.genuine)
-    forgery = np.sort(scores.forgery)
     accepted_genuine = np.searchsorted(genuine, thresholds, side="right")
     accepted_forgery = np.searchsorted(forgery, thresholds, side="right")
     # single integer-count divisions keep the rates exact rationals
@@ -162,12 +170,14 @@ def eer(curve: RocCurve) -> float:
 
 def auc(scores: ScoreSet) -> float:
     """P(genuine score < forgery score) + 0.5 P(tie), by rank statistic."""
-    n_g, n_f = scores.genuine.size, scores.forgery.size
-    # average ranks: tied values share the mean of the ranks they span
-    _, inverse, counts = np.unique(np.concatenate([scores.genuine, scores.forgery]),
-                                   return_inverse=True, return_counts=True)
-    ranks = (np.cumsum(counts) - (counts - 1) / 2.0)[inverse]
-    return (float(ranks[n_g:].sum()) - n_f * (n_f + 1) / 2.0) / (n_g * n_f)
+    return _auc_sorted(np.sort(scores.genuine), scores.forgery)
+
+
+def _auc_sorted(genuine: np.ndarray, forgery: np.ndarray) -> float:
+    """``auc`` of sorted genuine scores.  Twice its numerator, the pairs with
+    genuine < forgery plus those with genuine <= forgery, is an exact integer."""
+    twice = sum(np.searchsorted(genuine, forgery, side).sum() for side in ("left", "right"))
+    return float(twice / 2.0 / (genuine.size * forgery.size))
 
 
 def _nanmean(values) -> float:
@@ -222,19 +232,20 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
             scores = _scores(user_model, np.concatenate([genuine[uid][test_idx], forgeries]))
             a, b = len(test_idx), len(test_idx) + len(skilled[uid])
             parts[uid].append((scores[:a], scores[a:b], scores[b:]))
-        # each fold tests k - 1 genuine blocks of at least one row: only forg can be empty
-        gen, skl, rnd = (np.concatenate(p) for p in zip(*parts[uid]))
-        forg = np.concatenate([skl, rnd])
+        # each fold tests k - 1 genuine blocks of at least one row: only forg can be
+        # empty; each label's scores are sorted once and every rate reads them
+        gen, skl, rnd = (np.sort(np.concatenate(p)) for p in zip(*parts[uid]))
+        forg = np.sort(np.concatenate([skl, rnd]), kind="stable")
         pooled_gen.append(gen)
         pooled_forg.append(forg)
         if forg.size == 0:
             warnings.append(f"user {uid} has no reportable score set; skipped")
             continue
-        scores = ScoreSet(genuine=gen, forgery=forg)
-        curve = roc(scores)
-        eer_sk = eer(roc(ScoreSet(gen, skl))) if skl.size else float("nan")
-        eer_rn = eer(roc(ScoreSet(gen, rnd))) if rnd.size else float("nan")
-        per_user[uid] = UserResult(eer=eer(curve), auc=auc(scores),
+        ScoreSet(genuine=gen, forgery=forg)  # refuses non-finite scores
+        curve = _roc_sorted(gen, forg)
+        eer_sk = eer(_roc_sorted(gen, skl)) if skl.size else float("nan")
+        eer_rn = eer(_roc_sorted(gen, rnd)) if rnd.size else float("nan")
+        per_user[uid] = UserResult(eer=eer(curve), auc=_auc_sorted(gen, forg),
                                    n_genuine_test=gen.size, n_forgery_test=forg.size,
                                    eer_skilled=eer_sk, eer_random=eer_rn, roc=curve)
 
@@ -252,9 +263,8 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         config={"k": k, "reg": reg, "seed": seed, "hidden": model.hidden,
                 "source": corpus.source},
         excluded_users=excluded,
-        # scores.csv is fold-major: fold, then user, then label
-        score_rows=[(uid, fold, label, s) for fold in range(k) for uid in parts
-                    for label, part in zip(LABELS, parts[uid][fold]) for s in part.tolist()],
+        score_parts=[(uid, fold, label, part) for fold in range(k) for uid in parts
+                     for label, part in zip(LABELS, parts[uid][fold])],
         warnings=warnings,
     )
 
@@ -287,8 +297,10 @@ def format_report(report: EvalReport) -> str:
 
 def scores_csv(report: EvalReport) -> str:
     lines = ["user_id,fold,label,score"]
-    for uid, fold, label, s in report.score_rows:
-        lines.append(f"{uid},{fold},{label},{s!r}")
+    for uid, fold, label, part in report.score_parts:
+        if part.size:
+            prefix = f"{uid},{fold},{label},"
+            lines.append(prefix + ("\n" + prefix).join(map(repr, part.tolist())))
     return "\n".join(lines) + "\n"
 
 

@@ -81,9 +81,12 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
     h, n = centred.shape
     mean = centred.mean(axis=1)
     centred -= mean[:, None]
-    sample_cov = np.dot(centred, centred.T)
-    sample_cov *= np.true_divide(1, max(n - 1, 1))
-    covariance = (1.0 - reg) * sample_cov + reg * (np.trace(sample_cov) / h) * np.eye(h)
+    covariance = np.dot(centred, centred.T)
+    covariance *= np.true_divide(1, max(n - 1, 1))
+    shrink = reg * (np.trace(covariance) / h)  # (1 - reg) S + shrink I, in place
+    covariance *= 1.0 - reg
+    covariance += 0.0  # as with + 0 * I: a -0.0 entry (reg = 1) becomes +0.0
+    covariance.flat[::h + 1] += shrink
     try:
         return UserModel(user_id=user_id, mean=mean, covariance=covariance,
                          reg=reg, n_train=n)

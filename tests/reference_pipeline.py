@@ -5,7 +5,8 @@ once ran, the per-sample and per-pixel loops that ``sigverify.preprocess``
 and ``sigverify.patches`` once ran, the ``np.cov`` whitening fit and
 per-column eigenvector sign fix of ``sigverify.whitening``, the ``np.cov``
 and ``cho_factor`` user-model fit of ``sigverify.oneclass`` and the
-per-descriptor scoring loop of ``sigverify.evaluation.run_experiment``.
+per-descriptor scoring loop, the ``np.unique`` ROC curve and the per-row
+``scores.csv`` renderer of ``sigverify.evaluation``.
 The library computes the same results with one table reader, array
 kernels, in-place centring and direct LAPACK calls; the property tests
 in ``test_parse_equivalence.py``, ``test_kernel_equivalence.py``,
@@ -364,3 +365,23 @@ def run_experiment_rows(corpus, model, k: int, reg: float, seed: int,
             rows += [(uid, fold, "random", score(user_model, genuine_of(t, t.user_id)))
                      for t in random]
     return rows
+
+
+def roc(genuine, forgery) -> tuple:
+    """(far, frr, thresholds) of the midpoint ROC curve, from ``np.unique``
+    of the pooled scores and fresh sorts of each side."""
+    pooled = np.unique(np.concatenate([genuine, forgery]))
+    mids = (pooled[:-1] + pooled[1:]) / 2.0
+    thresholds = np.concatenate([[pooled[0] - 1.0], mids, [pooled[-1] + 1.0]])
+    accepted_genuine = np.searchsorted(np.sort(genuine), thresholds, side="right")
+    accepted_forgery = np.searchsorted(np.sort(forgery), thresholds, side="right")
+    frr = (len(genuine) - accepted_genuine) / len(genuine)
+    return accepted_forgery / len(forgery), frr, thresholds
+
+
+def scores_csv_rows(rows) -> str:
+    """``scores.csv`` text of (user, fold, label, score) rows, one f-string each."""
+    lines = ["user_id,fold,label,score"]
+    for uid, fold, label, s in rows:
+        lines.append(f"{uid},{fold},{label},{s!r}")
+    return "\n".join(lines) + "\n"

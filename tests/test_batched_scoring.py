@@ -5,11 +5,9 @@ fit, the per-vector ``cho_solve`` score and the evaluation loop that
 scored every test row with its own call.  The library fits with direct
 LAPACK calls and scores each (user, fold) block with one solve; every
 property here requires bit-identical fits and scores, and ``scores.csv``
-text equal byte for byte.  The rank-based AUC is checked against
-``scipy.stats.rankdata``.
+text equal byte for byte to the per-row renderer.  The rank-based AUC is
+checked against ``scipy.stats.rankdata``.
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -17,8 +15,8 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import reference_pipeline as ref
-from sigverify import (Corpus, ScoreSet, UserSignatures, auc, fit_user_model,
-                       generate_synthetic_corpus, run_experiment, scores_csv)
+from sigverify import (Corpus, ScoreSet, UserSignatures, auc, eer, fit_user_model,
+                       generate_synthetic_corpus, roc, run_experiment, scores_csv)
 from sigverify.descriptor import Descriptor
 from sigverify.oneclass import ZERO_VARIANCE_EPSILON, _scores, score
 
@@ -134,7 +132,22 @@ class TestRunExperimentOracle:
                                 describe_fn=describe)
         rows = ref.run_experiment_rows(corpus, FakeModel(), k, reg, seed, describe)
         assert report.score_rows == rows
-        assert scores_csv(report) == scores_csv(SimpleNamespace(score_rows=rows))
+        assert scores_csv(report) == ref.scores_csv_rows(rows)
+        # each user's rates, read from scores sorted once, are the ScoreSet functions'
+        for uid, result in report.per_user.items():
+            side = {label: np.array([r[3] for r in rows if r[0] == uid and r[2] == label])
+                    for label in ("genuine", "skilled", "random")}
+            forgery = np.concatenate([side["skilled"], side["random"]])
+            curve = ref.roc(side["genuine"], forgery)
+            for got, want in zip((result.roc.far, result.roc.frr, result.roc.thresholds),
+                                 curve):
+                assert got.tobytes() == want.tobytes()
+            assert result.auc == auc(ScoreSet(side["genuine"], forgery))
+            for label, got in (("skilled", result.eer_skilled),
+                               ("random", result.eer_random)):
+                want = (eer(roc(ScoreSet(side["genuine"], side[label])))
+                        if side[label].size else float("nan"))
+                assert got == want or np.isnan(got) and np.isnan(want)
 
     def test_named_corner_cases_match_the_oracle(self):
         pool = POOL.users
@@ -153,7 +166,7 @@ class TestRunExperimentOracle:
             report = run_experiment(corpus, FakeModel(), k=k, seed=3,
                                     describe_fn=describe)
             rows = ref.run_experiment_rows(corpus, FakeModel(), k, 0.9, 3, describe)
-            assert scores_csv(report) == scores_csv(SimpleNamespace(score_rows=rows))
+            assert scores_csv(report) == ref.scores_csv_rows(rows)
             excluded = [u for u, g in zip(uids, genuine) if g < k]
             assert report.excluded_users == excluded
 
@@ -175,3 +188,14 @@ class TestAucRanks:
     def test_auc_equals_the_rankdata_statistic(self, genuine, forgery):
         got = auc(ScoreSet(genuine=genuine, forgery=forgery))
         assert got == _rank_auc(np.array(genuine), np.array(forgery))
+
+
+class TestRocOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(genuine=st.lists(TIED, min_size=1, max_size=40),
+           forgery=st.lists(TIED, min_size=1, max_size=40))
+    def test_roc_equals_the_unique_curve(self, genuine, forgery):
+        curve = roc(ScoreSet(genuine=genuine, forgery=forgery))
+        for got, want in zip((curve.far, curve.frr, curve.thresholds),
+                             ref.roc(np.array(genuine), np.array(forgery))):
+            assert got.tobytes() == want.tobytes()

@@ -1,14 +1,16 @@
+import io
 import os
 import re
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 import sigverify
-from sigverify.cli import main
+from sigverify.cli import COMMANDS, build_parser, main
 
 FAST = ["--set", "ae.hidden=8", "--set", "ae.max_iter=15",
         "--set", "patch.train_count=800"]
@@ -461,6 +463,47 @@ class TestParsing:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "signature verification" in capsys.readouterr().out
+
+    def test_without_argv_main_reads_the_command_line(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["sigverify", "verify", "--help"])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("usage: sigverify verify ")
+
+
+def _outcome(parse, argv):
+    """(exit code, stdout, stderr) of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _full_parser(argv):
+    build_parser().parse_args(argv)
+    raise AssertionError(f"{argv} parsed: the case runs a command")
+
+
+PARITY = [["--help"], *([name, "--help"] for name in COMMANDS),
+          [],                                    # no command
+          ["frobnicate"],                        # an unknown command
+          ["--seed", "1", "synth"],              # an option before the command
+          ["synth"],                             # a missing required flag
+          ["verify", "--bogus"],                 # an unknown flag, and missing ones
+          ["synth", "--out", "x", "--bogus"]]    # an unknown flag: top-level usage
+
+
+class TestParserParity:
+    """``main`` builds one subparser for a named command; what it prints and
+    returns must be what the parser of all five gives."""
+
+    @pytest.mark.parametrize("columns", ["80", "200"])
+    @pytest.mark.parametrize("argv", PARITY, ids=" ".join)
+    def test_main_prints_what_the_full_parser_prints(self, argv, columns, monkeypatch):
+        monkeypatch.setenv("COLUMNS", columns)
+        assert _outcome(main, argv) == _outcome(_full_parser, argv)
 
 
 class TestConfigSchema:
