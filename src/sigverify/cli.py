@@ -17,6 +17,7 @@ Exit codes: 0 success (or: signature accepted), 2 signature rejected,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from pathlib import Path
@@ -29,8 +30,8 @@ from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser
 from .descriptor import (CONFIG_GROUPS, config_fields, config_group, describe, load_model,
                          save_model, train_descriptor)
 from .evaluation import format_report, roc_csv, run_experiment, scores_csv
-from .oneclass import (_scores, calibrate_threshold, fit_user_model, load_user_model,
-                       save_user_model, verify)
+from .oneclass import (USER_MODEL_FIELDS, _bounded, _scores, calibrate_threshold,
+                       fit_user_model, load_user_model, save_user_model, verify)
 
 
 def _layout(text: str) -> str:
@@ -45,9 +46,9 @@ DEFAULTS = {f"{prefix}.{name}": (kind, default) for prefix in CONFIG_GROUPS
 DEFAULTS.update({
     "seed": (int, 0),
     "corpus.layout": (_layout, "canonical"),
-    "oneclass.reg": (float, 0.9),
-    "oneclass.quantile": (float, 1.0),
-    "eval.folds": (int, 4),
+    "oneclass.reg": (USER_MODEL_FIELDS["reg"], 0.9),
+    "oneclass.quantile": (_bounded(float, lambda v: 0 < v <= 1), 1.0),
+    "eval.folds": (_bounded(int, lambda v: v >= 2), 4),
     "synth.users": (int, 10),
     "synth.genuine": (int, 10),
     "synth.forgery": (int, 5),
@@ -106,8 +107,7 @@ def _build_config(args) -> RunConfig:
     return cfg
 
 
-def cmd_synth(args) -> int:
-    cfg = _build_config(args)
+def cmd_synth(args, cfg) -> int:
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ValueError(f"output directory {out} is not empty "
@@ -134,8 +134,7 @@ def _load_corpus_arg(args, cfg):
     return corpus
 
 
-def cmd_learn_descriptor(args) -> int:
-    cfg = _build_config(args)
+def cmd_learn_descriptor(args, cfg) -> int:
     # a bad config value fails here, before any file is touched; the groups
     # come in train_descriptor's argument order
     groups = [config_group(prefix, cfg.values) for prefix in CONFIG_GROUPS]
@@ -168,8 +167,7 @@ def cmd_learn_descriptor(args) -> int:
     return 0
 
 
-def cmd_enroll(args) -> int:
-    cfg = _build_config(args)
+def cmd_enroll(args, cfg) -> int:
     model = load_model(Path(args.model))
     corpus = _load_corpus_arg(args, cfg)
     out = Path(args.out)
@@ -202,8 +200,7 @@ def cmd_enroll(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    cfg = _build_config(args)
+def cmd_verify(args, cfg) -> int:
     model = load_model(Path(args.model))
     user_file = Path(args.user_models) / f"{args.user}.usermodel"
     if not user_file.is_file():
@@ -231,8 +228,7 @@ def cmd_verify(args) -> int:
     return 0 if accepted else 2
 
 
-def cmd_evaluate(args) -> int:
-    cfg = _build_config(args)
+def cmd_evaluate(args, cfg) -> int:
     model = load_model(Path(args.model))
     corpus = _load_corpus_arg(args, cfg)
     out = Path(args.out)
@@ -280,17 +276,15 @@ COMMANDS = {
 }
 
 
-def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
-    """The ``sigverify`` parser with a subparser for each command in ``names``
-    (all five by default).  Its usage line names all five either way."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The ``sigverify`` parser, built once per process: ``parse_args`` fills
+    a fresh namespace on each call, and help and usage are laid out when
+    printed, at that moment's ``COLUMNS``, so one parser serves every command."""
     parser = _Parser(prog="sigverify",
                      description="online signature verification toolkit")
-    # a partial parser's usage names all five through a metavar; the full one has
-    # none, as a metavar would rename the action ("command") in its errors
-    every = None if len(names) == len(COMMANDS) else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
-    for name in names:
-        text, fn, arguments = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, fn, arguments) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for arg, arg_help in arguments.items():
             if arg == "--force":
@@ -308,12 +302,9 @@ def build_parser(names=COMMANDS) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a named command needs only its own subparser; anything else gets all five
-    parser = build_parser(argv[:1] if argv[:1] and argv[0] in COMMANDS else COMMANDS)
     try:
-        args = parser.parse_args(argv)
-        return args.fn(args)
+        args = build_parser().parse_args(argv)
+        return args.fn(args, _build_config(args))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
     except Exception as exc:  # deliberate catch-all: map failures to exit 1

@@ -481,29 +481,37 @@ def _outcome(parse, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _full_parser(argv):
-    build_parser().parse_args(argv)
+def _fresh_parser(argv):
+    build_parser.__wrapped__().parse_args(argv)
     raise AssertionError(f"{argv} parsed: the case runs a command")
 
 
-PARITY = [["--help"], *([name, "--help"] for name in COMMANDS),
+PARITY = [["--help"], ["-h"], *([name, "--help"] for name in COMMANDS),
           [],                                    # no command
+          ["--bogus"],                           # an unknown top-level flag
           ["frobnicate"],                        # an unknown command
           ["--seed", "1", "synth"],              # an option before the command
           ["synth"],                             # a missing required flag
+          ["synth", "--out", "x", "--seed", "x"],  # a bad --seed value
           ["verify", "--bogus"],                 # an unknown flag, and missing ones
           ["synth", "--out", "x", "--bogus"]]    # an unknown flag: top-level usage
 
 
 class TestParserParity:
-    """``main`` builds one subparser for a named command; what it prints and
-    returns must be what the parser of all five gives."""
+    """``main`` parses every command with one parser, built once per process;
+    what it prints and returns, call after call, must be what a freshly built
+    parser gives."""
 
-    @pytest.mark.parametrize("columns", ["80", "200"])
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    @pytest.mark.parametrize("columns", ["40", "80", "200"])
     @pytest.mark.parametrize("argv", PARITY, ids=" ".join)
     def test_main_prints_what_the_full_parser_prints(self, argv, columns, monkeypatch):
         monkeypatch.setenv("COLUMNS", columns)
-        assert _outcome(main, argv) == _outcome(_full_parser, argv)
+        fresh = _outcome(_fresh_parser, argv)
+        for _ in range(2):
+            assert _outcome(main, argv) == fresh
 
 
 class TestConfigSchema:
@@ -533,6 +541,22 @@ class TestConfigSchema:
         assert "error: bad value for corpus.layout:" in err
         assert "expected one of ['canonical', 'svc2004']" in err
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("command, setting", [
+        ("enroll", "oneclass.reg=2"), ("enroll", "oneclass.quantile=0"),
+        ("evaluate", "oneclass.reg=nan"), ("evaluate", "eval.folds=1")])
+    def test_bad_one_class_or_fold_value_fails_before_any_output(
+            self, workspace, tmp_path, capsys, command, setting):
+        out = tmp_path / "out"
+        code = main([command, "--model", str(workspace / "model.sig"),
+                     "--corpus", str(workspace / "corpus"), "--out", str(out),
+                     "--set", setting])
+        assert code == 1
+        err = capsys.readouterr().err
+        key, _, value = setting.partition("=")
+        assert f"error: bad value for {key}: {value!r} is out of range\n" in err
+        assert "warning:" not in err
+        assert not out.exists()
 
     def test_missing_model_metadata_is_named_in_the_error(self, workspace,
                                                           tmp_path, capsys):

@@ -374,6 +374,19 @@ class TestCliSchema:
         assert config_group("preprocess", cfg.values) == PreprocessConfig(smooth=False)
         assert config_group("ae", cfg.values) == AeConfig()
 
+    @pytest.mark.parametrize("key, accepted, refused", [
+        ("oneclass.reg", ["0", "1", "0.5"], ["-0.1", "1.5", "nan", "inf"]),
+        ("oneclass.quantile", ["1", "0.25"], ["0", "-1", "1.01", "nan"]),
+        ("eval.folds", ["2", "10"], ["1", "0", "-3"])])
+    def test_one_class_and_fold_keys_are_range_checked(self, key, accepted, refused):
+        cfg = RunConfig()
+        for raw in accepted:
+            cfg.set(key, raw)
+        for raw in refused:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"bad value for {key}: {raw!r} is out of range")):
+                cfg.set(key, raw)
+
     def test_readme_configuration_table_matches_the_echoed_defaults(self):
         text = README.read_text()
         section = text[text.index("## Configuration"):]
