@@ -27,7 +27,7 @@ RHO_CLAMP = 1e-8
 SQUARE_BLOCK = 1 << 16
 
 
-@dataclass
+@dataclass(frozen=True)
 class AeConfig:
     hidden: int = 64
     weight_decay: float = 3e-3
@@ -210,9 +210,8 @@ def cost_grad(params: AeParams, batch: np.ndarray, cfg: AeConfig, work=None):
     return recon + decay + sparsity, grad
 
 
-def train(batch: np.ndarray, cfg: AeConfig | None = None) -> AutoencoderModel:
+def train(batch: np.ndarray, cfg: AeConfig = AeConfig()) -> AutoencoderModel:
     """Fit the autoencoder to a batch of input vectors with L-BFGS."""
-    cfg = cfg or AeConfig()
     x = _batch(batch)
     if not np.all(np.isfinite(x)):
         raise ValueError("training batch contains non-finite values")

@@ -52,59 +52,42 @@ DEFAULTS.update({
     "synth.users": (int, 10),
     "synth.genuine": (int, 10),
     "synth.forgery": (int, 5),
-    "synth.genuine_jitter": (float, 0.008),
-    "synth.forgery_perturbation": (float, 0.08),
 })
 
 
-class RunConfig:
-    def __init__(self):
-        self.values = {key: default for key, (_, default) in DEFAULTS.items()}
-
-    def set(self, key: str, raw: str):
-        if key not in DEFAULTS:
-            raise ValueError(f"unknown configuration key {key!r}")
-        try:
-            self.values[key] = parse_value(raw, DEFAULTS[key][0])
-        except ValueError as exc:
-            raise ValueError(f"bad value for {key}: {exc}") from None
-
-    def load_file(self, path: Path):
+def _build_config(args) -> dict:
+    """The run values: the defaults, then each ``--config`` line, then each
+    ``--set`` item, then ``--seed``; echoed to stderr.  The first bad setting
+    fails, with nothing echoed."""
+    settings = []  # (text, the message it fails with if it has no "=")
+    if args.config:
+        path = Path(args.config)
         try:
             text = path.read_text()
         except OSError as exc:
             raise ValueError(f"cannot read config file: {exc}") from None
         for i, line in enumerate(text.splitlines(), start=1):
             line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ValueError(f"{path}:{i}: expected 'key = value', got {line!r}")
-            self.set(key.strip(), value.strip())
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def echo(self, stream=None):
-        stream = sys.stderr if stream is None else stream
-        for key in sorted(self.values):
-            print(f"config {key} = {format_value(self.values[key])}", file=stream)
-
-
-def _build_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if args.config:
-        cfg.load_file(Path(args.config))
-    for item in args.set or []:
-        key, sep, value = item.partition("=")
+            if line:
+                settings.append((line, f"{path}:{i}: expected 'key = value', got {line!r}"))
+    settings += [(item, f"--set expects key=value, got {item!r}") for item in args.set or []]
+    values = {key: default for key, (_, default) in DEFAULTS.items()}
+    for setting, malformed in settings:
+        key, sep, raw = setting.partition("=")
+        key = key.strip()
         if not sep:
-            raise ValueError(f"--set expects key=value, got {item!r}")
-        cfg.set(key.strip(), value.strip())
+            raise ValueError(malformed)
+        if key not in DEFAULTS:
+            raise ValueError(f"unknown configuration key {key!r}")
+        try:
+            values[key] = parse_value(raw.strip(), DEFAULTS[key][0])
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key}: {exc}") from None
     if args.seed is not None:
-        cfg.values["seed"] = args.seed
-    cfg.echo()
-    return cfg
+        values["seed"] = args.seed
+    for key in sorted(values):
+        print(f"config {key} = {format_value(values[key])}", file=sys.stderr)
+    return values
 
 
 def cmd_synth(args, cfg) -> int:
@@ -112,10 +95,8 @@ def cmd_synth(args, cfg) -> int:
     if out.exists() and any(out.iterdir()) and not args.force:
         raise ValueError(f"output directory {out} is not empty "
                          "(use --force to write anyway)")
-    corpus = generate_synthetic_corpus(
-        cfg["seed"], cfg["synth.users"], cfg["synth.genuine"],
-        cfg["synth.forgery"], genuine_jitter=cfg["synth.genuine_jitter"],
-        forgery_perturbation=cfg["synth.forgery_perturbation"])
+    corpus = generate_synthetic_corpus(cfg["seed"], cfg["synth.users"],
+                                       cfg["synth.genuine"], cfg["synth.forgery"])
     written = save_corpus(corpus, out)
     print(f"wrote {len(written)} signature files for "
           f"{len(corpus.users)} users under {out}")
@@ -137,7 +118,7 @@ def _load_corpus_arg(args, cfg):
 def cmd_learn_descriptor(args, cfg) -> int:
     # a bad config value fails here, before any file is touched; the groups
     # come in train_descriptor's argument order
-    groups = [config_group(prefix, cfg.values) for prefix in CONFIG_GROUPS]
+    groups = [config_group(prefix, cfg) for prefix in CONFIG_GROUPS]
     out = Path(args.out)
     if out.exists() and not args.force:
         raise ValueError(f"model file {out} already exists (use --force to overwrite)")

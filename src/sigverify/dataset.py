@@ -35,6 +35,8 @@ LABELS = (GENUINE, SKILLED_FORGERY)
 # are quantized to this grid so that adding a modest integer offset is exact
 # in double precision (translation invariance then holds bit-for-bit).
 _SYNTH_QUANTUM = 1.0 / 65536.0
+GENUINE_JITTER = 0.008
+FORGERY_PERTURBATION = 0.08
 
 
 # Fixed input limits, far above any real signature (a 200 Hz tablet writes
@@ -248,7 +250,7 @@ class Corpus:
         return out
 
 
-def load_corpus(root, layout="canonical", source=None) -> Corpus:
+def load_corpus(root, layout="canonical") -> Corpus:
     """Load ``<root>/<user>/{genuine,forgery}/*.txt`` into a Corpus.
 
     Files that fail to parse are skipped with a warning collected on the
@@ -259,8 +261,8 @@ def load_corpus(root, layout="canonical", source=None) -> Corpus:
     parse = parser_for(layout)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} does not exist")
-    src = root.name if source is None else source
-    corpus = Corpus(source=src)
+    source = root.name
+    corpus = Corpus(source=source)
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         uid = user_dir.name
         sigs = UserSignatures()
@@ -274,7 +276,7 @@ def load_corpus(root, layout="canonical", source=None) -> Corpus:
             for f in sorted(subdir.glob("*.txt")):
                 try:
                     with f.open() as stream:
-                        bucket.append(parse(stream, user_id=uid, label=label, source=src))
+                        bucket.append(parse(stream, user_id=uid, label=label, source=source))
                 except (ParseError, ValueError, OSError) as exc:
                     corpus.warnings.append(f"skipped {f}: {exc}")
         if sigs.genuine or sigs.skilled_forgeries:
@@ -346,12 +348,12 @@ _PERTURB_MULTIPLICATIVE = ("span", "a1x", "f1x", "a2x", "f2x", "a1y", "f1y",
 _PERTURB_ADDITIVE = ("ph1x", "ph2x", "ph1y", "ph2y", "php")
 
 
-def _perturb_latents(lat: dict, rng, amount: float) -> dict:
+def _perturb_latents(lat: dict, rng) -> dict:
     out = dict(lat)
     for key in _PERTURB_MULTIPLICATIVE:
-        out[key] = lat[key] * (1.0 + amount * rng.standard_normal())
+        out[key] = lat[key] * (1.0 + FORGERY_PERTURBATION * rng.standard_normal())
     for key in _PERTURB_ADDITIVE:
-        out[key] = lat[key] + amount * rng.standard_normal()
+        out[key] = lat[key] + FORGERY_PERTURBATION * rng.standard_normal()
     return out
 
 
@@ -374,15 +376,15 @@ def _quantize(v: np.ndarray) -> np.ndarray:
     return np.round(v / _SYNTH_QUANTUM) * _SYNTH_QUANTUM
 
 
-def _render_trajectory(lat: dict, rng, jitter: float, **meta) -> Trajectory:
+def _render_trajectory(lat: dict, rng, **meta) -> Trajectory:
     n = int(np.clip(lat["base_n"] + rng.integers(-5, 6), 80, 200))
     dt = rng.uniform(4.0, 12.0)
     s = np.linspace(0.0, 1.0, n)
     x, y, p = _latent_curve(lat, s)
     amp = 30.0
-    x = x + jitter * amp * rng.standard_normal(n)
-    y = y + jitter * amp * rng.standard_normal(n)
-    p = np.clip(p + 0.3 * jitter * rng.standard_normal(n), 0.02, None)
+    x = x + GENUINE_JITTER * amp * rng.standard_normal(n)
+    y = y + GENUINE_JITTER * amp * rng.standard_normal(n)
+    p = np.clip(p + 0.3 * GENUINE_JITTER * rng.standard_normal(n), 0.02, None)
     t = dt * np.arange(n)
     pen_down = np.ones(n, dtype=bool)
     # a short mid-air gap splits the signature into two strokes
@@ -394,14 +396,13 @@ def _render_trajectory(lat: dict, rng, jitter: float, **meta) -> Trajectory:
                       _quantize(p), pen_down, **meta)
 
 
-def generate_synthetic_corpus(seed: int, n_users: int, n_genuine: int, n_forgery: int,
-                              genuine_jitter: float = 0.008,
-                              forgery_perturbation: float = 0.08) -> Corpus:
+def generate_synthetic_corpus(seed: int, n_users: int, n_genuine: int,
+                              n_forgery: int) -> Corpus:
     """Deterministic synthetic corpus of plausible pen trajectories.
 
     Genuine signatures are the user's latent curve plus i.i.d. jitter of
-    relative magnitude ``genuine_jitter``; skilled forgeries perturb the
-    latent parameters by the larger relative ``forgery_perturbation``
+    relative magnitude ``GENUINE_JITTER``; skilled forgeries perturb the
+    latent parameters by the larger relative ``FORGERY_PERTURBATION``
     before rendering.  Identical arguments produce identical corpora.
     """
     if n_users < 1 or n_genuine < 1 or n_forgery < 0:
@@ -414,13 +415,12 @@ def generate_synthetic_corpus(seed: int, n_users: int, n_genuine: int, n_forgery
         sigs = UserSignatures()
         for j in range(n_genuine):
             sigs.genuine.append(_render_trajectory(
-                lat, np.random.default_rng([seed, u, 1, j]), genuine_jitter,
+                lat, np.random.default_rng([seed, u, 1, j]),
                 user_id=uid, label=GENUINE, source=source))
         for j in range(n_forgery):
-            forged = _perturb_latents(lat, np.random.default_rng([seed, u, 2, j]),
-                                      forgery_perturbation)
+            forged = _perturb_latents(lat, np.random.default_rng([seed, u, 2, j]))
             sigs.skilled_forgeries.append(_render_trajectory(
-                forged, np.random.default_rng([seed, u, 3, j]), genuine_jitter,
+                forged, np.random.default_rng([seed, u, 3, j]),
                 user_id=uid, label=SKILLED_FORGERY, source=source))
         corpus.users[uid] = sigs
     return corpus

@@ -49,10 +49,10 @@ class DescriptorModel:
 
 
 def train_descriptor(unlabeled: list[Trajectory],
-                     pre_cfg: PreprocessConfig | None = None,
-                     patch_cfg: PatchConfig | None = None,
-                     whiten_cfg: WhitenConfig | None = None,
-                     ae_cfg: AeConfig | None = None,
+                     pre_cfg: PreprocessConfig = PreprocessConfig(),
+                     patch_cfg: PatchConfig = PatchConfig(),
+                     whiten_cfg: WhitenConfig = WhitenConfig(),
+                     ae_cfg: AeConfig = AeConfig(),
                      seed: int = 0) -> DescriptorModel:
     """Learn a descriptor model from unlabeled trajectories.
 
@@ -63,10 +63,6 @@ def train_descriptor(unlabeled: list[Trajectory],
     """
     if not unlabeled:
         raise ValueError("need at least one unlabeled trajectory")
-    pre_cfg = pre_cfg or PreprocessConfig()
-    patch_cfg = patch_cfg or PatchConfig()
-    whiten_cfg = whiten_cfg or WhitenConfig()
-    ae_cfg = ae_cfg or AeConfig()
     raw = sample_training_patches((preprocess(t, pre_cfg) for t in unlabeled),
                                   patch_cfg, seed)
     transform = _fit_centring(raw, whiten_cfg)

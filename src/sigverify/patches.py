@@ -15,7 +15,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .preprocess import SignatureImage
 
 
-@dataclass
+@dataclass(frozen=True)
 class PatchConfig:
     size: int = 10
     stride: int = 5

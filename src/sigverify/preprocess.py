@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg.lapack import dgtsv
 
 
-@dataclass
+@dataclass(frozen=True)
 class PreprocessConfig:
     canvas: int = 101
     smooth: bool = True
@@ -260,14 +260,13 @@ def rasterize(x, y, t, pressure, pen_down, cfg: PreprocessConfig) -> SignatureIm
     return image
 
 
-def preprocess(traj, cfg: PreprocessConfig | None = None) -> SignatureImage:
+def preprocess(traj, cfg: PreprocessConfig = PreprocessConfig()) -> SignatureImage:
     """Full pipeline: smooth, rotate to principal orientation, normalize, draw.
 
     The coordinate minima are subtracted up front, which removes any
     translation of the input before floating point effects can differ
     (exactly translated inputs give bit-identical images).
     """
-    cfg = cfg or PreprocessConfig()
     x, y, t, pressure, pen_down = smooth(traj.x - traj.x.min(), traj.y - traj.y.min(),
                                          traj.t, traj.pressure, traj.pen_down, cfg)
     x, y = rotate(x, y, orientation_angle(x, y, cfg.cov_epsilon))

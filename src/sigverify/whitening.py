@@ -17,7 +17,7 @@ import numpy as np
 MODES = ("pca", "zca")
 
 
-@dataclass
+@dataclass(frozen=True)
 class WhitenConfig:
     epsilon: float = 0.01
     retained_variance: float = 0.99
@@ -60,13 +60,14 @@ def _fix_eigenvector_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def fit_whitening(patches: np.ndarray, cfg: WhitenConfig | None = None) -> WhiteningTransform:
+def fit_whitening(patches: np.ndarray,
+                  cfg: WhitenConfig = WhitenConfig()) -> WhiteningTransform:
     """Fit a whitening transform to an (n, d) array of patch vectors.
 
     Fewer than d + 1 patches leave the covariance rank deficient; the
     transform records that as ``full_rank_input=False``.  ``patches`` is
     left unchanged."""
-    return _fit_centring(np.array(patches, dtype=np.float64), cfg or WhitenConfig())
+    return _fit_centring(np.array(patches, dtype=np.float64), cfg)
 
 
 def _fit_centring(patches: np.ndarray, cfg: WhitenConfig) -> WhiteningTransform:

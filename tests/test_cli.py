@@ -106,6 +106,41 @@ class TestConfigHandling:
         assert code == 1
         assert "cannot read config file" in capsys.readouterr().err
 
+    # (config file text or None for a missing file, --set items, error line):
+    # the first failing setting, in file-then---set order, is the one reported
+    @pytest.mark.parametrize("text, sets, error", [
+        ("", ["seed"], "--set expects key=value, got 'seed'"),
+        ("# corpus shape\n\nsynth.users  # no value\n", [],
+         "{cfg}:3: expected 'key = value', got 'synth.users'"),
+        ("", ["nope.key=1"], "unknown configuration key 'nope.key'"),
+        ("", ["synth.users=many"],
+         "bad value for synth.users: invalid literal for int() with base 10: 'many'"),
+        (None, [], "cannot read config file: [Errno 2] No such file or directory: '{cfg}'"),
+        ("synth.users = many\nsynth.genuine\n", [],
+         "bad value for synth.users: invalid literal for int() with base 10: 'many'"),
+        ("nope = 1\n", ["seed"], "unknown configuration key 'nope'"),
+        ("", ["eval.folds=1", "seed"], "bad value for eval.folds: '1' is out of range")])
+    def test_a_bad_setting_is_one_exact_error_line(self, tmp_path, capsys, text, sets, error):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "c"
+        if text is not None:
+            cfg.write_text(text)
+        argv = ["synth", "--out", str(out), "--config", str(cfg)]
+        code = main(argv + [arg for item in sets for arg in ("--set", item)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == ["error: " + error.format(cfg=cfg)]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item", ["synth.forgery_perturbation=inf",
+                                      "synth.genuine_jitter=-1"])
+    def test_removed_synth_keys_fail_closed(self, tmp_path, capsys, item):
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), "--set", item]) == 1
+        err = capsys.readouterr().err.splitlines()
+        key = item.partition("=")[0]
+        assert f"error: unknown configuration key {key!r}" in err
+        assert all(line.startswith(("config ", "error: ")) for line in err), err
+        assert not out.exists()
+
 
 class TestLearnDescriptor:
     def test_refuses_existing_model_without_force(self, workspace, capsys):

@@ -1,7 +1,7 @@
 """The config dataclasses as the one schema: model metadata, CLI keys, docs."""
 
+import argparse
 import dataclasses
-import io
 import re
 import tempfile
 from pathlib import Path
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from sigverify import (AeConfig, AeParams, PatchConfig, PreprocessConfig,
                        WhitenConfig, container, load_model, load_user_model,
                        save_model, save_user_model)
-from sigverify.cli import RunConfig
+from sigverify.cli import _build_config
 from sigverify.container import ContainerError
 from sigverify.descriptor import CONFIG_GROUPS, MODEL_FIELDS, MODEL_SHAPES, config_group
 from sigverify.oneclass import USER_MODEL_FIELDS, USER_MODEL_SHAPES, fit_user_model
@@ -357,45 +357,46 @@ class TestModelHeader:
         assert container.read_container(f)[0]["threshold"] == "0.30000000000000004"
 
 
+def _run_config(*items):
+    return _build_config(argparse.Namespace(config=None, set=list(items), seed=None))
+
+
 class TestCliSchema:
     def test_every_config_field_is_a_cli_key_with_its_default(self):
-        values = RunConfig().values
+        values = _run_config()
         for prefix, cls in CONFIG_GROUPS.items():
             for f in dataclasses.fields(cls):
                 assert values[f"{prefix}.{f.name}"] == f.default
 
     def test_group_builds_the_dataclass_from_run_values(self):
-        cfg = RunConfig()
-        cfg.set("patch.oversample_factor", "3")
-        cfg.set("whiten.mode", "zca")
-        cfg.set("preprocess.smooth", "false")
-        assert config_group("patch", cfg.values) == PatchConfig(oversample_factor=3)
-        assert config_group("whiten", cfg.values) == WhitenConfig(mode="zca")
-        assert config_group("preprocess", cfg.values) == PreprocessConfig(smooth=False)
-        assert config_group("ae", cfg.values) == AeConfig()
+        values = _run_config("patch.oversample_factor=3", "whiten.mode=zca",
+                             "preprocess.smooth=false")
+        assert config_group("patch", values) == PatchConfig(oversample_factor=3)
+        assert config_group("whiten", values) == WhitenConfig(mode="zca")
+        assert config_group("preprocess", values) == PreprocessConfig(smooth=False)
+        assert config_group("ae", values) == AeConfig()
 
     @pytest.mark.parametrize("key, accepted, refused", [
         ("oneclass.reg", ["0", "1", "0.5"], ["-0.1", "1.5", "nan", "inf"]),
         ("oneclass.quantile", ["1", "0.25"], ["0", "-1", "1.01", "nan"]),
         ("eval.folds", ["2", "10"], ["1", "0", "-3"])])
     def test_one_class_and_fold_keys_are_range_checked(self, key, accepted, refused):
-        cfg = RunConfig()
         for raw in accepted:
-            cfg.set(key, raw)
+            _run_config(f"{key}={raw}")
         for raw in refused:
             with pytest.raises(ValueError, match=re.escape(
                     f"bad value for {key}: {raw!r} is out of range")):
-                cfg.set(key, raw)
+                _run_config(f"{key}={raw}")
 
-    def test_readme_configuration_table_matches_the_echoed_defaults(self):
+    def test_readme_configuration_table_matches_the_echoed_defaults(self, capsys):
         text = README.read_text()
         section = text[text.index("## Configuration"):]
         section = section[:section.index("\n## ", 1)]
         rows = re.findall(r"^\| `([^`]+)` \| `([^`]*)` \|", section, re.MULTILINE)
         documented = dict(rows)
         assert len(documented) == len(rows), "a key is documented twice"
-        out = io.StringIO()
-        RunConfig().echo(out)
-        echoed = dict(re.findall(r"^config (\S+) = (.*)$", out.getvalue(), re.MULTILINE))
+        _run_config()
+        echoed = dict(re.findall(r"^config (\S+) = (.*)$", capsys.readouterr().err,
+                                 re.MULTILINE))
         assert documented == echoed
 

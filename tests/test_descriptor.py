@@ -1,9 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from sigverify import (AeConfig, PatchConfig, PreprocessConfig, Trajectory,
+from sigverify import (AeConfig, PatchConfig, PreprocessConfig, Trajectory, WhitenConfig,
                        apply_whitening, describe, describe_baseline, fit_whitening,
                        generate_synthetic_corpus, load_model, preprocess,
                        sample_training_patches, save_model, train, train_descriptor)
@@ -18,6 +19,15 @@ class TestTrainDescriptor:
         assert tiny_model.whitening.output_dim == tiny_model.ae.input_dim
         assert tiny_model.train_sources == (tiny_corpus.source,)
         assert tiny_model.seed == 5
+
+    def test_the_configs_are_frozen(self, tiny_model):
+        # the model keeps the caller's config objects: a patch size changed
+        # after training would save and load, then fail every describe
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tiny_model.patch_cfg.size = 8
+        for config in (tiny_model.preprocess_cfg, tiny_model.ae.config, WhitenConfig()):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, dataclasses.fields(config)[0].name, None)
 
     def test_training_is_deterministic(self, tiny_corpus):
         kw = dict(patch_cfg=PatchConfig(train_count=500),
