@@ -7,8 +7,8 @@ descriptor.  Each enrolled user gets a one-class Gaussian model over their
 genuine descriptors; verification thresholds a Mahalanobis score.
 """
 
-from .autoencoder import (AeConfig, AeParams, AutoencoderModel, cost, cost_grad,
-                          encode, forward, init_params, kl_divergence, train)
+from .autoencoder import (AeConfig, AeParams, AutoencoderModel, cost_grad, encode,
+                          forward, init_params, kl_divergence, train)
 from .dataset import (GENUINE, SKILLED_FORGERY, Corpus, ParseError, Trajectory,
                       UserSignatures, format_canonical, generate_synthetic_corpus,
                       load_corpus, parse_canonical, parse_svc2004, save_corpus)

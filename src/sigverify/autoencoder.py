@@ -164,11 +164,6 @@ def _sum_squares(r: np.ndarray, buf: np.ndarray | None = None) -> float:
     return _sum_squares(flat[:half], buf) + _sum_squares(flat[half:], buf)
 
 
-def cost(params: AeParams, batch: np.ndarray, cfg: AeConfig) -> float:
-    """The training objective over a batch (the value of ``cost_grad``)."""
-    return cost_grad(params, batch, cfg)[0]
-
-
 def _workspace(m: int, d: int, hidden: int):
     """The (m, hidden), (m, d) and (m, hidden) arrays ``cost_grad`` works in."""
     return np.empty((m, hidden)), np.empty((m, d)), np.empty((m, hidden))
@@ -226,13 +221,12 @@ def train(batch: np.ndarray, cfg: AeConfig = AeConfig()) -> AutoencoderModel:
 
     res = minimize_lbfgs(objective, params0.pack(), max_iter=cfg.max_iter,
                          memory=cfg.memory, grad_tol=cfg.grad_tol)
-    grad_inf = float(np.max(np.abs(res.grad))) if res.grad.size else 0.0
     return AutoencoderModel(params=AeParams.unpack(res.x, d, cfg.hidden),
                             config=cfg, final_cost=res.fun,
                             n_iter=res.n_iter, converged=res.converged,
                             line_search_failed=res.line_search_failed,
                             cost_history=res.cost_history, n_evals=res.n_evals,
-                            grad_inf=grad_inf)
+                            grad_inf=float(np.max(np.abs(res.grad))))
 
 
 def encode(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:

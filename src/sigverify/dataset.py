@@ -44,6 +44,11 @@ FORGERY_PERTURBATION = 0.08
 # per-sample work and before more than the limit is read from a stream.
 MAX_FILE_CHARS = 16 * 2**20
 MAX_SAMPLES = 100_000
+# Sample limits, far beyond any tablet (coordinates below 1e5) and with room
+# for absolute clocks in ms or us: preprocessing's squares stay finite.
+MAX_COORDINATE = 1e9
+MAX_TIMESTAMP = 1e18
+OUT_OF_BOUNDS = f"|x| and |y| must not exceed {MAX_COORDINATE:g}, nor |t| {MAX_TIMESTAMP:g}"
 # characters asked of a stream per read call
 READ_CHUNK = 1 << 16
 
@@ -57,7 +62,8 @@ class Trajectory:
 
     Samples are stored as parallel arrays: float64 ``x``, ``y``, ``t``,
     ``pressure`` and boolean ``pen_down``.  At least two samples are
-    required, all fields finite, ``t`` non-decreasing and pressures non-negative.
+    required, all fields finite, ``|x|`` and ``|y|`` at most ``MAX_COORDINATE``,
+    ``|t|`` at most ``MAX_TIMESTAMP``, ``t`` non-decreasing and pressures non-negative.
     """
 
     __slots__ = ("x", "y", "t", "pressure", "pen_down", "user_id", "label", "source")
@@ -112,12 +118,19 @@ def _sample_fault(x, y, t, pressure):
     A decrease of ``t`` is charged to the later sample.  A sample that
     breaks several rules reports the first of them in the order below.
     """
-    rules = {"sample fields must be finite":
-             ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(t) & np.isfinite(pressure)),
+    # the bound tests are false for NaN and +-inf too, so one mask serves the
+    # first two rules; a sample it flags with a non-finite field breaks the first
+    outside = ~((np.abs(x) <= MAX_COORDINATE) & (np.abs(y) <= MAX_COORDINATE)
+                & (np.abs(t) <= MAX_TIMESTAMP) & np.isfinite(pressure))
+    rules = {OUT_OF_BOUNDS: outside,
              "pressures must be non-negative": pressure < 0,
              "timestamps must be non-decreasing": np.concatenate(([False], t[1:] < t[:-1]))}
     faults = [(int(bad.argmax()), reason) for reason, bad in rules.items() if bad.any()]
-    return min(faults, key=lambda fault: fault[0], default=None)
+    fault = min(faults, key=lambda fault: fault[0], default=None)
+    if fault and fault[1] == OUT_OF_BOUNDS and not np.isfinite(
+            [col[fault[0]] for col in (x, y, t, pressure)]).all():
+        return fault[0], "sample fields must be finite"
+    return fault
 
 
 def _read_bounded(stream) -> str:

@@ -41,9 +41,6 @@ class RocCurve:
     frr: np.ndarray
     thresholds: np.ndarray
 
-    def points(self):
-        return list(zip(self.far, self.frr, self.thresholds))
-
 
 @dataclass
 class UserResult:
@@ -82,44 +79,32 @@ def _user_rng(seed: int, user_id: str):
     return np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
 
 
-def split_protocol(corpus: Corpus, fold: int, k: int = 4, seed: int = 0):
-    """Per-user train/test index blocks for one fold of the k-fold protocol.
+def split_protocol(corpus: Corpus, k: int = 4, seed: int = 0):
+    """Per-user train/test index pairs of every fold of the k-fold protocol.
 
     Each user's genuine signatures are shuffled once (deterministically
-    per user and seed, independent of the fold) and partitioned into k
-    nearly equal blocks, the first ``n % k`` one longer; block ``fold``
-    trains the model and the other blocks, in block order, are the
-    genuine test set.  Users with fewer than k genuine signatures are
-    excluded in every fold and listed in ``excluded``.
+    per user and seed) and partitioned into k nearly equal blocks, the
+    first ``n % k`` one longer; in fold i block i trains the model and
+    the other blocks, in block order, are the genuine test set.  Users
+    with fewer than k genuine signatures are excluded in every fold and
+    listed in ``excluded``.
 
-    Returns (splits, excluded) where splits maps user_id to
-    ``(train_idx, test_idx)``, integer arrays indexing
-    ``corpus.users[user_id].genuine``.
+    Returns (splits, excluded) where splits maps user_id to a list of k
+    ``(train_idx, test_idx)`` pairs, fold by fold, of integer arrays
+    indexing ``corpus.users[user_id].genuine``.
     """
-    blocks, excluded = _user_blocks(corpus, k, seed)
-    if not 0 <= fold < k:
-        raise ValueError(f"fold must lie in [0, {k}), got {fold}")
-    return {uid: _fold_split(b, fold) for uid, b in blocks.items()}, excluded
-
-
-def _user_blocks(corpus: Corpus, k: int, seed: int):
-    """Each user's genuine indices, shuffled once and cut into k blocks, and
-    the users excluded for having fewer than k."""
     if k < 2:
         raise ValueError(f"need at least 2 folds, got k={k}")
-    blocks, excluded = {}, []
+    splits, excluded = {}, []
     for uid in corpus.user_ids():
         n = len(corpus.users[uid].genuine)
         if n < k:
             excluded.append(uid)
-        else:
-            blocks[uid] = np.array_split(_user_rng(seed, uid).permutation(n), k)
-    return blocks, excluded
-
-
-def _fold_split(blocks: list, fold: int):
-    """(train_idx, test_idx): block ``fold`` trains, the others in order test."""
-    return blocks[fold], np.concatenate(blocks[:fold] + blocks[fold + 1:])
+            continue
+        blocks = np.array_split(_user_rng(seed, uid).permutation(n), k)
+        splits[uid] = [(blocks[i], np.concatenate(blocks[:i] + blocks[i + 1:]))
+                       for i in range(k)]
+    return splits, excluded
 
 
 def roc(scores: ScoreSet) -> RocCurve:
@@ -219,15 +204,14 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
     stacked = np.split(values, np.cumsum([len(g) for g in groups])[:-1])
     genuine, skilled = dict(zip(uids, stacked[0::2])), dict(zip(uids, stacked[1::2]))
 
-    blocks, excluded = _user_blocks(corpus, k, seed)
+    splits, excluded = split_protocol(corpus, k, seed)
     warnings += [f"user {uid} has {len(corpus.users[uid].genuine)} genuine signatures, "
                  f"fewer than k={k}; excluded from the protocol" for uid in excluded]
     per_user, parts, pooled_gen, pooled_forg = {}, {}, [], []
-    for uid in sorted(blocks):
+    for uid in sorted(splits):
         forgeries = np.concatenate([skilled[uid], *(genuine[o] for o in uids if o != uid)])
         parts[uid] = []  # per fold: (genuine, skilled, random) scores
-        for fold in range(k):
-            train_idx, test_idx = _fold_split(blocks[uid], fold)
+        for train_idx, test_idx in splits[uid]:
             user_model = fit_user_model(genuine[uid][train_idx], reg=reg, user_id=uid)
             scores = _scores(user_model, np.concatenate([genuine[uid][test_idx], forgeries]))
             a, b = len(test_idx), len(test_idx) + len(skilled[uid])

@@ -36,14 +36,13 @@ class UserModel:
 
     def __post_init__(self):
         # derived, not a field, so dataclasses.replace factors the new covariance;
-        # cho_factor's checks and potrf call, so the pair is cho_factor's bit for bit
+        # cho_factor's checks and potrf call, so the factor is cho_factor's bit for bit
         cov = self.covariance
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or not np.isfinite(cov).all():
             raise ValueError("covariance must be a finite square matrix")
-        factor, info = dpotrf(cov, lower=1, clean=0)
+        self._factor, info = dpotrf(cov, lower=1, clean=0)
         if info:
             raise np.linalg.LinAlgError(f"covariance is not positive definite (info {info})")
-        self._chol = (factor, True)
 
     @property
     def dim(self) -> int:
@@ -116,7 +115,7 @@ def _scores(model: UserModel, rows: np.ndarray) -> np.ndarray:
     diff = rows - model.mean
     if not np.isfinite(diff).all():
         raise ValueError("array must not contain infs or NaNs")
-    solved, info = dpotrs(model._chol[0], diff.T, lower=1)
+    solved, info = dpotrs(model._factor, diff.T, lower=1)
     if info:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return (diff[:, None, :] @ solved.T[:, :, None])[:, 0, 0]

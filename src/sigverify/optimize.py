@@ -53,7 +53,7 @@ def _strong_wolfe(fun, x, f0, g0, p, alpha0, max_evals):
             f, d = np.inf, np.nan
         return f, g, d
 
-    def zoom(lo, f_lo, g_lo, d_lo, hi, f_hi):
+    def zoom(lo, f_lo, d_lo, hi, f_hi):
         nonlocal evals
         while evals < max_evals:
             span = hi - lo
@@ -72,25 +72,25 @@ def _strong_wolfe(fun, x, f0, g0, p, alpha0, max_evals):
                     return a, f, g
                 if d * span >= 0:
                     hi, f_hi = lo, f_lo
-                lo, f_lo, g_lo, d_lo = a, f, g, d
+                lo, f_lo, d_lo = a, f, d
             if abs(hi - lo) < 1e-16 * max(1.0, abs(lo)):
                 break
         return None, None, None
 
-    alpha_prev, f_prev, g_prev, d_prev = 0.0, f0, g0, d0
+    alpha_prev, f_prev, d_prev = 0.0, f0, d0
     alpha = alpha0
     first = True
     while evals < max_evals:
         f, g, d = phi(alpha)
         if f > f0 + C1 * alpha * d0 or (not first and f >= f_prev):
-            a, fz, gz = zoom(alpha_prev, f_prev, g_prev, d_prev, alpha, f)
+            a, fz, gz = zoom(alpha_prev, f_prev, d_prev, alpha, f)
             return a, fz, gz, evals
         if abs(d) <= -C2 * d0:
             return alpha, f, g, evals
         if d >= 0:
-            a, fz, gz = zoom(alpha, f, g, d, alpha_prev, f_prev)
+            a, fz, gz = zoom(alpha, f, d, alpha_prev, f_prev)
             return a, fz, gz, evals
-        alpha_prev, f_prev, g_prev, d_prev = alpha, f, g, d
+        alpha_prev, f_prev, d_prev = alpha, f, d
         alpha *= 2.0
         first = False
     return None, None, None, evals

@@ -56,11 +56,14 @@ class SignatureImage:
         return self.pressure.shape[0]
 
 
+@np.errstate(all="ignore")
 def _natural_spline(k, v, at):
     """The natural cubic spline through strictly increasing knots ``k`` and
     one row of values ``v`` per knot, at ``at``: scipy's, bit for bit (its
     tridiagonal slope system solved by LAPACK ``gtsv`` as ``solve_banded``
-    does, its Hermite cubics summed from +0.0 in ``PPoly``'s order)."""
+    does, its Hermite cubics summed from +0.0 in ``PPoly``'s order).  An
+    overflow leaves an inf or NaN coefficient, and each interval is evaluated
+    at its own knot (d = 0), so it always reaches the result: ValueError."""
     dk = k[1:] - k[:-1]
     h = dk[:, None]
     dv = v[1:] - v[:-1]
@@ -128,26 +131,32 @@ def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
         mask[:, :-1] = keep[1:, None]
         eval_t = np.concatenate((ts[:1], block[mask]))
         xy_out = _natural_spline(ts[keep], xy, eval_t)
-        pieces.append((xy_out[:, 0], xy_out[:, 1], eval_t,
-                       np.interp(eval_t, ts, pressure[start:stop]),
+        p_out = np.interp(eval_t, ts, pressure[start:stop])
+        if not np.isfinite(p_out).all():  # a slope over a subnormal time step overflows
+            raise ValueError("the pressure interpolation overflows: its times lie too close")
+        pieces.append((xy_out[:, 0], xy_out[:, 1], eval_t, p_out,
                        np.ones(len(eval_t), dtype=bool)))
     pieces.append(tuple(col[cursor:] for col in columns))
     return tuple(np.concatenate(col) for col in zip(*pieces))
 
 
+@np.errstate(all="ignore")
 def orientation_angle(x, y, cov_epsilon: float = 1e-9) -> float:
     """Dominant writing orientation from second-order point statistics.
 
     With variances sx2, sy2 and covariance cxy over all samples the angle
     is ``atan((sy2 - sx2 + sqrt((sy2 - sx2)^2 + 4 cxy^2)) / (2 cxy))``.
     When the covariance is negligible the axes are already principal: the
-    angle is 0 if sx2 >= sy2 and pi/2 otherwise.
+    angle is 0 if sx2 >= sy2 and pi/2 otherwise.  Moments that overflow,
+    as for a spline that overshoots far beyond its samples, raise ValueError.
     """
     x = x - x.mean()
     y = y - y.mean()
     sx2 = float(np.mean(x * x))
     sy2 = float(np.mean(y * y))
     cxy = float(np.mean(x * y))
+    if not np.isfinite([sx2, sy2, cxy]).all():
+        raise ValueError("the second moments overflow: the samples span too far")
     if sx2 == 0.0 and sy2 == 0.0:
         raise ValueError("degenerate geometry: all samples coincide")
     if abs(cxy) < cov_epsilon * max(sx2, sy2, cov_epsilon):

@@ -24,8 +24,15 @@ from scipy.linalg import cho_factor, cho_solve
 
 from sigverify import (GENUINE, ParseError, PatchConfig, PreprocessConfig, SignatureImage,
                        Trajectory, WhitenConfig)
+from sigverify.dataset import MAX_COORDINATE, MAX_TIMESTAMP
 from sigverify.evaluation import _user_rng
 from sigverify.oneclass import ZERO_VARIANCE_EPSILON
+
+
+def _check_limits(x, y, t, lineno):
+    """The sample limits, checked before the pressure rule as the library does."""
+    if max(abs(x), abs(y)) > MAX_COORDINATE or abs(t) > MAX_TIMESTAMP:
+        raise ParseError(f"line {lineno}: beyond the sample limits")
 
 
 def _parse_float(token, lineno):
@@ -56,6 +63,7 @@ def parse_svc2004(text, user_id="anonymous", label=GENUINE, source="") -> Trajec
             raise ParseError(f"line {i}: expected 7 fields, got {len(fields)}")
         vals = [_parse_float(f, i) for f in fields]
         x, y, t, button, _azimuth, _altitude, pressure = vals
+        _check_limits(x, y, t, i)
         if pressure < 0:
             raise ParseError(f"line {i}: negative pressure {pressure}")
         samples.append((x, y, t, pressure, button != 0))
@@ -83,6 +91,7 @@ def parse_canonical(text, user_id="anonymous", label=GENUINE, source="") -> Traj
         p = _parse_float(fields[3], i)
         if fields[4] not in ("0", "1"):
             raise ParseError(f"line {i}: pen-down flag must be 0 or 1, got {fields[4]!r}")
+        _check_limits(x, y, t, i)
         if p < 0:
             raise ParseError(f"line {i}: negative pressure {p}")
         samples.append((x, y, t, p, fields[4] == "1"))
@@ -294,8 +303,8 @@ def fit_whitening(patches: np.ndarray, cfg: WhitenConfig):
 
 
 def fit_user_model(train, reg: float) -> SimpleNamespace:
-    """The user model's mean, covariance and ``_chol`` pair, fitted with
-    ``np.cov`` and ``cho_factor``."""
+    """The user model's mean, covariance and lower Cholesky ``_factor``, fitted
+    with ``np.cov`` and ``cho_factor``."""
     x = np.asarray(train, dtype=np.float64)
     n, h = x.shape
     sample_cov = np.zeros((h, h)) if n == 1 else np.atleast_2d(np.cov(x, rowvar=False))
@@ -309,13 +318,13 @@ def fit_user_model(train, reg: float) -> SimpleNamespace:
     except np.linalg.LinAlgError:
         covariance = covariance + ZERO_VARIANCE_EPSILON * np.eye(h)
         chol = cho_factor(covariance, lower=True)
-    return SimpleNamespace(mean=x.mean(axis=0), covariance=covariance, _chol=chol)
+    return SimpleNamespace(mean=x.mean(axis=0), covariance=covariance, _factor=chol[0])
 
 
 def score(model, values) -> float:
     """Squared Mahalanobis distance of one descriptor: one solve per vector."""
     diff = np.asarray(values, dtype=np.float64) - model.mean
-    return float(diff @ cho_solve(model._chol, diff))
+    return float(diff @ cho_solve((model._factor, True), diff))
 
 
 def split_protocol(corpus, fold: int, k: int, seed: int) -> dict:

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigverify import (AeConfig, AeParams, cost, cost_grad, encode, forward,
-                       init_params, kl_divergence, train)
+from sigverify import (AeConfig, AeParams, cost_grad, encode, forward, init_params,
+                       kl_divergence, train)
 from sigverify.autoencoder import SQUARE_BLOCK, AutoencoderModel, _sum_squares, _workspace
 
 
@@ -19,8 +19,8 @@ def fd_gradient(params, batch, cfg, h=1e-6):
         up, down = theta.copy(), theta.copy()
         up[i] += h
         down[i] -= h
-        out[i] = (cost(AeParams.unpack(up, d, cfg.hidden), batch, cfg)
-                  - cost(AeParams.unpack(down, d, cfg.hidden), batch, cfg)) / (2 * h)
+        out[i] = (cost_grad(AeParams.unpack(up, d, cfg.hidden), batch, cfg)[0]
+                  - cost_grad(AeParams.unpack(down, d, cfg.hidden), batch, cfg)[0]) / (2 * h)
     return out
 
 
@@ -115,7 +115,7 @@ class TestForwardAndCost:
         x = rng.normal(size=(8, 5))
         _, xhat = forward(p, x)
         expect = float(np.sum((xhat - x) ** 2)) / 8
-        assert cost(p, x, cfg) == pytest.approx(expect, rel=1e-12)
+        assert cost_grad(p, x, cfg)[0] == pytest.approx(expect, rel=1e-12)
 
     def test_weight_decay_skips_biases(self, rng):
         cfg0 = AeConfig(hidden=3, weight_decay=0.0, sparsity_weight=0.0)
@@ -123,7 +123,7 @@ class TestForwardAndCost:
         p = init_params(4, cfg0)
         p.b1 += 100.0  # enormous biases must not change the decay term
         x = np.random.default_rng(0).normal(size=(6, 4))
-        gap = cost(p, x, cfg1) - cost(p, x, cfg0)
+        gap = cost_grad(p, x, cfg1)[0] - cost_grad(p, x, cfg0)[0]
         expect = 0.5 * (np.sum(p.W1 ** 2) + np.sum(p.W2 ** 2))
         assert gap == pytest.approx(expect, rel=1e-12)
 
@@ -131,9 +131,14 @@ class TestForwardAndCost:
         cfg = AeConfig(hidden=4, seed=5)
         p = init_params(6, cfg)
         x = rng.normal(size=(9, 6))
-        c1 = cost(p, x, cfg)
-        c2, _ = cost_grad(p, x, cfg)
-        assert c1 == pytest.approx(c2, rel=1e-14)
+        # the cost is reconstruction + weight decay + sparsity, from the plain formulas
+        a, xhat = forward(p, x)
+        expect = (float(np.sum((xhat - x) ** 2)) / 9
+                  + cfg.weight_decay * (np.sum(p.W1 ** 2) + np.sum(p.W2 ** 2))
+                  + cfg.sparsity_weight * np.sum(kl_divergence(cfg.sparsity_target,
+                                                               a.mean(axis=0))))
+        c, _ = cost_grad(p, x, cfg)
+        assert c == pytest.approx(expect, rel=1e-14)
 
     # 20,000 x 151 is the whitened training batch of the benchmark's descriptor:
     # its residual spans several SQUARE_BLOCK runs of the blockwise sum

@@ -61,10 +61,9 @@ class TestFitOracle:
         model, _, train = case
         expect = ref.fit_user_model(train, model.reg)
         for got, want in ((model.mean, expect.mean), (model.covariance, expect.covariance),
-                          (model._chol[0], expect._chol[0])):
+                          (model._factor, expect._factor)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
-        assert model._chol[1] is True
         listed = fit_user_model(list(train), reg=model.reg)  # rows one by one
         assert listed.covariance.tobytes() == model.covariance.tobytes()
         kept = train.copy()

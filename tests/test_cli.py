@@ -21,6 +21,15 @@ SMALL = ["--set", "synth.users=4", "--set", "synth.genuine=6",
          "--set", "synth.forgery=2"]
 
 
+def run_cli(*argv):
+    """``python -m sigverify.cli`` in a fresh interpreter, its output captured."""
+    src = str(Path(sigverify.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sigverify.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -401,6 +410,19 @@ class TestVerify:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"error: {sig}: ") and "can't decode byte 0xff" in last
 
+    def test_a_coordinate_beyond_the_limit_fails_closed_quietly(self, workspace, tmp_path):
+        sig = tmp_path / "huge.txt"
+        sig.write_text("x y t p d\n0 0 0 1 1\n1e300 1 1 1 1\n2 5 2 1 1\n3 1 3 1 1\n"
+                       "4 6 4 1 1\n")
+        proc = run_cli("verify", "--model", str(workspace / "model.sig"),
+                       "--user-models", str(workspace / "users"), "--user", "user000",
+                       str(sig))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.splitlines()[-1] == (
+            f"error: {sig}: line 3: |x| and |y| must not exceed 1e+09, nor |t| 1e+18")
+        assert all(line.startswith(("config ", "error: "))
+                   for line in proc.stderr.splitlines()), proc.stderr
+
     def test_unreadable_signature_fails(self, workspace, capsys):
         code = main(["verify", "--model", str(workspace / "model.sig"),
                      "--user-models", str(workspace / "users"),
@@ -447,14 +469,8 @@ class TestEvaluate:
         sparse.mkdir(parents=True)
         for name in ("000.txt", "001.txt"):
             shutil.copy(corpus / "user001" / "genuine" / name, sparse / name)
-        src = str(Path(sigverify.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "sigverify.cli", "evaluate",
-             "--model", str(workspace / "model.sig"), "--corpus", str(corpus),
-             "--out", str(tmp_path / "report")],
-            capture_output=True, text=True, env=env)
+        proc = run_cli("evaluate", "--model", str(workspace / "model.sig"),
+                       "--corpus", str(corpus), "--out", str(tmp_path / "report"))
         assert proc.returncode == 0, proc.stderr
         # the loader no longer states the protocol's rule with its own k
         assert "the evaluation protocol needs at least 4" not in proc.stderr

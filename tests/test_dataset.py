@@ -204,7 +204,7 @@ class TestCorpusIo:
         assert corpus.warnings == []
         assert [len(corpus.users[u].genuine) for u in ("user000", "user001")] == [3, 4]
         for k, excluded in ((3, []), (4, ["user000"]), (5, ["user000", "user001"])):
-            assert split_protocol(corpus, 0, k=k)[1] == excluded
+            assert split_protocol(corpus, k=k)[1] == excluded
 
 
 class TestSyntheticGenerator:

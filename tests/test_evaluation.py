@@ -92,7 +92,7 @@ class TestRoc:
         for _ in range(50):
             s = random_score_set(rng)
             curve = roc(s)
-            for far, frr, tau in curve.points():
+            for far, frr, tau in zip(curve.far, curve.frr, curve.thresholds):
                 e_far, e_frr = oracle_rates(s.genuine.tolist(),
                                             s.forgery.tolist(), tau)
                 assert far == e_far and frr == e_frr
@@ -161,11 +161,11 @@ def corpus():
 class TestSplitProtocol:
     def test_train_blocks_partition_the_genuine_set(self, corpus):
         k = 4
+        splits, _ = split_protocol(corpus, k=k, seed=3)
         for uid in corpus.user_ids():
+            assert len(splits[uid]) == k
             trains = []
-            for fold in range(k):
-                splits, _ = split_protocol(corpus, fold, k=k, seed=3)
-                train, test = splits[uid]
+            for fold, (train, test) in enumerate(splits[uid]):
                 assert train.dtype.kind == test.dtype.kind == "i"
                 # 9 genuine, 4 blocks: sizes 3, 2, 2, 2
                 assert len(train) == (3 if fold == 0 else 2)
@@ -175,25 +175,25 @@ class TestSplitProtocol:
             # every signature trains exactly once, and the test set is the
             # other blocks in block order
             assert sorted(np.concatenate(trains)) == list(range(9))
-            for fold in range(k):
-                _, test = split_protocol(corpus, fold, k=k, seed=3)[0][uid]
+            for fold, (_, test) in enumerate(splits[uid]):
                 others = [t for b, t in enumerate(trains) if b != fold]
                 assert np.array_equal(test, np.concatenate(others))
 
     def test_split_is_deterministic_and_seed_sensitive(self, corpus):
-        a, _ = split_protocol(corpus, 1, k=4, seed=5)
-        b, _ = split_protocol(corpus, 1, k=4, seed=5)
-        c, _ = split_protocol(corpus, 1, k=4, seed=6)
+        a, _ = split_protocol(corpus, k=4, seed=5)
+        b, _ = split_protocol(corpus, k=4, seed=5)
+        c, _ = split_protocol(corpus, k=4, seed=6)
         for uid in corpus.user_ids():
-            assert np.array_equal(a[uid][0], b[uid][0])
-            assert np.array_equal(a[uid][1], b[uid][1])
-        differs = any(not np.array_equal(a[u][0], c[u][0])
+            for (a_train, a_test), (b_train, b_test) in zip(a[uid], b[uid]):
+                assert np.array_equal(a_train, b_train)
+                assert np.array_equal(a_test, b_test)
+        differs = any(not np.array_equal(a[u][1][0], c[u][1][0])
                       for u in corpus.user_ids())
         assert differs
 
     def test_users_get_independent_shuffles(self, corpus):
-        splits, _ = split_protocol(corpus, 0, k=4, seed=0)
-        orders = {tuple(train) for train, _ in splits.values()}
+        splits, _ = split_protocol(corpus, k=4, seed=0)
+        orders = {tuple(folds[0][0]) for folds in splits.values()}
         assert len(orders) > 1
 
     def test_sparse_users_are_excluded_with_warning(self, corpus, capsys, caplog):
@@ -202,10 +202,9 @@ class TestSplitProtocol:
         users[sparse] = UserSignatures(users[sparse].genuine[:3],
                                        users[sparse].skilled_forgeries)
         thinned = Corpus(users=users, source=corpus.source)
-        for fold in range(4):
-            splits, excluded = split_protocol(thinned, fold, k=4, seed=0)
-            assert excluded == [sparse]
-            assert sorted(splits) == corpus.user_ids()[:3]
+        splits, excluded = split_protocol(thinned, k=4, seed=0)
+        assert excluded == [sparse]
+        assert sorted(splits) == corpus.user_ids()[:3]
         report = run_experiment(thinned, FakeModel(), k=4, seed=0,
                                 describe_fn=stub_describe)
         assert report.warnings == [f"user {sparse} has 3 genuine signatures, "
@@ -214,11 +213,7 @@ class TestSplitProtocol:
 
     def test_fold_and_k_validation(self, corpus):
         with pytest.raises(ValueError, match="folds"):
-            split_protocol(corpus, 0, k=1)
-        with pytest.raises(ValueError, match="fold"):
-            split_protocol(corpus, 4, k=4)
-        with pytest.raises(ValueError, match="fold"):
-            split_protocol(corpus, -1, k=4)
+            split_protocol(corpus, k=1)
 
 
 def stub_describe(traj, model):
@@ -309,6 +304,22 @@ class TestRunExperiment:
         monkeypatch.setattr(evaluation, "_user_rng", counting_rng)
         run_experiment(corpus, FakeModel(), k=4, seed=0, describe_fn=stub_describe)
         assert drawn == corpus.user_ids()
+
+    def test_the_protocol_is_split_once_through_split_protocol(self, corpus, monkeypatch):
+        calls = []
+
+        def counting_split(*args, **kwargs):
+            calls.append((args, kwargs))
+            return split(*args, **kwargs)
+
+        split = evaluation.split_protocol
+        monkeypatch.setattr(evaluation, "split_protocol", counting_split)
+        report = run_experiment(corpus, FakeModel(), k=4, seed=2, describe_fn=stub_describe)
+        assert len(calls) == 1
+        splits, _ = split(corpus, k=4, seed=2)
+        for uid, folds in splits.items():
+            genuine = [r for r in report.score_rows if r[0] == uid and r[2] == "genuine"]
+            assert len(genuine) == sum(len(test) for _, test in folds)
 
     def test_subset_rates_are_populated(self, report):
         for result in report.per_user.values():

@@ -5,7 +5,9 @@ replaced.  Every valid file must parse to an equal trajectory, and every
 file with a single fault and no blank lines must raise ParseError naming
 the same line.  The old parsers counted only non-blank lines and let
 non-finite fields through to ``Trajectory``; the explicit tests at the end
-pin the new behaviour there.
+pin the new behaviour there.  Both apply the sample limits (``|x|`` and
+``|y|`` at most ``MAX_COORDINATE``, ``|t|`` at most ``MAX_TIMESTAMP``) before
+the pressure rule.
 """
 
 import re
@@ -16,12 +18,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import reference_pipeline as ref
-from sigverify import ParseError, Trajectory, parse_canonical, parse_svc2004
+from sigverify import (ParseError, Trajectory, format_canonical, parse_canonical,
+                       parse_svc2004)
+from sigverify.dataset import MAX_COORDINATE, MAX_TIMESTAMP, OUT_OF_BOUNDS
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+COORDINATE = st.floats(-MAX_COORDINATE, MAX_COORDINATE)
+TIMESTAMP = st.floats(-MAX_TIMESTAMP, MAX_TIMESTAMP)
 PRESSURE = st.sampled_from([0.0, -0.0, 0.5]) | st.floats(0.0, allow_infinity=False)
 ANY_FLOAT = FINITE | st.sampled_from([float("nan"), float("inf"), float("-inf")])
 PARSERS = {"canonical": (parse_canonical, ref.parse_canonical),
@@ -43,17 +49,21 @@ def floats(n, elements=FINITE):
 
 
 @st.composite
-def table(draw, layout, min_n=2):
+def table(draw, layout, min_n=2, wide=False):
     """(header tokens, data token rows) of a valid file.
 
     Fields are finite, ``t`` is non-decreasing and pressure non-negative;
     SVC2004 buttons are any finite value and its unused angles any float.
+    ``x``, ``y`` and ``t`` lie within the sample limits, or with ``wide``
+    half the time anywhere in the finite range, where most files break them.
     """
     n = draw(st.integers(min_n, 16))
     width = 5 if layout == "canonical" else 7
     styles = iter(draw(st.lists(st.integers(0, 4), min_size=n * width, max_size=n * width)))
-    x, y = draw(floats(n)), draw(floats(n))
-    t = sorted(draw(floats(n, st.sampled_from([0.0, 1.0, 2.5]) | FINITE)))
+    beyond = wide and draw(st.booleans())
+    coordinate, timestamp = (FINITE, FINITE) if beyond else (COORDINATE, TIMESTAMP)
+    x, y = draw(floats(n, coordinate)), draw(floats(n, coordinate))
+    t = sorted(draw(floats(n, st.sampled_from([0.0, 1.0, 2.5]) | timestamp)))
     p = draw(floats(n, PRESSURE))
     if layout == "canonical":
         d = draw(floats(n, st.sampled_from([0.0, 1.0])))
@@ -70,8 +80,9 @@ def table(draw, layout, min_n=2):
 
 @st.composite
 def valid_file(draw, layout):
-    """A valid file with varied separators, line endings and blank lines."""
-    header, rows = draw(table(layout))
+    """A file with varied separators, line endings and blank lines, valid
+    but for values beyond the sample limits."""
+    header, rows = draw(table(layout, wide=True))
     seps = iter(draw(st.lists(st.sampled_from([" ", "  ", "\t", " \t "]),
                               min_size=8 * (len(rows) + 1), max_size=8 * (len(rows) + 1))))
     blanks = draw(st.lists(st.sampled_from([None, None, None, "", " ", "\t  "]),
@@ -87,7 +98,7 @@ def valid_file(draw, layout):
 
 
 FAULTS_BOTH = ["fields", "token", "header", "negative_pressure", "swap", "one_sample",
-               "empty"]
+               "empty", "beyond"]
 
 
 @st.composite
@@ -121,6 +132,11 @@ def single_fault_file(draw, layout):
             n = len(rows)
             header = [draw(st.sampled_from([str(n - 1), str(n + 1), str(n + 5), "abc", "1.5",
                                             "0", "-3", "1", f"{n}.0"]))]
+    elif kind == "beyond":
+        c = draw(st.integers(0, 2))
+        limit = MAX_TIMESTAMP if c == 2 else MAX_COORDINATE
+        rows[r][c] = repr(draw(st.sampled_from([-1.0, 1.0])) * draw(
+            st.floats(limit, allow_infinity=False, exclude_min=True)))
     elif kind == "negative_pressure":
         rows[r][p_col] = repr(draw(st.sampled_from([-1.0, -1e-300, -5e-324, -1e300])))
     elif kind == "swap":
@@ -152,8 +168,14 @@ class TestAgainstTheOldParsers:
         text = data.draw(valid_file(layout))
         new, old = PARSERS[layout]
         meta = {"user_id": "u7", "label": "skilled_forgery", "source": "src"}
+        try:
+            expect = old(text, **meta)
+        except ParseError:  # a value beyond the limits: the same data line is named
+            data_lines = [n for n, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+            assert data_lines.index(line_of(new, text)) + 1 == line_of(old, text)
+            return
         got = new(text, **meta)
-        assert got.equals(old(text, **meta))
+        assert got.equals(expect)
         assert all(v.flags.c_contiguous for v in (got.x, got.y, got.t, got.pressure))
 
     @SETTINGS
@@ -165,7 +187,8 @@ class TestAgainstTheOldParsers:
 
 
 # the sample rules: the reader reports what Trajectory reports, at the sample's line
-SAMPLE_VALUE = st.sampled_from([0.0, 1.0, -1.0, float("nan"), float("inf"), float("-inf")])
+SAMPLE_VALUE = st.sampled_from([0.0, 1.0, -1.0, float("nan"), float("inf"), float("-inf"),
+                                1e300, -1e300, 1e10, 1e19])
 
 
 @SETTINGS
@@ -185,6 +208,8 @@ def test_reader_and_trajectory_apply_the_same_sample_rules(x, data):
         i = int(line.split()[1]) - 2
         assert reason != "sample fields must be finite" or not np.isfinite(
             [x[i], y[i], t[i], p[i]]).all()
+        assert reason != OUT_OF_BOUNDS or max(abs(x[i]), abs(y[i])) > MAX_COORDINATE or abs(
+            t[i]) > MAX_TIMESTAMP
         assert reason != "pressures must be non-negative" or p[i] < 0
         assert reason != "timestamps must be non-decreasing" or t[i] < t[i - 1]
     else:
@@ -239,3 +264,35 @@ class TestNonFiniteFields:
     def test_non_finite_azimuth_and_altitude_are_still_ignored(self):
         text = "2\n0 0 0 1 nan inf 1\n1 1 1 1 1e999 -inf 1\n"
         assert parse_svc2004(text).equals(ref.parse_svc2004(text))
+
+
+class TestSampleLimits:
+    MESSAGE = r"\|x\| and \|y\| must not exceed 1e\+09, nor \|t\| 1e\+18$"
+
+    @pytest.mark.parametrize("bad", ["1e300", "-1e300"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_canonical(self, bad, column):
+        fields = ["0", "0", "1", "1", "1"]
+        fields[column] = bad
+        text = "x y t p d\n0 0 0 1 1\n" + " ".join(fields) + "\n2 2 2 1 1\n"
+        with pytest.raises(ParseError, match="^line 3: " + self.MESSAGE):
+            parse_canonical(text)
+
+    @pytest.mark.parametrize("bad", ["1e300", "-1e300"])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_svc(self, bad, column):
+        fields = ["0", "0", "1", "1", "0", "0", "1"]
+        fields[column] = bad
+        text = "3\n" + " ".join(fields) + "\n1 1 2 1 0 0 1\n2 2 3 1 0 0 1\n"
+        with pytest.raises(ParseError, match="^line 2: " + self.MESSAGE):
+            parse_svc2004(text)
+
+    def test_values_at_the_limits_are_accepted_and_just_beyond_refused(self):
+        at = [-MAX_COORDINATE, MAX_COORDINATE]
+        traj = Trajectory(at, at[::-1], [-MAX_TIMESTAMP, MAX_TIMESTAMP], [1, 1], [1, 1])
+        assert parse_canonical(format_canonical(traj)).equals(traj)
+        for column in range(3):
+            cols = [at, at, [-MAX_TIMESTAMP, MAX_TIMESTAMP]]
+            cols[column] = [cols[column][0], np.nextafter(cols[column][1], np.inf)]
+            with pytest.raises(ValueError, match="^" + self.MESSAGE):
+                Trajectory(*cols, [1, 1], [1, 1])

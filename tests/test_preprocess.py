@@ -1,12 +1,16 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from sigverify import (PreprocessConfig, Trajectory, describe, generate_synthetic_corpus,
                        normalize_extent, orientation_angle, preprocess, rasterize,
                        rotate, smooth)
+from sigverify.dataset import MAX_COORDINATE, MAX_TIMESTAMP
 from sigverify.preprocess import _walk
 
 import reference_pipeline as ref
@@ -22,6 +26,25 @@ def traj_from_xy(x, y, t=None, pressure=None, pen_down=None, **meta):
 
 def columns(tr):
     return tr.x, tr.y, tr.t, tr.pressure, tr.pen_down
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sample_columns(draw):
+    """Columns for a Trajectory: x, y and t within the sample limits or anywhere
+    in the finite range, t sorted, pressures any non-negative float."""
+    n = draw(st.integers(2, 12))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    coordinate = st.sampled_from([st.floats(-MAX_COORDINATE, MAX_COORDINATE), FINITE])
+    x, y = (column(draw(coordinate)) for _ in "xy")
+    t = sorted(column(draw(st.sampled_from([st.floats(-MAX_TIMESTAMP, MAX_TIMESTAMP),
+                                            FINITE]))))
+    return x, y, t, column(st.floats(0.0, allow_infinity=False)), column(st.booleans())
 
 
 class TestOrientationAngle:
@@ -308,9 +331,43 @@ class TestFullPipeline:
         corpus = generate_synthetic_corpus(seed=33, n_users=1, n_genuine=1, n_forgery=0)
         tr = corpus.all_trajectories()[0]
         x, y = (((v - v.min()) / np.ptp(v) - 0.5) * spread for v in (tr.x, tr.y))
-        huge = Trajectory(x, y, tr.t, tr.pressure, tr.pen_down)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="must not exceed"):
+            Trajectory(x, y, tr.t, tr.pressure, tr.pen_down)
+        # columns set after validation: the stages refuse them too, without a warning
+        huge = Trajectory(tr.x, tr.y, tr.t, tr.pressure, tr.pen_down)
+        huge.x, huge.y = x, y
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(ValueError):
                 preprocess(huge)
             with pytest.raises(ValueError):
                 describe(huge, tiny_model)
+
+    def test_timestamps_a_subnormal_step_apart_raise_without_a_warning(self, tiny_model):
+        n = 12
+        x, y = np.cos(np.arange(n)) * 50.0, np.sin(np.arange(n)) * 30.0
+        tr = traj_from_xy(x, y, t=np.arange(n) * 1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="the spline overflows"):
+                describe(tr, tiny_model)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cols=sample_columns())
+    # a spline that overshoots by about 1e159 past samples within the limits
+    @example(cols=([0, 1e9, 0, 0, 1, 2, 3, 4], [0, 2, 1, 3, 2, 4, 3, 5],
+                   [0, 1e-150, 5e17, 6e17, 7e17, 8e17, 9e17, 1e18], [1] * 8, [1] * 8))
+    # an exactly linear stroke whose pressure slope overflows over a subnormal step
+    @example(cols=([k * 2.0**-500 for k in range(8)],
+                   [v * 2.0**-500 for v in (0, 0, 0, 0, 5, 1, 3, 2)],
+                   [k * 2.0**-1000 for k in range(8)], [0, 1.7e308, 0, 1.7e308, 1, 1, 1, 1],
+                   [1, 1, 1, 1, 0, 0, 0, 0]))
+    def test_any_finite_input_is_described_or_refused_without_a_warning(self, cols,
+                                                                        tiny_model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                values = describe(Trajectory(*cols), tiny_model).values
+            except ValueError:
+                return
+        assert np.all((values > 0) & (values < 1))
