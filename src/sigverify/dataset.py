@@ -69,7 +69,7 @@ class Trajectory:
     __slots__ = ("x", "y", "t", "pressure", "pen_down", "user_id", "label", "source")
 
     def __init__(self, x, y, t, pressure, pen_down,
-                 user_id="anonymous", label=GENUINE, source=""):
+                 user_id="anonymous", label=GENUINE, source="", *, _checked=False):
         self.x = np.asarray(x, dtype=np.float64)
         self.y = np.asarray(y, dtype=np.float64)
         self.t = np.asarray(t, dtype=np.float64)
@@ -84,8 +84,8 @@ class Trajectory:
                 raise ValueError("sample arrays must have equal length")
         if n < 2:
             raise ValueError(f"a trajectory needs at least 2 samples, got {n}")
-        fault = _sample_fault(self.x, self.y, self.t, self.pressure)
-        if fault is not None:
+        # the parsers pass _checked: _read_table has run the rules and named the line
+        if not _checked and (fault := _sample_fault(self.x, self.y, self.t, self.pressure)):
             raise ValueError(fault[1])
         if not user_id:
             raise ValueError("user_id must be non-empty")
@@ -202,7 +202,7 @@ def parse_svc2004(stream, user_id="anonymous", label=GENUINE, source="") -> Traj
         raise ParseError(f"line {lines[0]}: declared {declared} samples "
                          f"but file has {len(x)} data lines")
     return Trajectory(x, y, t, pressure, button != 0,
-                      user_id=user_id, label=label, source=source)
+                      user_id=user_id, label=label, source=source, _checked=True)
 
 
 def parse_canonical(stream, user_id="anonymous", label=GENUINE, source="") -> Trajectory:
@@ -215,17 +215,14 @@ def parse_canonical(stream, user_id="anonymous", label=GENUINE, source="") -> Tr
     if len(x) < 2:
         raise ParseError(f"line {lines[-1]}: need at least 2 samples, got {len(x)}")
     return Trajectory(x, y, t, pressure, pen == 1,
-                      user_id=user_id, label=label, source=source)
+                      user_id=user_id, label=label, source=source, _checked=True)
 
 
 def format_canonical(traj: Trajectory) -> str:
     """Serialize a trajectory to canonical format (exact round trip)."""
-    out = ["x y t p d"]
-    for i in range(len(traj)):
-        out.append(f"{float(traj.x[i])!r} {float(traj.y[i])!r} "
-                   f"{float(traj.t[i])!r} {float(traj.pressure[i])!r} "
-                   f"{1 if traj.pen_down[i] else 0}")
-    return "\n".join(out) + "\n"
+    rows = zip(*(c.tolist() for c in (traj.x, traj.y, traj.t, traj.pressure, traj.pen_down)))
+    lines = [f"{x!r} {y!r} {t!r} {p!r} {1 if d else 0}\n" for x, y, t, p, d in rows]
+    return "x y t p d\n" + "".join(lines)
 
 
 _PARSERS = {"svc2004": parse_svc2004, "canonical": parse_canonical}
@@ -256,11 +253,8 @@ class Corpus:
         return sorted(self.users)
 
     def all_trajectories(self) -> list[Trajectory]:
-        out = []
-        for uid in self.user_ids():
-            out.extend(self.users[uid].genuine)
-            out.extend(self.users[uid].skilled_forgeries)
-        return out
+        return [traj for uid in self.user_ids()
+                for traj in self.users[uid].genuine + self.users[uid].skilled_forgeries]
 
 
 def load_corpus(root, layout="canonical") -> Corpus:

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
 
 from . import container
+from ._lapack import dpotrf, dpotrs
 from .descriptor import Descriptor
 
 # isotropic floor added to a shrunk covariance that is not positive definite

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from ._lapack import dgtsv
 
 
 @dataclass(frozen=True)

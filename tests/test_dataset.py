@@ -108,6 +108,39 @@ class TestCanonicalFormat:
             parse_canonical(text)
 
 
+class TestValidateOnce:
+    """A parsed file runs the trajectory rules once, in the reader that names the line."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls, original = [], dataset._sample_fault
+
+        def counting(*cols):
+            calls.append(len(cols[0]))
+            return original(*cols)
+
+        monkeypatch.setattr(dataset, "_sample_fault", counting)
+        return calls
+
+    def test_each_parse_checks_the_samples_once(self, calls):
+        parse_canonical("x y t p d\n0 0 0 1 1\n1 1 1 1 0\n")
+        assert calls == [2]
+        parse_svc2004(TestSvcFormat.TEXT)
+        assert calls == [2, 3]
+
+    def test_a_direct_construction_still_checks(self, calls):
+        with pytest.raises(ValueError, match="non-decreasing"):
+            Trajectory([0, 1], [0, 1], [5, 4], [1, 1], [True, True])
+        assert calls == [2]
+
+    def test_a_sample_fault_precedes_the_declared_count_and_header(self, calls):
+        with pytest.raises(ParseError, match="^line 3: timestamps must be non-decreasing$"):
+            parse_svc2004("5\n0 0 5 1 0 0 1\n1 1 4 1 0 0 1\n")
+        with pytest.raises(ParseError, match="^line 2: pressures must be non-negative$"):
+            parse_canonical("x y t p q\n0 0 0 -1 1\n1 1 1 1 0\n")
+        assert calls == [2, 2]
+
+
 class TestInputLimits:
     """Fixed size limits, tested at small values patched in (no large files)."""
 

@@ -141,6 +141,11 @@ class TestAuc:
         # most of the import time of every command
         assert leaves_unloaded("import sigverify, sigverify.cli", "scipy.interpolate")
 
+    def test_importing_the_package_and_cli_leaves_scipy_linalg_unloaded(self):
+        # the three LAPACK routines are loaded by file (sigverify._lapack):
+        # scipy.linalg's package init was half the cold start of a command
+        assert leaves_unloaded("import sigverify, sigverify.cli", "scipy.linalg")
+
 
 def leaves_unloaded(statement: str, module: str) -> bool:
     """Whether ``statement`` runs in a fresh interpreter without loading ``module``."""
