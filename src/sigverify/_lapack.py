@@ -21,7 +21,7 @@ def routines():
             spec = spec_from_file_location(NAME, path, loader=ExtensionFileLoader(NAME, path))
             flapack = module_from_spec(spec)
             spec.loader.exec_module(flapack)
-            sys.modules[NAME] = flapack  # scipy.linalg, if imported later, reuses it
+            sys.modules.pop(NAME, None)  # a later scipy.linalg binds its own: same routines
         return flapack.dgtsv, flapack.dpotrf, flapack.dpotrs
     except (ImportError, OSError, AttributeError, StopIteration):  # no file, or it failed
         from scipy.linalg.lapack import dgtsv, dpotrf, dpotrs

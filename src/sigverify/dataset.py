@@ -144,14 +144,14 @@ def _read_bounded(stream) -> str:
     return "".join(parts)
 
 
-def _read_table(stream, width: int, columns: tuple, flag: bool = False):
+def _read_table(stream, width: int, columns: tuple, pen: int | None = None):
     """Header tokens, file lines and sample columns of a signature file.
 
     Returns the tokens of the first non-blank line, the 1-based file line
     of it and of each data line (blank lines count), and the fields at
     ``columns`` (x, y, t, pressure, pen) as a ``(5, samples)`` float array.
     ParseError names the line of an empty file, a wrong field count, a pen
-    field not exactly 0 or 1 (with ``flag``), a non-numeric field or a
+    field (at index ``pen``) not exactly 0 or 1, a non-numeric field or a
     sample that breaks a trajectory rule; it names the limit a file of
     more than ``MAX_FILE_CHARS`` characters or ``MAX_SAMPLES`` samples
     exceeds.  At most ``MAX_FILE_CHARS + 1`` characters are read from a stream.
@@ -169,23 +169,41 @@ def _read_table(stream, width: int, columns: tuple, flag: bool = False):
     if len(rows) > MAX_SAMPLES + 1:
         raise ParseError(f"line {lines[MAX_SAMPLES + 1]}: more samples than "
                          f"the limit of {MAX_SAMPLES}")
+    if (table := _table(rows[1:], width, pen)) is None:
+        table = _line_table(lines, rows, width, pen)
+    cols = table.T[list(columns)]
+    fault = _sample_fault(*cols[:4])
+    if fault is not None:
+        raise ParseError(f"line {lines[fault[0] + 1]}: {fault[1]}")
+    return rows[0], lines, cols
+
+
+def _table(rows, width: int, pen):
+    """The data rows as one float array, every field converted at once (numpy
+    reads a str with ``float()``), or None if the per-line loop must name a line."""
+    try:
+        table = np.array(rows, dtype=np.float64)
+    except ValueError:  # a ragged row or a non-numeric field
+        return None
+    fits = table.shape[1:] == (width,) and (pen is None or {r[pen] for r in rows} <= {"0", "1"})
+    return table if fits else None
+
+
+def _line_table(lines, rows, width: int, pen):
+    """``_table`` line by line: ParseError names the first line with a wrong
+    field count, a pen field not exactly 0 or 1, or a non-numeric field."""
     values = []
     for n, fields in zip(lines[1:], rows[1:]):
         if len(fields) != width:
             raise ParseError(f"line {n}: expected {width} fields, got {len(fields)}")
-        if flag and fields[columns[4]] not in ("0", "1"):
-            raise ParseError(
-                f"line {n}: pen-down flag must be 0 or 1, got {fields[columns[4]]!r}")
+        if pen is not None and fields[pen] not in ("0", "1"):
+            raise ParseError(f"line {n}: pen-down flag must be 0 or 1, got {fields[pen]!r}")
         for tok in fields:
             try:
                 values.append(float(tok))
             except ValueError:
                 raise ParseError(f"line {n}: non-numeric field {tok!r}") from None
-    cols = np.array(values).reshape(-1, width).T[list(columns)]
-    fault = _sample_fault(*cols[:4])
-    if fault is not None:
-        raise ParseError(f"line {lines[fault[0] + 1]}: {fault[1]}")
-    return rows[0], lines, cols
+    return np.array(values).reshape(-1, width)
 
 
 def parse_svc2004(stream, user_id="anonymous", label=GENUINE, source="") -> Trajectory:
@@ -207,8 +225,7 @@ def parse_svc2004(stream, user_id="anonymous", label=GENUINE, source="") -> Traj
 
 def parse_canonical(stream, user_id="anonymous", label=GENUINE, source="") -> Trajectory:
     """Parse one canonical-format signature file."""
-    header, lines, (x, y, t, pressure, pen) = _read_table(stream, 5, (0, 1, 2, 3, 4),
-                                                          flag=True)
+    header, lines, (x, y, t, pressure, pen) = _read_table(stream, 5, (0, 1, 2, 3, 4), pen=4)
     if header != ["x", "y", "t", "p", "d"]:
         raise ParseError(
             f"line {lines[0]}: expected header 'x y t p d', got {' '.join(header)!r}")

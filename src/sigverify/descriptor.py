@@ -83,8 +83,8 @@ def _dense_whitened(traj: Trajectory, model: DescriptorModel) -> np.ndarray:
 
 def describe(traj: Trajectory, model: DescriptorModel) -> Descriptor:
     """Mean-pooled hidden activations over the signature's dense patches."""
-    white = _dense_whitened(traj, model)
-    values = encode(model.ae, white).mean(axis=0)
+    hidden = encode(model.ae, _dense_whitened(traj, model))
+    values = np.add.reduce(hidden, axis=0) / len(hidden)  # ndarray.mean's sum and divide
     return Descriptor(values=values, user_id=traj.user_id, label=traj.label)
 
 

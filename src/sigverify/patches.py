@@ -6,11 +6,11 @@ all time values row-major) into a vector of length 2 * size * size.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .preprocess import SignatureImage
 
@@ -39,26 +39,40 @@ class PatchConfig:
         return 2 * self.size * self.size
 
 
+@functools.cache
+def _geometry(side: int, size: int, stride: int):
+    """Read-only ``(cover, cover.T, rows, cols)`` of a square image, built once a
+    shape: ``cover[w, x]`` (float64) says whether the window at offset ``stride * w``
+    spans pixel x; ``rows``, ``cols`` are the grid's top-left offsets, row-major."""
+    starts, pixels = np.arange(0, side - size + 1, stride), np.arange(side)
+    cover = ((starts[:, None] <= pixels) & (pixels < starts[:, None] + size)).astype(np.float64)
+    out = (cover, cover.T.copy(), np.repeat(starts, len(starts)), np.tile(starts, len(starts)))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _inked(image: SignatureImage, cfg: PatchConfig, stride: int) -> np.ndarray:
     """Boolean map over the top-left offsets 0, stride, 2 stride, ... on
     both axes: does the patch there have a pressure value above
     ``blank_threshold``?  (Its negation is the blank test.)  The count of
-    such pixels in every patch is ``cover @ ink @ cover.T``, where
-    ``cover[w, x]`` says whether window w spans pixel x; the counts are
-    small integers, exact in float64."""
-    starts = np.arange(0, image.side - cfg.size + 1, stride)
-    pixels = np.arange(image.side)
-    cover = (starts[:, None] <= pixels) & (pixels < starts[:, None] + cfg.size)
+    such pixels in every patch is ``cover @ ink @ cover.T`` (see
+    ``_geometry``); the counts are small integers, exact in float64."""
+    cover, cover_t, _, _ = _geometry(image.side, cfg.size, stride)
     ink = ~(image.pressure <= cfg.blank_threshold)
-    return cover @ ink.astype(np.float64) @ cover.T > 0
+    return cover @ ink.astype(np.float64) @ cover_t > 0
 
 
 def _gather(channels, rows, cols, size: int) -> np.ndarray:
     """Patch vectors at the given top-left offsets, one per row, of the
-    (pressure, time) channel pair."""
-    return np.concatenate(
-        [sliding_window_view(channel, (size, size))[rows, cols].reshape(len(rows), -1)
-         for channel in channels], axis=1)
+    (pressure, time) channel pair.  Each channel's windows are the strided
+    view ``sliding_window_view(channel, (size, size))`` builds, made directly."""
+    parts = []
+    for c in map(np.ascontiguousarray, channels):
+        windows = np.ndarray((c.shape[0] - size + 1, c.shape[1] - size + 1, size, size),
+                             c.dtype, c, 0, c.strides * 2)
+        parts.append(windows[rows, cols].reshape(len(rows), -1))
+    return np.concatenate(parts, axis=1)
 
 
 def _compact(image: SignatureImage):
@@ -85,8 +99,7 @@ def extract_dense(image: SignatureImage, cfg: PatchConfig) -> np.ndarray:
     side = image.side
     if side < cfg.size:
         raise ValueError(f"image side {side} is smaller than patch size {cfg.size}")
-    grid = np.arange(0, side - cfg.size + 1, cfg.stride)
-    rows, cols = np.repeat(grid, len(grid)), np.tile(grid, len(grid))
+    *_, rows, cols = _geometry(side, cfg.size, cfg.stride)
     if cfg.skip_blank:
         keep = _inked(image, cfg, cfg.stride).ravel()
         rows, cols = (rows[keep], cols[keep]) if keep.any() else (rows[:1], cols[:1])

@@ -75,8 +75,7 @@ def _natural_spline(k, v, at):
     *_, s, info = dgtsv(off[2:], diag, off[:-2], rhs)
     t = (s[:-1] + s[1:] - 2 * slope) / h
     i = np.searchsorted(k[1:-1], at, "right")  # at in [k[i], k[i + 1]), clipped to 0..n-2
-    c0, c1, c2, c3 = (np.take(c, i, axis=0) for c in (0.0 + v[:-1], s[:-1],
-                                                      (slope - s[:-1]) / h - t, t / h))
+    c0, c1, c2, c3 = (c[i] for c in (0.0 + v[:-1], s[:-1], (slope - s[:-1]) / h - t, t / h))
     d = (at - k[i])[:, None]
     out = c0 + c1 * d + c2 * (d * d) + c3 * (d * d * d)
     if info or not np.isfinite(out).all():
@@ -108,28 +107,33 @@ def smooth(x, y, t, pressure, pen_down, cfg: PreprocessConfig):
         raise ValueError("smooth needs finite x, y and t, with t non-decreasing")
     spp = cfg.spline_points_per_segment
     inner = np.arange(1, spp)
-    edges = np.diff(pen_down.astype(np.int8), prepend=0, append=0)
-    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    flags = np.zeros(len(pen_down) + 2, dtype=np.int8)
+    flags[1:-1] = pen_down
+    edges = np.flatnonzero(flags[1:] != flags[:-1])  # start, stop, start, stop, ...
     pieces = []  # one tuple of column slices per pass-through run or stroke
     cursor = 0
-    for start, stop in zip(starts, stops):
+    for start, stop in zip(edges[::2], edges[1::2]):
         ts = t[start:stop]
-        dt = np.diff(ts)
+        dt = ts[1:] - ts[:-1]
         keep = np.concatenate(([True], dt > 0))
-        if stop - start < 4 or keep.sum() < 4:
+        kept = np.count_nonzero(keep)
+        if stop - start < 4 or kept < 4:
             continue  # a short stroke passes through with its neighbours
         pieces.append(tuple(col[cursor:start] for col in columns))
         cursor = stop
-        xy = np.column_stack((x[start:stop], y[start:stop]))[keep]
+        xy = np.empty((kept, 2))
+        xy[:, 0], xy[:, 1] = x[start:stop][keep], y[start:stop][keep]
         # row i: the inserted times of segment i (kept only when it has
         # positive length), then the sample time ts[i + 1]
         step = dt / spp
         block = np.empty((len(ts) - 1, spp))
         block[:, :-1] = ts[:-1, None] + step[:, None] * inner
         block[:, -1] = ts[1:]
-        mask = np.ones(block.shape, dtype=bool)
-        mask[:, :-1] = keep[1:, None]
-        eval_t = np.concatenate((ts[:1], block[mask]))
+        if kept < len(ts):
+            mask = np.ones(block.shape, dtype=bool)
+            mask[:, :-1] = keep[1:, None]
+            block = block[mask]
+        eval_t = np.concatenate((ts[:1], block.ravel()))
         xy_out = _natural_spline(ts[keep], xy, eval_t)
         p_out = np.interp(eval_t, ts, pressure[start:stop])
         if not np.isfinite(p_out).all():  # a slope over a subnormal time step overflows
@@ -234,16 +238,13 @@ def rasterize(x, y, t, pressure, pen_down, cfg: PreprocessConfig) -> SignatureIm
     in the last bit; the point, written later, wins.)
     """
     side = cfg.canvas
-    lo = np.array([x.min(), y.min()])
-    hi = np.array([x.max(), y.max()])
-    if not (lo.min() >= -1e-6 and hi.max() <= 100.0 + 1e-6):  # NaN fails too
+    if not (x.min() >= -1e-6 and y.min() >= -1e-6 and x.max() <= 100.0 + 1e-6
+            and y.max() <= 100.0 + 1e-6):  # NaN fails too
         raise ValueError("rasterize expects coordinates normalized to [0, 100]")
 
     scale = (side - 1) / 100.0
-    cols = np.floor(x * scale + 0.5).astype(int)
-    rows = np.floor((100.0 - y) * scale + 0.5).astype(int)
-    cols = np.clip(cols, 0, side - 1)
-    rows = np.clip(rows, 0, side - 1)
+    cols = np.minimum(np.maximum(np.floor(x * scale + 0.5).astype(int), 0), side - 1)
+    rows = np.minimum(np.maximum(np.floor((100.0 - y) * scale + 0.5).astype(int), 0), side - 1)
 
     t_min, t_max = float(t.min()), float(t.max())
     t_span = t_max - t_min
@@ -253,19 +254,22 @@ def rasterize(x, y, t, pressure, pen_down, cfg: PreprocessConfig) -> SignatureIm
     j = np.where(np.append(pen_down[1:], False)[i], i + 1, i)
     pix_rows, pix_cols, lengths, walk, k = _walk(rows[i], cols[i], rows[j], cols[j])
     where = pix_rows * side + pix_cols
-    # the last write to each pixel wins: first occurrence in reverse order
-    _, from_end = np.unique(where[::-1], return_index=True)
-    last = len(where) - 1 - from_end
+    # the last write to each pixel wins: the last of each run of a stable sort
+    order = np.argsort(where, kind="stable")
+    ordered = where[order]
+    ends = np.ones(len(order), dtype=bool)
+    ends[:-1] = ordered[1:] != ordered[:-1]
+    last = order[ends]
     walk, k, where = walk[last], k[last], where[last]
     s = k / np.maximum(lengths - 1, 1)[walk]
     i, j = i[walk], j[walk]
-    image = SignatureImage(pressure=np.zeros((side, side)), time=np.zeros((side, side)))
-    for canvas, v in ((image.pressure, pressure), (image.time, tn)):
-        canvas.flat[where] = v[i] + s * (v[j] - v[i])
-
-    peak = image.pressure.max()
+    drawn = pressure[i] + s * (pressure[j] - pressure[i])
+    peak = drawn.max(initial=0.0)  # the canvas maximum: every other pixel is 0
     if peak > 0:
-        image.pressure /= peak
+        drawn /= peak
+    image = SignatureImage(pressure=np.zeros((side, side)), time=np.zeros((side, side)))
+    image.pressure.ravel()[where] = drawn
+    image.time.ravel()[where] = tn[i] + s * (tn[j] - tn[i])
     return image
 
 

@@ -19,6 +19,7 @@ from sigverify import (PatchConfig, PreprocessConfig, SignatureImage, Trajectory
                        extract_dense, generate_synthetic_corpus, normalize_extent,
                        orientation_angle, preprocess, rasterize, rotate,
                        sample_training_patches, smooth)
+from sigverify.patches import _geometry
 from sigverify.preprocess import _walk
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -132,6 +133,17 @@ class TestRasterize:
         assert_images_equal(img, ref.rasterize(traj, cfg))
         assert not img.pressure.any()
 
+    @pytest.mark.parametrize("canvas", [16, 101])
+    @pytest.mark.parametrize("pen", [[0] * 7, [0, 0, 0, 1, 0, 0, 0]])
+    def test_an_empty_walk_and_a_lone_point_match_the_scalar_raster(self, pen, canvas):
+        rng = np.random.default_rng(len(pen) + canvas)
+        traj = Trajectory(rng.uniform(0, 100, 7), rng.uniform(0, 100, 7), np.arange(7.0),
+                          rng.uniform(0.1, 1, 7), np.array(pen, dtype=bool))
+        cfg = PreprocessConfig(canvas=canvas)
+        img = rasterize(*columns(traj), cfg)
+        assert_images_equal(img, ref.rasterize(traj, cfg))
+        assert np.count_nonzero(img.pressure) == sum(pen)
+
 
 class TestWalk:
     ENDS = st.integers(0, 150)
@@ -207,6 +219,29 @@ class TestExtractDense:
         out = extract_dense(image, cfg)
         assert_patches_equal(out, ref.extract_dense(image, cfg))
         assert out.shape == (1, 32)
+
+
+class TestPatchGeometry:
+    def test_each_shape_gets_its_own_geometry(self):
+        """Two canvas sizes and two strides in turn, twice: a geometry cached
+        under too short a key would give one shape the other's windows."""
+        rng = np.random.default_rng(11)
+        images = {side: SignatureImage(
+            pressure=rng.uniform(size=(side, side)) * (rng.uniform(size=(side, side)) < 0.1),
+            time=rng.uniform(size=(side, side))) for side in (17, 23)}
+        for _ in range(2):
+            for side, image in images.items():
+                for stride in (2, 3):
+                    cfg = PatchConfig(size=5, stride=stride, train_count=40)
+                    assert_patches_equal(extract_dense(image, cfg),
+                                         ref.extract_dense(image, cfg))
+                    assert_patches_equal(sample_training_patches([image], cfg, seed=side),
+                                         ref.sample_training_patches([image], cfg, seed=side))
+
+    def test_the_cached_geometry_is_read_only(self):
+        for a in _geometry(17, 5, 2):
+            with pytest.raises(ValueError, match="read-only"):
+                a[...] = 0
 
 
 class TestSampleTrainingPatches:

@@ -88,3 +88,9 @@ assert sys.modules[_lapack.NAME].dgtsv is _lapack.dgtsv
 for name in ("dgtsv", "dpotrf", "dpotrs"):
     assert getattr(lapack, name) is getattr(_lapack, name), name
 """)
+
+
+def test_scipy_linalg_imported_later_has_its_own_flapack_attribute():
+    run_fresh("""import sigverify, scipy.linalg
+assert scipy.linalg._flapack.dpotrf is sigverify._lapack.dpotrf
+""")

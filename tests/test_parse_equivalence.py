@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import reference_pipeline as ref
 from sigverify import (ParseError, Trajectory, format_canonical, parse_canonical,
                        parse_svc2004)
+from sigverify import dataset
 from sigverify.dataset import MAX_COORDINATE, MAX_TIMESTAMP, OUT_OF_BOUNDS
 
 SETTINGS = settings(max_examples=150, deadline=None,
@@ -296,3 +297,81 @@ class TestSampleLimits:
             cols[column] = [cols[column][0], np.nextafter(cols[column][1], np.inf)]
             with pytest.raises(ValueError, match="^" + self.MESSAGE):
                 Trajectory(*cols, [1, 1], [1, 1])
+
+
+def canonical(*rows, end="\n"):
+    return end.join(["x y t p d", *rows]) + end
+
+
+def svc(*rows, end="\n"):
+    return end.join([str(len(rows)), *rows]) + end
+
+
+# (layout, text, whether the single conversion reads every data row) for the
+# places where str.splitlines, str.split and numpy's field conversion could
+# part ways; str.splitlines also breaks lines at \x0b, \x0c, \x1c, \x85 and \u2028
+BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+EDGE_FILES = {
+    "canonical CRLF": ("canonical", canonical("0 0 0 1 1", "1 1 1 1 1", end="\r\n"), True),
+    "svc CRLF": ("svc2004", svc("0 0 0 1 0 0 1", "1 1 1 1 0 0 1", end="\r\n"), True),
+    "canonical blank lines": (
+        "canonical", "\n \nx y t p d\n\t\n0 0 0 1 1\n\n  \n1 1 1 1 1\n \n", True),
+    "svc blank lines": ("svc2004", "\n2\n \n0 0 0 1 0 0 1\n\t \n\n1 1 1 1 0 0 1\n", True),
+    "blank lines before a bad field": (
+        "canonical", "x y t p d\n\n \t\n0 0 0 1 1\n\n1 zz 1 1 1\n", False),
+    **{f"canonical {b!r} in a data line": (
+        "canonical", canonical("0 0 0 1 1", f"1 1{b}1 1 1", "2 2 2 1 1"), False) for b in BREAKS},
+    **{f"svc {b!r} in a data line": (
+        "svc2004", svc("0 0 0 1 0 0 1", f"1 1 1 1{b}0 0 1"), False) for b in BREAKS},
+    **{f"{b!r} ending a data line": (
+        "canonical", canonical(f"0 0 0 1 1{b}", "1 1 1 1 1"), True) for b in BREAKS},
+    "canonical no-break space": ("canonical", canonical("0\xa00 0 1 1", "1 1 1\xa01 1"), True),
+    "svc no-break space": ("svc2004", svc("0 0 0\xa01 0 0 1", "1 1 1 1 0 0\xa01"), True),
+    "canonical 1_0 and non-ASCII digits": (
+        "canonical", canonical("1_0 \u0661\u0662 0 1 1", "\uff11 \u0e51_0 1 1_0 1"), True),
+    "svc 1_0 and non-ASCII digits": (
+        "svc2004", svc("1_0 \u0661\u0662 0 1_0 0 0 1", "1 1 1 \u0661 0 0 1"), True),
+    "a bad underscore": ("canonical", canonical("0 0 0 1 1", "1__0 1 1 1 1"), False),
+    **{f"canonical pen flag {f}": ("canonical", canonical("0 0 0 1 1", f"1 1 1 1 {f}"), False)
+       for f in ("1.0", "+1", "01")},
+    **{f"svc button {f}": ("svc2004", svc("0 0 0 1 0 0 1", f"1 1 1 {f} 0 0 1"), True)
+       for f in ("1.0", "+1", "01")},
+    "canonical ragged row": ("canonical", canonical("0 0 0 1 1", "1 1 1 1", "2 2 2 1 1 1"), False),
+    "svc ragged row": ("svc2004", svc("0 0 0 1 0 0 1", "1 1 1 1 0 0 1 1"), False),
+    "a short row in every line": ("canonical", canonical("0 0 0 1", "1 1 1 1"), False),
+    **{f"canonical {v} field": ("canonical", canonical("0 0 0 1 1", f"1 {v} 1 1 1"), True)
+       for v in ("nan", "-inf", "Infinity")},
+    **{f"svc {v} field": ("svc2004", svc("0 0 0 1 0 0 1", f"1 1 1 1 0 {v} 1"), True)
+       for v in ("nan", "inf")},
+    "svc nan pressure": ("svc2004", svc("0 0 0 1 0 0 1", "1 1 1 1 0 0 nan"), True),
+    "header only": ("canonical", canonical(), False),
+}
+
+
+def outcome(parse, text):
+    """The trajectory a parse gives, or its ParseError text."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_the_single_conversion_parses_as_the_per_line_loop(name, monkeypatch):
+    layout, text, converted = EDGE_FILES[name]
+    parse = PARSERS[layout][0]
+    tables, convert = [], dataset._table
+
+    def spy(*args):
+        tables.append(convert(*args))
+        return tables[-1]
+
+    monkeypatch.setattr(dataset, "_table", spy)
+    fast = outcome(parse, text)
+    assert [t is not None for t in tables] == [converted]
+    monkeypatch.setattr(dataset, "_table", lambda *args: None)
+    by_line = outcome(parse, text)
+    if isinstance(by_line, str):
+        assert fast == by_line
+    else:
+        assert isinstance(fast, Trajectory) and fast.equals(by_line)

@@ -320,6 +320,33 @@ class TestFullPipeline:
             frac_diff = np.mean(a.pressure != b.pressure)
             assert frac_diff < 0.01
 
+    @pytest.fixture(scope="class")
+    def upright(self):
+        """The acceptance corpus (360 signatures) and its images."""
+        corpus = generate_synthetic_corpus(seed=202, n_users=20, n_genuine=12, n_forgery=6)
+        return [(tr, preprocess(tr)) for tr in corpus.all_trajectories()]
+
+    @staticmethod
+    def changed_by_rotation(upright, degrees):
+        """How many images a rotation of the input about the origin changes."""
+        c, s = math.cos(math.radians(degrees)), math.sin(math.radians(degrees))
+        changed = 0
+        for tr, image in upright:
+            turned = preprocess(Trajectory(tr.x * c - tr.y * s, tr.x * s + tr.y * c, tr.t,
+                                           tr.pressure, tr.pen_down, user_id=tr.user_id))
+            changed += not (np.array_equal(turned.pressure, image.pressure)
+                            and np.array_equal(turned.time, image.time))
+        return changed
+
+    @pytest.mark.parametrize("degrees", [15, 30, 45])
+    def test_rotation_up_to_45_degrees_gives_bit_identical_images(self, upright, degrees):
+        assert self.changed_by_rotation(upright, degrees) == 0
+
+    def test_a_half_turn_changes_every_image(self, upright):
+        """A known limit: the principal axis is fixed only modulo pi, so a
+        signature turned by 180 degrees is drawn upside down."""
+        assert self.changed_by_rotation(upright, 180) == len(upright)
+
     def test_perfectly_collinear_input_raises_cleanly(self):
         tr = traj_from_xy(np.arange(10.0), 2.0 * np.arange(10.0) + 1.0)
         with pytest.raises(ValueError, match="degenerate extent"):
