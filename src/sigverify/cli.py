@@ -212,12 +212,12 @@ def cmd_verify(args, cfg) -> int:
 def cmd_evaluate(args, cfg) -> int:
     model = load_model(Path(args.model))
     corpus = _load_corpus_arg(args, cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     report = run_experiment(corpus, model, k=cfg["eval.folds"],
                             reg=cfg["oneclass.reg"], seed=cfg["seed"])
     _warn(*report.warnings)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # only once the experiment succeeded
     (out / "report.txt").write_text(format_report(report))
     (out / "scores.csv").write_text(scores_csv(report))
     for uid, result in sorted(report.per_user.items()):

@@ -22,6 +22,7 @@ A corpus on disk is laid out as ``<root>/<user>/{genuine,forgery}/*.txt``.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -285,7 +286,7 @@ def load_corpus(root, layout="canonical") -> Corpus:
     parse = parser_for(layout)
     if not root.is_dir():
         raise FileNotFoundError(f"corpus root {root} does not exist")
-    source = root.name
+    source = os.path.basename(os.path.abspath(root))  # not '' for '.', nor '..'
     corpus = Corpus(source=source)
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         uid = user_dir.name

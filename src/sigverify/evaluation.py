@@ -10,6 +10,7 @@ scores at or below t.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,15 +24,18 @@ LABELS = ("genuine", "skilled", "random")
 
 @dataclass
 class ScoreSet:
+    """Genuine and forgery scores, each held as a sorted float64 copy."""
+
     genuine: np.ndarray
     forgery: np.ndarray
 
     def __post_init__(self):
-        self.genuine = np.asarray(self.genuine, dtype=np.float64)
-        self.forgery = np.asarray(self.forgery, dtype=np.float64)
-        if self.genuine.size == 0 or self.forgery.size == 0:
+        g = self.genuine = np.sort(np.asarray(self.genuine, dtype=np.float64))
+        f = self.forgery = np.sort(np.asarray(self.forgery, dtype=np.float64))
+        if g.size == 0 or f.size == 0:
             raise ValueError("a score set needs both genuine and forgery scores")
-        if not (np.all(np.isfinite(self.genuine)) and np.all(np.isfinite(self.forgery))):
+        # sorted, -inf comes first and +inf and NaN last: only the ends can fail
+        if not all(map(math.isfinite, (g[0], g[-1], f[0], f[-1]))):
             raise ValueError("scores must be finite")
 
 
@@ -115,11 +119,8 @@ def roc(scores: ScoreSet) -> RocCurve:
     (far 1, frr 0).  Thresholds are strictly increasing; far is
     non-decreasing and frr non-increasing along the curve.
     """
-    return _roc_sorted(np.sort(scores.genuine), np.sort(scores.forgery))
-
-
-def _roc_sorted(genuine: np.ndarray, forgery: np.ndarray) -> RocCurve:
-    """``roc`` of sorted scores; a stable sort (timsort) merges the two runs."""
+    genuine, forgery = scores.genuine, scores.forgery
+    # both sides are sorted, so a stable sort (timsort) merges the two runs
     pooled = np.sort(np.concatenate([genuine, forgery]), kind="stable")
     pooled = pooled[np.concatenate([[True], pooled[1:] != pooled[:-1]])]
     mids = (pooled[:-1] + pooled[1:]) / 2.0
@@ -154,13 +155,10 @@ def eer(curve: RocCurve) -> float:
 
 
 def auc(scores: ScoreSet) -> float:
-    """P(genuine score < forgery score) + 0.5 P(tie), by rank statistic."""
-    return _auc_sorted(np.sort(scores.genuine), scores.forgery)
-
-
-def _auc_sorted(genuine: np.ndarray, forgery: np.ndarray) -> float:
-    """``auc`` of sorted genuine scores.  Twice its numerator, the pairs with
-    genuine < forgery plus those with genuine <= forgery, is an exact integer."""
+    """P(genuine score < forgery score) + 0.5 P(tie), by rank statistic.  Twice its
+    numerator, the pairs with genuine < forgery plus those with genuine <= forgery,
+    is an exact integer."""
+    genuine, forgery = scores.genuine, scores.forgery
     twice = sum(np.searchsorted(genuine, forgery, side).sum() for side in ("left", "right"))
     return float(twice / 2.0 / (genuine.size * forgery.size))
 
@@ -216,26 +214,25 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
             scores = _scores(user_model, np.concatenate([genuine[uid][test_idx], forgeries]))
             a, b = len(test_idx), len(test_idx) + len(skilled[uid])
             parts[uid].append((scores[:a], scores[a:b], scores[b:]))
-        # each fold tests k - 1 genuine blocks of at least one row: only forg can be
-        # empty; each label's scores are sorted once and every rate reads them
-        gen, skl, rnd = (np.sort(np.concatenate(p)) for p in zip(*parts[uid]))
-        forg = np.sort(np.concatenate([skl, rnd]), kind="stable")
+        # each fold tests k - 1 genuine blocks of at least one row: only forg can be empty
+        gen, skl, rnd = (np.concatenate(p) for p in zip(*parts[uid]))
+        forg = np.concatenate([skl, rnd])
         pooled_gen.append(gen)
         pooled_forg.append(forg)
         if forg.size == 0:
             warnings.append(f"user {uid} has no reportable score set; skipped")
             continue
-        ScoreSet(genuine=gen, forgery=forg)  # refuses non-finite scores
-        curve = _roc_sorted(gen, forg)
-        eer_sk = eer(_roc_sorted(gen, skl)) if skl.size else float("nan")
-        eer_rn = eer(_roc_sorted(gen, rnd)) if rnd.size else float("nan")
-        per_user[uid] = UserResult(eer=eer(curve), auc=_auc_sorted(gen, forg),
+        scores = ScoreSet(gen, forg)
+        curve = roc(scores)
+        eer_sk = eer(roc(ScoreSet(gen, skl))) if skl.size else float("nan")
+        eer_rn = eer(roc(ScoreSet(gen, rnd))) if rnd.size else float("nan")
+        per_user[uid] = UserResult(eer=eer(curve), auc=auc(scores),
                                    n_genuine_test=gen.size, n_forgery_test=forg.size,
                                    eer_skilled=eer_sk, eer_random=eer_rn, roc=curve)
 
     if not per_user:
         raise ValueError("; ".join(["no user produced a reportable score set", *warnings]))
-    # roc sorts its input, so pooling per-user arrays in user order changes nothing
+    # a ScoreSet sorts its input, so pooling per-user arrays in user order changes nothing
     pooled = eer(roc(ScoreSet(np.concatenate(pooled_gen), np.concatenate(pooled_forg))))
     return EvalReport(
         per_user=per_user,

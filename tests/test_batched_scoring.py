@@ -132,7 +132,7 @@ class TestRunExperimentOracle:
         rows = ref.run_experiment_rows(corpus, FakeModel(), k, reg, seed, describe)
         assert report.score_rows == rows
         assert scores_csv(report) == ref.scores_csv_rows(rows)
-        # each user's rates, read from scores sorted once, are the ScoreSet functions'
+        # each user's rates are those roc, eer and auc give of the user's ScoreSets
         for uid, result in report.per_user.items():
             side = {label: np.array([r[3] for r in rows if r[0] == uid and r[2] == label])
                     for label in ("genuine", "skilled", "random")}

@@ -483,6 +483,29 @@ class TestEvaluate:
         assert all(line.startswith(("config ", "warning: "))
                    for line in proc.stderr.splitlines()), proc.stderr
 
+    def test_a_corpus_given_as_dot_shares_its_source_tag(self, workspace, tmp_path,
+                                                         monkeypatch, capsys):
+        shutil.copytree(workspace / "corpus", tmp_path / "mine")
+        monkeypatch.chdir(tmp_path / "mine")
+        model = tmp_path / "model.sig"
+        assert main(["learn-descriptor", "--corpus", ".", "--out", str(model),
+                     "--seed", "13"] + FAST) == 0
+        assert main(["evaluate", "--model", str(model), "--corpus", ".",
+                     "--out", str(tmp_path / "report")]) == 0
+        assert ("warning: evaluation corpus shares source tags ['mine'] with the "
+                "descriptor training set\n") in capsys.readouterr().err
+
+    def test_a_failed_experiment_leaves_no_output_directory(self, workspace, tmp_path,
+                                                            capsys):
+        # every user has fewer genuine signatures than folds
+        out = tmp_path / "report"
+        code = main(["evaluate", "--model", str(workspace / "model.sig"),
+                     "--corpus", str(workspace / "corpus"), "--out", str(out),
+                     "--set", "eval.folds=50"])
+        assert code == 1
+        assert "error: no user produced a reportable score set" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("folds, kept, warned", [(3, 3, False), (5, 4, True)])
     def test_exclusion_follows_eval_folds(self, workspace, tmp_path, capsys,
                                           folds, kept, warned):

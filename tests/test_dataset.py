@@ -226,6 +226,16 @@ class TestCorpusIo:
         with pytest.raises(ValueError, match="layout"):
             load_corpus(tmp_path, layout="exotic")
 
+    def test_source_tag_is_the_directory_name_however_the_root_is_spelled(
+            self, tmp_path, tiny_corpus, monkeypatch):
+        save_corpus(tiny_corpus, tmp_path / "c")
+        (tmp_path / "c" / "sub").mkdir()
+        monkeypatch.chdir(tmp_path / "c")
+        for root in (tmp_path / "c", ".", "sub/..", "../c/"):
+            corpus = load_corpus(root)
+            assert corpus.source == "c"
+            assert {t.source for t in corpus.all_trajectories()} == {"c"}
+
     def test_sparse_user_is_flagged(self, tmp_path, tiny_corpus):
         # the loader keeps sparse users as they are; the protocol, with its
         # own k, is the one rule that flags them

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -5,7 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
+import reference_pipeline as ref
 import sigverify
 from sigverify import (Corpus, ScoreSet, UserSignatures, auc, eer,
                        generate_synthetic_corpus, roc, run_experiment,
@@ -53,6 +58,11 @@ def oracle_auc(genuine, forgery):
     return wins / (len(genuine) * len(forgery))
 
 
+# an integer grid forces ties and exact vertices; the bound keeps midpoints finite
+SCORES = st.lists(st.one_of(st.integers(-3, 3).map(float),
+                            st.floats(-1e6, 1e6, allow_nan=False)), min_size=1, max_size=12)
+
+
 def random_score_set(rng):
     n_g = int(rng.integers(1, 13))
     n_f = int(rng.integers(1, 13))
@@ -73,8 +83,32 @@ class TestScoreSet:
             ScoreSet(genuine=[1.0], forgery=[])
 
     def test_rejects_non_finite_scores(self):
-        with pytest.raises(ValueError, match="finite"):
-            ScoreSet(genuine=[1.0, np.nan], forgery=[2.0])
+        # in any position, not only where the input ends
+        for bad, side, at in itertools.product([np.nan, np.inf, -np.inf],
+                                               ["genuine", "forgery"], range(5)):
+            scores = {"genuine": [1.0, 2.0, 3.0, 4.0, 5.0],
+                      "forgery": [2.5, 0.5, 9.0, 1.5, 4.0]}
+            scores[side][at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                ScoreSet(**scores)
+
+    @given(g=SCORES, f=SCORES, data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_holds_sorted_copies_and_rates_ignore_the_input_order(self, g, f, data):
+        g, f = np.array(g), np.array(f)
+        held = ScoreSet(g, f)
+        for kept, raw in ((held.genuine, g), (held.forgery, f)):
+            assert kept.dtype == np.float64 and not np.shares_memory(kept, raw)
+            assert kept.tolist() == sorted(raw.tolist())
+        shuffled = ScoreSet(data.draw(st.permutations(g)), data.draw(st.permutations(f)))
+        ordered = ScoreSet(np.sort(g), np.sort(f))
+        a, b = roc(shuffled), roc(ordered)
+        for name, expect in zip(("far", "frr", "thresholds"), ref.roc(g, f)):
+            assert (getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                    == expect.tobytes())
+        # Mann-Whitney U of the forgeries over the pair count, average ranks for ties
+        u = rankdata(np.concatenate([g, f]))[g.size:].sum() - f.size * (f.size + 1) / 2
+        assert auc(shuffled) == auc(ordered) == u / (g.size * f.size)
 
 
 class TestRoc:
@@ -133,7 +167,7 @@ class TestAuc:
             assert auc(s) == pytest.approx(expect, abs=1e-12)
 
     def test_importing_the_package_leaves_scipy_stats_unloaded(self):
-        # scipy.stats is slow to import and only auc needs it
+        # scipy.stats is slow to import, and the rank-statistic auc does without it
         assert leaves_unloaded("import sigverify", "scipy.stats")
 
     def test_importing_the_package_and_cli_leaves_scipy_interpolate_unloaded(self):
@@ -325,6 +359,30 @@ class TestRunExperiment:
         for uid, folds in splits.items():
             genuine = [r for r in report.score_rows if r[0] == uid and r[2] == "genuine"]
             assert len(genuine) == sum(len(test) for _, test in folds)
+
+    @pytest.mark.parametrize("n_forgery, curves_per_user", [(3, 3), (0, 2)])
+    def test_every_rate_is_read_through_roc_and_auc(self, monkeypatch, n_forgery,
+                                                    curves_per_user):
+        calls = {"roc": 0, "auc": 0}
+
+        def counting(name):
+            real = getattr(evaluation, name)
+
+            def wrapper(scores):
+                calls[name] += 1
+                return real(scores)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(evaluation, name, counting(name))
+        corpus = generate_synthetic_corpus(seed=61, n_users=4, n_genuine=9,
+                                           n_forgery=n_forgery)
+        report = run_experiment(corpus, FakeModel(), k=4, seed=0, describe_fn=stub_describe)
+        users = len(report.per_user)
+        assert users == 4
+        # per user: the pooled curve, each forgery subset that has scores, one auc;
+        # then one curve of every score for the pooled-threshold eer
+        assert calls == {"roc": curves_per_user * users + 1, "auc": users}
 
     def test_subset_rates_are_populated(self, report):
         for result in report.per_user.values():
