@@ -1,9 +1,9 @@
 """Enroll users and verify signatures against their one-class models.
 
 Enrollment fits a Gaussian over a user's genuine descriptors; the score
-of a new signature is its Mahalanobis distance squared (normalized by
-the descriptor length) and the decision threshold comes from the
-enrollment scores themselves.  No forgeries are needed to enroll.
+of a new signature is its squared Mahalanobis distance to the user's
+mean (not divided by the descriptor length) and the decision threshold
+comes from the enrollment scores themselves.  No forgeries are needed to enroll.
 """
 
 import numpy as np

@@ -24,14 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .container import format_value, parse_value
+from .container import bounded, format_value, parse_value
 from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser_for,
                       save_corpus)
 from .descriptor import (CONFIG_GROUPS, config_fields, config_group, describe, load_model,
                          save_model, train_descriptor)
 from .evaluation import format_report, roc_csv, run_experiment, scores_csv
-from .oneclass import (USER_MODEL_FIELDS, _bounded, _scores, calibrate_threshold,
-                       fit_user_model, load_user_model, save_user_model, verify)
+from .oneclass import (USER_MODEL_FIELDS, calibrate_threshold, fit_user_model,
+                       load_user_model, save_user_model, score, verify)
 
 
 def _layout(text: str) -> str:
@@ -47,8 +47,8 @@ DEFAULTS.update({
     "seed": (int, 0),
     "corpus.layout": (_layout, "canonical"),
     "oneclass.reg": (USER_MODEL_FIELDS["reg"], 0.9),
-    "oneclass.quantile": (_bounded(float, lambda v: 0 < v <= 1), 1.0),
-    "eval.folds": (_bounded(int, lambda v: v >= 2), 4),
+    "oneclass.quantile": (bounded(float, lambda v: 0 < v <= 1), 1.0),
+    "eval.folds": (bounded(int, lambda v: v >= 2), 4),
     "synth.users": (int, 10),
     "synth.genuine": (int, 10),
     "synth.forgery": (int, 5),
@@ -166,8 +166,7 @@ def cmd_enroll(args, cfg) -> int:
                 raise ValueError("no genuine signatures")
             values = np.array([describe(t, model).values for t in genuine])
             user_model = fit_user_model(values, reg=cfg["oneclass.reg"], user_id=uid)
-            train_scores = _scores(user_model, values)
-            calibrate_threshold(user_model, train_scores, cfg["oneclass.quantile"])
+            calibrate_threshold(user_model, score(user_model, values), cfg["oneclass.quantile"])
             save_user_model(user_model, target)
             enrolled += 1
             print(f"enrolled {uid}: {len(values)} genuine signatures, "

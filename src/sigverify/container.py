@@ -59,6 +59,15 @@ def parse_value(text: str, kind):
     return kind(text)
 
 
+def bounded(read, valid):
+    """Field reader: ``read(text)``, refused unless the value is ``valid``."""
+    def reader(text):
+        if not valid(value := read(text)):  # NaN fails every comparison
+            raise ValueError(f"{text!r} is out of range")
+        return value
+    return reader
+
+
 def write_container(path, metadata: dict, arrays: dict) -> None:
     chunks = [MAGIC, struct.pack("<I", CONTAINER_VERSION)]
     meta = {key: format_value(value) for key, value in metadata.items()}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dataset import Corpus
 from .descriptor import DescriptorModel, describe
-from .oneclass import _scores, fit_user_model
+from .oneclass import fit_user_model, score
 
 LABELS = ("genuine", "skilled", "random")
 
@@ -211,7 +211,7 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
         parts[uid] = []  # per fold: (genuine, skilled, random) scores
         for train_idx, test_idx in splits[uid]:
             user_model = fit_user_model(genuine[uid][train_idx], reg=reg, user_id=uid)
-            scores = _scores(user_model, np.concatenate([genuine[uid][test_idx], forgeries]))
+            scores = score(user_model, np.concatenate([genuine[uid][test_idx], forgeries]))
             a, b = len(test_idx), len(test_idx) + len(skilled[uid])
             parts[uid].append((scores[:a], scores[a:b], scores[b:]))
         # each fold tests k - 1 genuine blocks of at least one row: only forg can be empty

@@ -75,6 +75,8 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
         descriptors = [d.values if isinstance(d, Descriptor) else d for d in descriptors]
     # np.cov's copy, layout and arithmetic; one row centres to zeros (divisor 1)
     centred = np.array(descriptors, dtype=np.float64).T
+    if centred.ndim != 2 or centred.size == 0:  # n >= 1 above: size 0 is zero width
+        raise ValueError(f"descriptor stack has dimension {centred.T.shape}, expected (n, dim)")
     if not np.all(np.isfinite(centred)):
         raise ValueError("descriptors contain non-finite values")
     h, n = centred.shape
@@ -95,30 +97,24 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
                          reg=reg, n_train=n)
 
 
-def score(model: UserModel, descriptor) -> float:
-    """Squared Mahalanobis distance of a descriptor to the user model."""
+def score(model: UserModel, descriptor) -> float | np.ndarray:
+    """Squared Mahalanobis distance to the model: a float for one descriptor
+    or vector, a float64 array for the rows of a 2-D stack.  One LAPACK
+    ``potrs`` solve, with ``cho_solve``'s finiteness check, serves a stack;
+    each row's score equals the one-vector ``cho_solve`` bit for bit."""
     values = descriptor.values if isinstance(descriptor, Descriptor) else descriptor
     values = np.asarray(values, dtype=np.float64)
-    if values.shape != model.mean.shape:
+    if values.ndim not in (1, 2) or values.shape[-1:] != model.mean.shape:
         raise ValueError(f"descriptor has dimension {values.shape}, "
                          f"model expects {model.mean.shape}")
-    return float(_scores(model, values[None])[0])
-
-
-def _scores(model: UserModel, rows: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance of each row of ``rows`` to the model.
-
-    One multi-column LAPACK ``potrs`` solve, with ``cho_solve``'s
-    finiteness check, serves the whole block; each row's score equals
-    the one-vector ``cho_solve`` bit for bit.
-    """
-    diff = rows - model.mean
+    diff = np.atleast_2d(values) - model.mean
     if not np.isfinite(diff).all():
         raise ValueError("array must not contain infs or NaNs")
     solved, info = dpotrs(model._factor, diff.T, lower=1)
     if info:
         raise ValueError(f"illegal value in argument {-info} of potrs")
-    return (diff[:, None, :] @ solved.T[:, :, None])[:, 0, 0]
+    scores = (diff[:, None, :] @ solved.T[:, :, None])[:, 0, 0]
+    return scores if values.ndim == 2 else float(scores[0])
 
 
 def calibrate_threshold(model: UserModel, train_scores, quantile: float = 1.0) -> UserModel:
@@ -143,6 +139,10 @@ def verify(model: UserModel, descriptor) -> tuple[bool, float]:
     """Accept the descriptor iff its score is within the threshold."""
     if model.threshold is None:
         raise ValueError(f"user model {model.user_id!r} has no calibrated threshold")
+    values = descriptor.values if isinstance(descriptor, Descriptor) else descriptor
+    if np.ndim(values) == 2:  # one claim: score would take a stack
+        raise ValueError(f"descriptor has dimension {np.shape(values)}, "
+                         f"model expects {model.mean.shape}")
     s = score(model, descriptor)
     return s <= model.threshold, s
 
@@ -160,22 +160,13 @@ def save_user_model(model: UserModel, path) -> None:
                               {"mean": model.mean, "covariance": model.covariance})
 
 
-def _bounded(read, valid):
-    """Field reader: ``read(text)``, refused unless the value is ``valid``."""
-    def reader(text):
-        if not valid(value := read(text)):  # NaN fails every comparison
-            raise ValueError(f"{text!r} is out of range")
-        return value
-    return reader
-
-
 # the user model file schema (see container.read_model)
 USER_MODEL_FIELDS = {
     "user_id": str,
-    "reg": _bounded(float, lambda v: 0 <= v <= 1),
-    "n_train": _bounded(int, lambda v: v >= 1),
-    "threshold": _bounded(lambda text: None if text == "unset" else float(text),
-                          lambda v: v is None or 0 <= v < np.inf),
+    "reg": container.bounded(float, lambda v: 0 <= v <= 1),
+    "n_train": container.bounded(int, lambda v: v >= 1),
+    "threshold": container.bounded(lambda text: None if text == "unset" else float(text),
+                                   lambda v: v is None or 0 <= v < np.inf),
 }
 USER_MODEL_SHAPES = {"covariance": ("dim", "dim"), "mean": ("dim",)}
 

@@ -18,7 +18,7 @@ import reference_pipeline as ref
 from sigverify import (Corpus, ScoreSet, UserSignatures, auc, eer, fit_user_model,
                        generate_synthetic_corpus, roc, run_experiment, scores_csv)
 from sigverify.descriptor import Descriptor
-from sigverify.oneclass import ZERO_VARIANCE_EPSILON, _scores, score
+from sigverify.oneclass import ZERO_VARIANCE_EPSILON, score
 
 SETTINGS = settings(max_examples=150, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -77,7 +77,7 @@ class TestScoreKernel:
     def test_block_scores_equal_per_vector_solves(self, case):
         model, rows, _ = case
         expect = np.array([ref.score(model, r) for r in rows])
-        got = _scores(model, rows)
+        got = score(model, rows)
         assert got.dtype == np.float64 and got.shape == (len(rows),)
         assert np.array_equal(got, expect)
         assert score(model, rows[0]) == expect[0]

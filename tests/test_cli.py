@@ -247,6 +247,22 @@ class TestEnroll:
         out = capsys.readouterr().out
         assert "enrolled 4 users" in out
 
+    def test_each_user_is_scored_through_score_once(self, workspace, tmp_path,
+                                                    monkeypatch):
+        calls = []
+
+        def counting_score(model, rows):
+            calls.append(model.user_id)
+            return real(model, rows)
+
+        real = sigverify.cli.score
+        monkeypatch.setattr(sigverify.cli, "score", counting_score)
+        assert main(["enroll", "--model", str(workspace / "model.sig"),
+                     "--corpus", str(workspace / "corpus"),
+                     "--out", str(tmp_path / "users")]) == 0
+        assert calls == [f.stem for f in sorted((tmp_path / "users").iterdir())]
+        assert len(calls) == 4
+
     def test_user_id_with_a_newline_is_not_enrolled(self, workspace, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace / "corpus" / "user000", corpus / "user000")

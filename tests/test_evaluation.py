@@ -384,6 +384,20 @@ class TestRunExperiment:
         # then one curve of every score for the pooled-threshold eer
         assert calls == {"roc": curves_per_user * users + 1, "auc": users}
 
+    def test_every_block_is_scored_through_score(self, corpus, monkeypatch):
+        calls = []
+
+        def counting_score(model, rows):
+            calls.append(rows.shape)
+            return real(model, rows)
+
+        real = evaluation.score
+        monkeypatch.setattr(evaluation, "score", counting_score)
+        run_experiment(corpus, FakeModel(), k=4, seed=0, describe_fn=stub_describe)
+        splits, _ = evaluation.split_protocol(corpus, k=4, seed=0)
+        assert len(calls) == len(splits) * 4
+        assert all(len(shape) == 2 for shape in calls)  # one stack per (user, fold)
+
     def test_subset_rates_are_populated(self, report):
         for result in report.per_user.values():
             assert np.isfinite(result.eer_skilled)

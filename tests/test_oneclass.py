@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -6,8 +7,7 @@ import pytest
 from sigverify import (calibrate_threshold, fit_user_model, load_user_model,
                        save_user_model, verify)
 from sigverify.descriptor import Descriptor
-from sigverify.oneclass import (THRESHOLD_SLACK, ZERO_VARIANCE_EPSILON, UserModel, _scores,
-                                score)
+from sigverify.oneclass import THRESHOLD_SLACK, ZERO_VARIANCE_EPSILON, UserModel, score
 
 
 def descriptors_from(rows, user_id="u", label="genuine"):
@@ -69,6 +69,12 @@ class TestFitUserModel:
         with pytest.raises(ValueError, match="non-finite"):
             fit_user_model([np.array([0.0, 1.0]), np.array([bad, 0.0])])
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (3, 0)])
+    def test_a_malformed_stack_is_refused(self, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"descriptor stack has dimension {shape}, expected (n, dim)")):
+            fit_user_model(np.zeros(shape))
+
     def test_plain_arrays_are_accepted(self):
         m = fit_user_model([np.array([0.0, 0.0]), np.array([2.0, 2.0])],
                            user_id="raw")
@@ -114,13 +120,29 @@ class TestScore:
         with pytest.raises(ValueError, match="dimension"):
             score(m, np.ones(3))
 
+    @pytest.mark.parametrize("shape", [(), (1, 4, 2), (3, 3), (0, 3)])
+    def test_other_shapes_are_refused(self, shape):
+        m = fit_user_model(descriptors_from(CORNERS))
+        with pytest.raises(ValueError, match=re.escape(
+                f"descriptor has dimension {shape}, model expects (2,)")):
+            score(m, np.ones(shape))
+
+    def test_a_stack_gives_one_score_per_row(self):
+        m = fit_user_model(descriptors_from(CORNERS))
+        rows = np.array([[1.0, 1.0], [3.0, 1.0], [1.0, 3.0]])
+        got = score(m, rows)
+        assert got.dtype == np.float64 and got.shape == (3,)
+        assert got.tolist() == [score(m, r) for r in rows]
+        empty = score(m, np.empty((0, 2)))
+        assert empty.dtype == np.float64 and empty.shape == (0,)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rows_are_refused(self, bad):
         m = fit_user_model(descriptors_from(CORNERS))
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             score(m, np.array([1.0, bad]))
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
-            _scores(m, np.array([[1.0, 1.0], [bad, 1.0]]))
+            score(m, np.array([[1.0, 1.0], [bad, 1.0]]))
 
     @pytest.mark.parametrize("covariance, error", [
         (np.ones((2, 3)), ValueError), (np.ones(2), ValueError),
@@ -165,6 +187,15 @@ class TestThresholdAndVerify:
         assert ok and s == pytest.approx(0.0, abs=1e-12)
         bad, s_far = verify(m, np.array([9.0, 9.0]))
         assert not bad and s_far > m.threshold
+
+    @pytest.mark.parametrize("rows", [2, 1])
+    def test_verify_refuses_a_stack(self, rows):
+        m = fit_user_model(descriptors_from(CORNERS))
+        m.threshold = 10.0
+        for stack in (np.ones((rows, 2)), Descriptor(np.ones((rows, 2)), "u", "genuine")):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"descriptor has dimension ({rows}, 2), model expects (2,)")):
+                verify(m, stack)
 
     def test_verify_without_calibration_raises(self):
         m = fit_user_model(descriptors_from(CORNERS))
