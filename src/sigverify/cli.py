@@ -47,7 +47,6 @@ DEFAULTS.update({
     "seed": (int, 0),
     "corpus.layout": (_layout, "canonical"),
     "oneclass.reg": (USER_MODEL_FIELDS["reg"], 0.9),
-    "oneclass.quantile": (bounded(float, lambda v: 0 < v <= 1), 1.0),
     "eval.folds": (bounded(int, lambda v: v >= 2), 4),
     "synth.users": (int, 10),
     "synth.genuine": (int, 10),
@@ -166,7 +165,7 @@ def cmd_enroll(args, cfg) -> int:
                 raise ValueError("no genuine signatures")
             values = np.array([describe(t, model).values for t in genuine])
             user_model = fit_user_model(values, reg=cfg["oneclass.reg"], user_id=uid)
-            calibrate_threshold(user_model, score(user_model, values), cfg["oneclass.quantile"])
+            calibrate_threshold(user_model, score(user_model, values))
             save_user_model(user_model, target)
             enrolled += 1
             print(f"enrolled {uid}: {len(values)} genuine signatures, "

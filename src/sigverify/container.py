@@ -183,7 +183,8 @@ def read_model(path, kind: str, version: int, fields: dict, shapes: dict):
     ``fields`` maps each metadata key to its type or reader (a callable
     raising ValueError), ``shapes`` each array to its dimension names.
     A dimension named after a field takes that field's value; any other
-    takes its size from the first array that uses it.
+    takes its size from the first array that uses it.  Every array must
+    be finite.
     """
     meta, arrays = read_container(path)
     name = {"descriptor": "descriptor model", "usermodel": "user model"}[kind]
@@ -203,4 +204,6 @@ def read_model(path, kind: str, version: int, fields: dict, shapes: dict):
             expected = tuple(sizes.get(d, d) for d in dims)
             raise ContainerError(f"{path}: array {key!r} has shape {shape}, "
                                  f"expected {expected}")
+        if not np.isfinite(arrays[key]).all():
+            raise ContainerError(f"{path}: array {key!r} is not finite")
     return values, arrays

@@ -20,7 +20,7 @@ from .descriptor import Descriptor
 
 # isotropic floor added to a shrunk covariance that is not positive definite
 ZERO_VARIANCE_EPSILON = 1e-6
-# safety margin applied on top of the calibration quantile
+# safety margin applied on top of the largest training score
 THRESHOLD_SLACK = 1.5
 USER_MODEL_VERSION = 1
 
@@ -114,24 +114,21 @@ def score(model: UserModel, descriptor) -> float | np.ndarray:
     if info:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     scores = (diff[:, None, :] @ solved.T[:, :, None])[:, 0, 0]
+    if not np.isfinite(scores).all():  # e.g. a crafted model's overflowing mean
+        raise ValueError(f"user model {model.user_id!r} gives a non-finite score")
     return scores if values.ndim == 2 else float(scores[0])
 
 
-def calibrate_threshold(model: UserModel, train_scores, quantile: float = 1.0) -> UserModel:
-    """Set the decision threshold from genuine training scores.
-
-    The threshold is the nearest-rank ``quantile`` of the scores times a
-    fixed 1.5 safety slack.  Returns the model (mutated in place).
+def calibrate_threshold(model: UserModel, train_scores) -> UserModel:
+    """Set the decision threshold from genuine training scores: the largest
+    score times a fixed 1.5 safety slack.  Returns the model (mutated in place).
     """
-    if not 0 < quantile <= 1:
-        raise ValueError(f"quantile must lie in (0, 1], got {quantile}")
-    scores = np.sort(np.asarray(train_scores, dtype=np.float64))
+    scores = np.asarray(train_scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("need at least one training score to calibrate")
     if not np.all(np.isfinite(scores)):
         raise ValueError("training scores contain non-finite values")
-    rank = int(np.ceil(quantile * scores.size)) - 1
-    model.threshold = float(scores[rank] * THRESHOLD_SLACK)
+    model.threshold = float(scores.max() * THRESHOLD_SLACK)
     return model
 
 
@@ -147,35 +144,29 @@ def verify(model: UserModel, descriptor) -> tuple[bool, float]:
     return s <= model.threshold, s
 
 
-def save_user_model(model: UserModel, path) -> None:
-    meta = {
-        "kind": "usermodel",
-        "version": USER_MODEL_VERSION,
-        "user_id": model.user_id,
-        "reg": model.reg,
-        "n_train": model.n_train,
-        "threshold": "unset" if model.threshold is None else model.threshold,
-    }
-    container.write_container(path, meta,
-                              {"mean": model.mean, "covariance": model.covariance})
-
-
 # the user model file schema (see container.read_model)
 USER_MODEL_FIELDS = {
     "user_id": str,
     "reg": container.bounded(float, lambda v: 0 <= v <= 1),
     "n_train": container.bounded(int, lambda v: v >= 1),
-    "threshold": container.bounded(lambda text: None if text == "unset" else float(text),
-                                   lambda v: v is None or 0 <= v < np.inf),
+    "threshold": container.bounded(float, lambda v: 0 <= v < np.inf),
 }
 USER_MODEL_SHAPES = {"covariance": ("dim", "dim"), "mean": ("dim",)}
+
+
+def save_user_model(model: UserModel, path) -> None:
+    """Write a calibrated model: its ``USER_MODEL_FIELDS`` and ``USER_MODEL_SHAPES``."""
+    if model.threshold is None:
+        raise ValueError(f"user model {model.user_id!r} has no calibrated threshold")
+    meta = {"kind": "usermodel", "version": USER_MODEL_VERSION,
+            **{key: getattr(model, key) for key in USER_MODEL_FIELDS}}
+    container.write_container(path, meta,
+                              {key: getattr(model, key) for key in USER_MODEL_SHAPES})
 
 
 def load_user_model(path) -> UserModel:
     values, arrays = container.read_model(path, "usermodel", USER_MODEL_VERSION,
                                           USER_MODEL_FIELDS, USER_MODEL_SHAPES)
-    if not np.all(np.isfinite(arrays["mean"])):
-        raise container.ContainerError(f"{path}: array 'mean' is not finite")
     try:
         return UserModel(mean=arrays["mean"], covariance=arrays["covariance"], **values)
     except ValueError:  # also np.linalg.LinAlgError

@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sigverify
@@ -642,11 +643,12 @@ class TestConfigSchema:
                      "--corpus", str(workspace / "corpus"), "--out", str(out),
                      "--set", setting])
         assert code == 1
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
         key, _, value = setting.partition("=")
-        assert f"error: bad value for {key}: {value!r} is out of range\n" in err
-        assert "warning:" not in err
-        assert not out.exists()
+        error = (f"unknown configuration key {key!r}" if key == "oneclass.quantile"
+                 else f"bad value for {key}: {value!r} is out of range")
+        assert captured.err.splitlines() == [f"error: {error}"]
+        assert captured.out == "" and not out.exists()
 
     def test_missing_model_metadata_is_named_in_the_error(self, workspace,
                                                           tmp_path, capsys):
@@ -704,6 +706,28 @@ class TestConfigSchema:
         assert f"{users / 'user000.usermodel'}: array 'mean' is not finite" in err
         assert np.isfinite(container.read_container(
             workspace / "users" / "user000.usermodel")[1]["mean"]).all()
+
+    # a digest-valid crafted file: a NaN encoder bias fails at load, naming the
+    # file and the array; a user mean that overflows the score fails, not rejects
+    @pytest.mark.parametrize("path, array, value, error", [
+        ("model.sig", "ae.b1", np.nan, "{file}: array 'ae.b1' is not finite"),
+        ("users/user000.usermodel", "mean", 1e308,
+         "user model 'user000' gives a non-finite score")])
+    def test_a_crafted_model_fails_closed(self, workspace, tmp_path, capsys,
+                                          path, array, value, error):
+        from sigverify import container
+        shutil.copytree(workspace / "users", tmp_path / "users")
+        shutil.copy(workspace / "model.sig", tmp_path / "model.sig")
+        meta, arrays = container.read_container(tmp_path / path)
+        arrays[array][0] = value
+        container.write_container(tmp_path / path, meta, arrays)
+        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
+        code = main(["verify", "--model", str(tmp_path / "model.sig"),
+                     "--user-models", str(tmp_path / "users"),
+                     "--user", "user000", str(sig)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: " + error.format(file=tmp_path / path)
 
     def test_user_model_with_an_infinite_threshold_is_refused(self, workspace, tmp_path,
                                                               capsys):

@@ -147,23 +147,25 @@ class TestBadModelMetadata:
 
     @pytest.mark.parametrize("key, value", [
         ("threshold", "inf"), ("threshold", "nan"), ("threshold", "-1"),
+        ("threshold", "unset"),
         ("n_train", "0"), ("n_train", "-5"), ("reg", "7.5"), ("reg", "-0.1"),
     ])
     def test_user_model_value_out_of_range_fails_closed(self, tmp_path, key, value):
         f = _user_model_file(tmp_path)
         _rewrite(f, key, value)
+        refusal = ("could not convert string to float: 'unset'" if value == "unset"
+                   else f"{value!r} is out of range")
         with pytest.raises(ContainerError, match=re.escape(
-                f"{f}: bad metadata value for {key}: {value!r} is out of range")):
+                f"{f}: bad metadata value for {key}: {refusal}")):
             load_user_model(f)
 
     @pytest.mark.parametrize("key, value", [
-        ("threshold", "unset"), ("threshold", "0.0"), ("n_train", "1"),
-        ("reg", "0.0"), ("reg", "1.0"),
+        ("threshold", "0.0"), ("n_train", "1"), ("reg", "0.0"), ("reg", "1.0"),
     ])
     def test_user_model_values_at_the_bounds_load(self, tmp_path, key, value):
         f = _user_model_file(tmp_path)
         _rewrite(f, key, value)
-        assert getattr(load_user_model(f), key) == (None if value == "unset" else float(value))
+        assert getattr(load_user_model(f), key) == float(value)
 
 
 def _rewrite_array(path, key, value):
@@ -252,13 +254,14 @@ class TestBadModelArrays:
         with pytest.raises(ContainerError, match=re.escape(f"{f}: array {named!r} has shape")):
             load_user_model(f)
 
-    @pytest.mark.parametrize("covariance", [np.array([[1.0, 2.0], [2.0, 1.0]]),
-                                            np.array([[1.0, 0.0], [0.0, np.nan]]),
-                                            np.array([[1.0, np.inf], [0.0, 1.0]])])
-    def test_unusable_covariance_fails_closed(self, tmp_path, covariance):
+    @pytest.mark.parametrize("covariance, error", [
+        (np.array([[1.0, 2.0], [2.0, 1.0]]), "covariance is not finite positive definite"),
+        (np.array([[1.0, 0.0], [0.0, np.nan]]), "array 'covariance' is not finite"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), "array 'covariance' is not finite")])
+    def test_unusable_covariance_fails_closed(self, tmp_path, covariance, error):
         f = _user_model_file(tmp_path)
         _rewrite_array(f, "covariance", covariance)
-        with pytest.raises(ContainerError, match="covariance is not finite positive definite"):
+        with pytest.raises(ContainerError, match=re.escape(f"{f}: {error}")):
             load_user_model(f)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -326,6 +329,27 @@ class TestModelFileSchema:
 
         flipped_byte_is_refused()
 
+    @pytest.mark.parametrize("kind", SCHEMAS)
+    def test_a_non_finite_array_element_is_refused(self, tiny_model, tmp_path, kind):
+        load, _, shapes = SCHEMAS[kind]
+        f = _saved(kind, tiny_model, tmp_path)
+        _, arrays = container.read_container(f)
+
+        @settings(max_examples=60, deadline=None)
+        @given(key=st.sampled_from(sorted(shapes)), at=st.integers(0, 2**31),
+               bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+        def non_finite_element_is_refused(key, at, bad):
+            value = arrays[key].copy()
+            value.flat[at % value.size] = bad
+            g = tmp_path / f"crafted-{kind}"
+            g.write_bytes(f.read_bytes())
+            _rewrite_array(g, key, value)  # a valid digest: only the value is wrong
+            with pytest.raises(ContainerError, match=re.escape(
+                    f"{g}: array {key!r} is not finite")):
+                load(g)
+
+        non_finite_element_is_refused()
+
 
 class TestModelHeader:
     def test_user_model_version_mismatch_names_file_and_versions(self, tmp_path):
@@ -348,10 +372,11 @@ class TestModelHeader:
         f = tmp_path / "u.usermodel"
         model = fit_user_model(np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]),
                                reg=np.float64(0.9), user_id="u")
+        model.threshold = 1.5
         save_user_model(model, f)
         meta, _ = container.read_container(f)
         assert meta == {"kind": "usermodel", "version": "1", "user_id": "u",
-                        "reg": "0.9", "n_train": "3", "threshold": "unset"}
+                        "reg": "0.9", "n_train": "3", "threshold": "1.5"}
         model.threshold = 0.1 + 0.2
         save_user_model(model, f)
         assert container.read_container(f)[0]["threshold"] == "0.30000000000000004"
@@ -378,7 +403,6 @@ class TestCliSchema:
 
     @pytest.mark.parametrize("key, accepted, refused", [
         ("oneclass.reg", ["0", "1", "0.5"], ["-0.1", "1.5", "nan", "inf"]),
-        ("oneclass.quantile", ["1", "0.25"], ["0", "-1", "1.01", "nan"]),
         ("eval.folds", ["2", "10"], ["1", "0", "-3"])])
     def test_one_class_and_fold_keys_are_range_checked(self, key, accepted, refused):
         for raw in accepted:
@@ -387,6 +411,12 @@ class TestCliSchema:
             with pytest.raises(ValueError, match=re.escape(
                     f"bad value for {key}: {raw!r} is out of range")):
                 _run_config(f"{key}={raw}")
+
+    def test_the_threshold_quantile_is_not_a_key(self):
+        for raw in ("1", "0.25", "0"):
+            with pytest.raises(ValueError, match=re.escape(
+                    "unknown configuration key 'oneclass.quantile'")):
+                _run_config(f"oneclass.quantile={raw}")
 
     def test_readme_configuration_table_matches_the_echoed_defaults(self, capsys):
         text = README.read_text()

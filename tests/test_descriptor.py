@@ -156,7 +156,7 @@ class TestModelFile:
         from sigverify.descriptor import Descriptor
         d = [Descriptor(values=np.array([0.1, 0.2]), user_id="u", label="genuine"),
              Descriptor(values=np.array([0.3, 0.1]), user_id="u", label="genuine")]
-        um = fit_user_model(d, user_id="u")
+        um = calibrate_threshold(fit_user_model(d, user_id="u"), [1.0])
         f = tmp_path / "user.bin"
         save_user_model(um, f)
         with pytest.raises(ContainerError, match="descriptor"):

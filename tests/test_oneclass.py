@@ -1,8 +1,11 @@
 import dataclasses
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sigverify import (calibrate_threshold, fit_user_model, load_user_model,
                        save_user_model, verify)
@@ -144,6 +147,18 @@ class TestScore:
         with pytest.raises(ValueError, match="must not contain infs or NaNs"):
             score(m, np.array([[1.0, 1.0], [bad, 1.0]]))
 
+    @pytest.mark.parametrize("descriptor", [[0.5, 0.5], [[1.0, 1.0], [0.5, 0.5]]])
+    def test_a_non_finite_score_is_refused(self, descriptor):
+        # the solve overflows inside LAPACK, so the score is inf, not a decision
+        m = UserModel("u", np.array([1e308, 0.0]), np.diag([1e-6, 1.0]),
+                      reg=0.5, n_train=1)
+        with pytest.raises(ValueError, match=re.escape(
+                "user model 'u' gives a non-finite score")):
+            score(m, np.array(descriptor))
+        m.threshold = 1.0
+        with pytest.raises(ValueError, match="non-finite score"):
+            verify(m, np.array([0.5, 0.5]))
+
     @pytest.mark.parametrize("covariance, error", [
         (np.ones((2, 3)), ValueError), (np.ones(2), ValueError),
         # inf only in the upper half, which a lower factorization never reads
@@ -155,22 +170,29 @@ class TestScore:
 
 
 class TestThresholdAndVerify:
-    def test_quantile_reference_values(self):
+    def test_threshold_reference_values(self):
         m = fit_user_model(descriptors_from(CORNERS))
-        calibrate_threshold(m, [1.0, 2.0, 3.0, 4.0], quantile=1.0)
-        assert m.threshold == pytest.approx(6.0)
-        calibrate_threshold(m, [1.0, 2.0, 3.0, 4.0], quantile=0.5)
-        assert m.threshold == pytest.approx(3.0)
-        calibrate_threshold(m, [1.0, 2.0, 3.0, 4.0], quantile=0.25)
-        assert m.threshold == pytest.approx(1.0 * THRESHOLD_SLACK)
+        calibrate_threshold(m, [1.0, 4.0, 3.0, 2.0])
+        assert m.threshold == 6.0
+        calibrate_threshold(m, [0.25])
+        assert m.threshold == 0.25 * THRESHOLD_SLACK == 0.375
+        calibrate_threshold(m, [0.0, 0.0])
+        assert m.threshold == 0.0
 
-    def test_quantile_bounds(self):
+    def test_quantile_is_not_a_parameter(self):
         m = fit_user_model(descriptors_from(CORNERS))
-        for q in (0.0, 1.5):
-            with pytest.raises(ValueError, match="quantile"):
-                calibrate_threshold(m, [1.0], quantile=q)
+        with pytest.raises(TypeError, match="quantile"):
+            calibrate_threshold(m, [1.0], quantile=0.5)
         with pytest.raises(ValueError, match="at least one"):
             calibrate_threshold(m, [])
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1e300), min_size=1, max_size=50))
+    def test_threshold_is_the_former_top_rank_bit_for_bit(self, scores):
+        m = UserModel("u", np.zeros(2), np.eye(2), reg=0.5, n_train=1)
+        calibrate_threshold(m, scores)
+        s = np.asarray(scores)  # the nearest rank at quantile 1.0, times the slack
+        former = float(np.sort(s)[math.ceil(1.0 * s.size) - 1] * THRESHOLD_SLACK)
+        assert np.float64(m.threshold).tobytes() == np.float64(former).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_training_scores_are_rejected(self, bad):
@@ -223,11 +245,13 @@ class TestUserModelFile:
         probe = rng.normal(size=5)
         assert score(back, probe) == pytest.approx(score(m, probe), rel=1e-12)
 
-    def test_unset_threshold_round_trips(self, tmp_path):
+    def test_save_refuses_an_uncalibrated_model(self, tmp_path):
         m = fit_user_model(descriptors_from(CORNERS))
         f = tmp_path / "u.usermodel"
-        save_user_model(m, f)
-        assert load_user_model(f).threshold is None
+        with pytest.raises(ValueError, match=re.escape(
+                "user model 'u' has no calibrated threshold")):
+            save_user_model(m, f)
+        assert not f.exists()
 
     def test_wrong_kind_is_rejected(self, tmp_path, tiny_model):
         from sigverify import save_model
@@ -239,6 +263,7 @@ class TestUserModelFile:
 
     def test_saved_bytes_are_deterministic(self, tmp_path):
         m = fit_user_model(descriptors_from(CORNERS, user_id="dave"))
+        calibrate_threshold(m, score(m, np.array(CORNERS)))
         f1, f2 = tmp_path / "a.bin", tmp_path / "b.bin"
         save_user_model(m, f1)
         save_user_model(m, f2)
