@@ -13,8 +13,6 @@ fixed config, seed and input order.
 Parameters flatten in the order: W1 row-major, b1, W2 row-major, b2.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass, field
 
 import numpy as np

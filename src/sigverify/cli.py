@@ -200,7 +200,10 @@ def cmd_verify(args, cfg) -> int:
         raise ValueError(f"cannot read signature file: {exc}") from None
     except (ParseError, UnicodeDecodeError) as exc:
         raise ParseError(f"{sig_path}: {exc}") from None
-    desc = describe(traj, model)
+    try:
+        desc = describe(traj, model)
+    except ValueError as exc:  # of the signature, or of a model that overflows
+        raise ValueError(f"cannot describe {sig_path} with {args.model}: {exc}") from None
     accepted, s = verify(user_model, desc)
     word = "accept" if accepted else "reject"
     print(f"{word} score={s:.9g} threshold={user_model.threshold:.9g}")

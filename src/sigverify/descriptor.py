@@ -11,8 +11,6 @@ every entry strictly inside (0, 1) regardless of signature duration.
 from __future__ import annotations
 
 import dataclasses
-import functools
-import typing
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,17 +73,21 @@ def train_descriptor(unlabeled: list[Trajectory],
                            train_sources=sources)
 
 
-def _dense_whitened(traj: Trajectory, model: DescriptorModel) -> np.ndarray:
-    image = preprocess(traj, model.preprocess_cfg)
-    dense = extract_dense(image, model.patch_cfg)
-    return apply_whitening(model.whitening, dense)
+def _pooled(traj: Trajectory, model: DescriptorModel, encoder) -> Descriptor:
+    """Mean of ``encoder``'s rows for the whitened dense patches.  A finite model's
+    GEMM or ``exp`` may overflow quietly (``exp`` to its limit 0); a non-finite mean fails."""
+    dense = extract_dense(preprocess(traj, model.preprocess_cfg), model.patch_cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = encoder(apply_whitening(model.whitening, dense))
+        values = np.add.reduce(rows, axis=0) / len(rows)  # ndarray.mean's sum and divide
+    if not np.isfinite(values).all():
+        raise ValueError("the descriptor model gives a non-finite descriptor")
+    return Descriptor(values=values, user_id=traj.user_id, label=traj.label)
 
 
 def describe(traj: Trajectory, model: DescriptorModel) -> Descriptor:
     """Mean-pooled hidden activations over the signature's dense patches."""
-    hidden = encode(model.ae, _dense_whitened(traj, model))
-    values = np.add.reduce(hidden, axis=0) / len(hidden)  # ndarray.mean's sum and divide
-    return Descriptor(values=values, user_id=traj.user_id, label=traj.label)
+    return _pooled(traj, model, lambda white: encode(model.ae, white))
 
 
 def describe_baseline(traj: Trajectory, model: DescriptorModel) -> Descriptor:
@@ -94,9 +96,7 @@ def describe_baseline(traj: Trajectory, model: DescriptorModel) -> Descriptor:
     Used as the raw-pixel baseline when judging whether the learned
     encoding actually helps.
     """
-    white = _dense_whitened(traj, model)
-    return Descriptor(values=white.mean(axis=0), user_id=traj.user_id,
-                      label=traj.label)
+    return _pooled(traj, model, lambda white: white)
 
 
 # -- serialization ----------------------------------------------------------
@@ -106,12 +106,9 @@ CONFIG_GROUPS = {"preprocess": PreprocessConfig, "patch": PatchConfig,
                  "whiten": WhitenConfig, "ae": AeConfig}
 
 
-@functools.cache  # typing.get_type_hints is slow, and a group never changes
 def config_fields(prefix: str) -> tuple:
     """(name, declared type, default) of each field of a config group."""
-    cls = CONFIG_GROUPS[prefix]
-    types = typing.get_type_hints(cls)
-    return tuple((f.name, types[f.name], f.default) for f in dataclasses.fields(cls))
+    return tuple((f.name, f.type, f.default) for f in dataclasses.fields(CONFIG_GROUPS[prefix]))
 
 
 def config_group(prefix: str, values):
@@ -163,6 +160,13 @@ def load_model(path) -> DescriptorModel:
             cfgs[prefix] = config_group(prefix, values)
         except ValueError as exc:  # a failed config check, such as stride <= size
             raise container.ContainerError(f"{path}: bad {prefix}.* metadata: {exc}") from None
+    patch, canvas, width = cfgs["patch"], cfgs["preprocess"].canvas, len(arrays["whitening.mean"])
+    if patch.size > canvas:
+        raise container.ContainerError(f"{path}: patch.size {patch.size} exceeds "
+                                       f"preprocess.canvas {canvas}")
+    if width != patch.dim:
+        raise container.ContainerError(f"{path}: array 'whitening.mean' has {width} entries, "
+                                       f"patch.size {patch.size} needs {patch.dim}")
     transform = WhiteningTransform(
         **{n: arrays[f"whitening.{n}"] for n in ("mean", "basis", "eigenvalues")},
         config=cfgs["whiten"], full_rank_input=values["whiten.full_rank_input"])

@@ -17,6 +17,7 @@ import numpy as np
 from . import container
 from ._lapack import dpotrf, dpotrs
 from .descriptor import Descriptor
+from .whitening import sample_covariance
 
 # isotropic floor added to a shrunk covariance that is not positive definite
 ZERO_VARIANCE_EPSILON = 1e-6
@@ -73,17 +74,13 @@ def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) ->
             raise ValueError("user models are trained on genuine signatures only")
     if labelled:
         descriptors = [d.values if isinstance(d, Descriptor) else d for d in descriptors]
-    # np.cov's copy, layout and arithmetic; one row centres to zeros (divisor 1)
-    centred = np.array(descriptors, dtype=np.float64).T
-    if centred.ndim != 2 or centred.size == 0:  # n >= 1 above: size 0 is zero width
-        raise ValueError(f"descriptor stack has dimension {centred.T.shape}, expected (n, dim)")
-    if not np.all(np.isfinite(centred)):
+    rows = np.array(descriptors, dtype=np.float64)  # a copy, centred in place
+    if rows.ndim != 2 or rows.size == 0:  # n >= 1 above: size 0 is zero width
+        raise ValueError(f"descriptor stack has dimension {rows.shape}, expected (n, dim)")
+    if not np.all(np.isfinite(rows)):
         raise ValueError("descriptors contain non-finite values")
-    h, n = centred.shape
-    mean = centred.mean(axis=1)
-    centred -= mean[:, None]
-    covariance = np.dot(centred, centred.T)
-    covariance *= np.true_divide(1, max(n - 1, 1))
+    n, h = rows.shape
+    mean, covariance = sample_covariance(rows)
     shrink = reg * (np.trace(covariance) / h)  # (1 - reg) S + shrink I, in place
     covariance *= 1.0 - reg
     covariance += 0.0  # as with + 0 * I: a -0.0 entry (reg = 1) becomes +0.0
@@ -140,7 +137,8 @@ def verify(model: UserModel, descriptor) -> tuple[bool, float]:
     if np.ndim(values) == 2:  # one claim: score would take a stack
         raise ValueError(f"descriptor has dimension {np.shape(values)}, "
                          f"model expects {model.mean.shape}")
-    s = score(model, descriptor)
+    with np.errstate(over="ignore", invalid="ignore"):  # score refuses a non-finite score
+        s = score(model, descriptor)
     return s <= model.threshold, s
 
 

@@ -4,8 +4,6 @@ A patch is flattened channel-major (all pressure values row-major, then
 all time values row-major) into a vector of length 2 * size * size.
 """
 
-from __future__ import annotations
-
 import functools
 from collections.abc import Iterable
 from dataclasses import dataclass

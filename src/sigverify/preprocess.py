@@ -16,8 +16,6 @@ x, y or t and a decreasing t, ``normalize_extent`` a span that overflowed
 to inf or NaN, ``rasterize`` points off [0, 100].
 """
 
-from __future__ import annotations
-
 import math
 from dataclasses import dataclass
 

@@ -8,8 +8,6 @@ full spectrum is used and the whitened vector is rotated back into the
 input coordinate system, so dimension is preserved.
 """
 
-from __future__ import annotations
-
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,13 +68,19 @@ def fit_whitening(patches: np.ndarray,
     return _fit_centring(np.array(patches, dtype=np.float64), cfg)
 
 
-def _fit_centring(patches: np.ndarray, cfg: WhitenConfig) -> WhiteningTransform:
-    """``fit_whitening`` on a float64 array that it centres in place.
+def sample_covariance(rows: np.ndarray):
+    """(mean, covariance) of a float64 array's rows, which it centres in place:
+    ``np.cov(rows, rowvar=False)`` bit for bit, by its arithmetic without its two
+    copies of the rows.  One row gives zeros (divisor 1, where np.cov divides by 0)."""
+    mean = rows.mean(axis=0)
+    centred = np.subtract(rows, mean, out=rows).T
+    cov = np.dot(centred, centred.T)
+    cov *= np.true_divide(1, max(len(rows) - 1, 1))
+    return mean, cov
 
-    The covariance is ``np.cov(patches, rowvar=False)`` bit for bit: its
-    mean is ``patches.mean(axis=0)``, and it scales the ``dot`` of the
-    centred transpose by ``true_divide(1, n - 1)``, as here, without
-    ``np.cov``'s two copies of the patches."""
+
+def _fit_centring(patches: np.ndarray, cfg: WhitenConfig) -> WhiteningTransform:
+    """``fit_whitening`` on a float64 array that it centres in place."""
     if patches.ndim != 2:
         raise ValueError("patches must be a 2-D array (n, d)")
     n, d = patches.shape
@@ -85,10 +89,7 @@ def _fit_centring(patches: np.ndarray, cfg: WhitenConfig) -> WhiteningTransform:
     if not np.all(np.isfinite(patches)):
         raise ValueError("patches contain non-finite values")
     full_rank_input = n >= d + 1
-    mean = patches.mean(axis=0)
-    centred = np.subtract(patches, mean, out=patches).T
-    cov = np.dot(centred, centred.T)
-    cov *= np.true_divide(1, n - 1)
+    mean, cov = sample_covariance(patches)
     eigvals, eigvecs = np.linalg.eigh(cov)
     order = np.argsort(eigvals)[::-1]
     eigvals = np.clip(eigvals[order], 0.0, None)

@@ -142,11 +142,12 @@ def test_criterion_5_descriptor_invariances(desk):
         scale_dev = max(scale_dev, float(np.max(np.abs(a - b))))
 
     from sigverify.autoencoder import encode
-    from sigverify.descriptor import _dense_whitened
+    from sigverify.patches import extract_dense
     perm_dev = 0.0
     rng = np.random.default_rng(5)
     for tr in trajs:
-        white = _dense_whitened(tr, model)
+        dense = extract_dense(preprocess(tr, model.preprocess_cfg), model.patch_cfg)
+        white = apply_whitening(model.whitening, dense)
         a = encode(model.ae, white).mean(axis=0)
         b = encode(model.ae, white[rng.permutation(len(white))]).mean(axis=0)
         perm_dev = max(perm_dev, float(np.max(np.abs(a - b))))

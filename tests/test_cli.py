@@ -4,6 +4,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -29,6 +30,38 @@ def run_cli(*argv):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "sigverify.cli", *argv],
                           capture_output=True, text=True, env=env)
+
+
+def _verify_crafted(workspace, tmp_path, capsys, path, edit):
+    """``verify`` with copies of the workspace's models, ``path`` among them
+    re-written (with a valid digest) by ``edit(meta, arrays)``; any numpy
+    warning is an error.  Returns the exit code, stdout and stderr."""
+    from sigverify import container
+    shutil.copytree(workspace / "users", tmp_path / "users")
+    shutil.copy(workspace / "model.sig", tmp_path / "model.sig")
+    meta, arrays = container.read_container(tmp_path / path)
+    edit(meta, arrays)
+    container.write_container(tmp_path / path, meta, arrays)
+    sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["verify", "--model", str(tmp_path / "model.sig"),
+                     "--user-models", str(tmp_path / "users"), "--user", "user000", str(sig)])
+    return (code, *capsys.readouterr())
+
+
+def _patch_size_18(meta, arrays):
+    meta["patch.size"] = "18"
+
+
+def _canvas_16(meta, arrays):  # the whitening as wide as the new patch.size
+    meta.update({"preprocess.canvas": "16", "patch.size": "17"})
+    arrays["whitening.mean"] = np.zeros(578)
+    arrays["whitening.basis"] = np.zeros((len(arrays["ae.b2"]), 578))
+
+
+def _overflowing_whitening(meta, arrays):  # +-inf whitened values: inf - inf in encode
+    arrays["whitening.basis"][:] = 1e308
 
 
 @pytest.fixture(scope="module")
@@ -708,26 +741,48 @@ class TestConfigSchema:
             workspace / "users" / "user000.usermodel")[1]["mean"]).all()
 
     # a digest-valid crafted file: a NaN encoder bias fails at load, naming the
-    # file and the array; a user mean that overflows the score fails, not rejects
+    # file and the array; a user mean that overflows the score fails, not
+    # rejects, and no numpy warning is raised on the way
     @pytest.mark.parametrize("path, array, value, error", [
         ("model.sig", "ae.b1", np.nan, "{file}: array 'ae.b1' is not finite"),
         ("users/user000.usermodel", "mean", 1e308,
+         "user model 'user000' gives a non-finite score"),
+        ("users/user000.usermodel", "mean", 1e200,
          "user model 'user000' gives a non-finite score")])
     def test_a_crafted_model_fails_closed(self, workspace, tmp_path, capsys,
                                           path, array, value, error):
-        from sigverify import container
-        shutil.copytree(workspace / "users", tmp_path / "users")
-        shutil.copy(workspace / "model.sig", tmp_path / "model.sig")
-        meta, arrays = container.read_container(tmp_path / path)
-        arrays[array][0] = value
-        container.write_container(tmp_path / path, meta, arrays)
-        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
-        code = main(["verify", "--model", str(tmp_path / "model.sig"),
-                     "--user-models", str(tmp_path / "users"),
-                     "--user", "user000", str(sig)])
-        out, err = capsys.readouterr()
+        def edit(meta, arrays):
+            arrays[array][0] = value
+        code, out, err = _verify_crafted(workspace, tmp_path, capsys, path, edit)
         assert code == 1 and out == ""
         assert err.splitlines()[-1] == "error: " + error.format(file=tmp_path / path)
+
+    # metadata that contradicts the arrays fails at load, and a model whose
+    # whitening overflows fails in describe: either error names the model file
+    @pytest.mark.parametrize("edit, error", [
+        (_patch_size_18, "{model}: array 'whitening.mean' has 200 entries, "
+                         "patch.size 18 needs 648"),
+        (_canvas_16, "{model}: patch.size 17 exceeds preprocess.canvas 16"),
+        (_overflowing_whitening, "cannot describe {sig} with {model}: "
+                                 "the descriptor model gives a non-finite descriptor")],
+        ids=["size18", "canvas16", "overflow"])
+    def test_a_model_that_cannot_describe_fails_naming_the_file(
+            self, workspace, tmp_path, capsys, edit, error):
+        code, out, err = _verify_crafted(workspace, tmp_path, capsys, "model.sig", edit)
+        assert code == 1 and out == ""
+        assert err.splitlines()[-1] == "error: " + error.format(
+            model=tmp_path / "model.sig",
+            sig=workspace / "corpus" / "user000" / "genuine" / "000.txt")
+
+    def test_an_overflowing_encoder_weight_still_decides_quietly(self, workspace,
+                                                                tmp_path, capsys):
+        # an exp overflow gives its exact limit 0: the model still decides, with no warning
+        def edit(meta, arrays):
+            arrays["ae.W1"][0, 0] = -1e308
+        code, out, err = _verify_crafted(workspace, tmp_path, capsys, "model.sig", edit)
+        assert code in (0, 2) and re.fullmatch(
+            r"(accept|reject) score=\S+ threshold=\S+\n", out)
+        assert all(line.startswith("config ") for line in err.splitlines()), err
 
     def test_user_model_with_an_infinite_threshold_is_refused(self, workspace, tmp_path,
                                                               capsys):

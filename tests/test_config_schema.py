@@ -2,8 +2,11 @@
 
 import argparse
 import dataclasses
+import hashlib
 import re
+import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,12 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigverify import (AeConfig, AeParams, PatchConfig, PreprocessConfig,
-                       WhitenConfig, container, load_model, load_user_model,
-                       save_model, save_user_model)
+                       WhitenConfig, calibrate_threshold, container, describe, load_model,
+                       load_user_model, save_model, save_user_model, verify)
 from sigverify.cli import _build_config
 from sigverify.container import ContainerError
 from sigverify.descriptor import CONFIG_GROUPS, MODEL_FIELDS, MODEL_SHAPES, config_group
-from sigverify.oneclass import USER_MODEL_FIELDS, USER_MODEL_SHAPES, fit_user_model
+from sigverify.oneclass import USER_MODEL_FIELDS, USER_MODEL_SHAPES, fit_user_model, score
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,9 +33,11 @@ unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
 
 @st.composite
 def configs(draw):
-    size = draw(st.integers(1, 1000))
+    # the whitening is built patch.dim = 2 size**2 wide, so size stays small;
+    # load_model refuses a patch larger than the canvas
+    size = draw(st.integers(1, 100))
     groups = {
-        "preprocess": dict(canvas=draw(st.integers(16, 10**6)),
+        "preprocess": dict(canvas=draw(st.integers(max(16, size), 10**6)),
                            smooth=draw(st.booleans()),
                            spline_points_per_segment=draw(st.integers(1, 10**6)),
                            cov_epsilon=draw(positive)),
@@ -63,12 +68,15 @@ class TestModelMetadataRoundTrip:
     @given(cfgs=configs())
     def test_every_config_field_survives_save_and_load(self, tiny_model, cfgs):
         whiten = cfgs["whiten"]
-        h, d = cfgs["ae"].hidden, tiny_model.ae.input_dim
+        h, d, dim = cfgs["ae"].hidden, 2, cfgs["patch"].dim  # d: the whitened width
+        whitening = dataclasses.replace(tiny_model.whitening, config=whiten,
+                                        mean=np.zeros(dim), basis=np.zeros((d, dim)),
+                                        eigenvalues=np.ones(d))
         params = AeParams(W1=np.zeros((h, d)), b1=np.zeros(h),
                           W2=np.zeros((d, h)), b2=np.zeros(d))
         model = dataclasses.replace(
             tiny_model, preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],
-            whitening=dataclasses.replace(tiny_model.whitening, config=whiten),
+            whitening=whitening,
             ae=dataclasses.replace(tiny_model.ae, config=cfgs["ae"], params=params))
         with tempfile.TemporaryDirectory() as tmp:
             f = Path(tmp) / "model.sig"
@@ -349,6 +357,65 @@ class TestModelFileSchema:
                 load(g)
 
         non_finite_element_is_refused()
+
+
+# the float values a mutated array element takes
+EXTREMES = [np.nan, np.inf, -np.inf, 1e308, -1e308, 5e-324]
+
+
+class TestReDigestedMutation:
+    """A model file with a valid digest either fails to load, naming the file,
+    or works: describing and verifying a claim gives a decision or a
+    ValueError, never a numpy warning or a non-finite score."""
+
+    @pytest.mark.parametrize("kind", SCHEMAS)
+    def test_fails_closed_or_works_quietly(self, tiny_model, tiny_corpus, tmp_path, kind):
+        genuine = tiny_corpus.users[tiny_corpus.user_ids()[0]].genuine
+        values = np.array([describe(t, tiny_model).values for t in genuine])
+        user = fit_user_model(values, user_id="u")
+        calibrate_threshold(user, score(user, values))
+        files = {"descriptor": tmp_path / "model.sig", "usermodel": tmp_path / "u.usermodel"}
+        save_model(tiny_model, files["descriptor"])
+        save_user_model(user, files["usermodel"])
+        f = files[kind]
+        raw = f.read_bytes()
+        meta, arrays = container.read_container(f)
+        (meta_len,) = struct.unpack_from("<I", raw, 8)
+
+        @settings(max_examples=150, deadline=None)
+        @given(data=st.data())
+        def mutation_fails_closed_or_works(data):
+            how = data.draw(st.sampled_from(["metadata character", "payload byte", "float"]))
+            if how == "float":
+                key = data.draw(st.sampled_from(sorted(arrays)))
+                value = arrays[key].copy()
+                value.flat[data.draw(st.integers(0, value.size - 1))] = data.draw(
+                    st.sampled_from(EXTREMES))
+                container.write_container(f, meta, {**arrays, key: value})
+            else:
+                payload = bytearray(raw[:-32])
+                if how == "metadata character":
+                    at = data.draw(st.integers(12, 12 + meta_len - 1))
+                    payload[at] = data.draw(st.sampled_from(b"0123456789.-+e=\nazx "))
+                else:
+                    at = data.draw(st.integers(0, len(payload) - 1))
+                    payload[at] = data.draw(st.integers(0, 255))
+                f.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+            try:
+                descriptor_model = load_model(files["descriptor"])
+                user_model = load_user_model(files["usermodel"])
+            except ContainerError as exc:
+                assert str(f) in str(exc)
+                return
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    _, s = verify(user_model, describe(genuine[0], descriptor_model))
+                except ValueError:  # e.g. a non-finite descriptor or score
+                    return
+            assert np.isfinite(s)
+
+        mutation_fails_closed_or_works()
 
 
 class TestModelHeader:

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from sigverify import (AeConfig, PatchConfig, PreprocessConfig, Trajectory, WhitenConfig,
-                       apply_whitening, describe, describe_baseline, fit_whitening,
-                       generate_synthetic_corpus, load_model, preprocess,
+                       apply_whitening, describe, describe_baseline, extract_dense,
+                       fit_whitening, generate_synthetic_corpus, load_model, preprocess,
                        sample_training_patches, save_model, train, train_descriptor)
 from sigverify.container import ContainerError
-from sigverify.descriptor import _dense_whitened
 from sigverify.autoencoder import encode
 
 
@@ -122,7 +121,8 @@ class TestDescribe:
 
     def test_pooling_ignores_patch_order(self, tiny_model, tiny_corpus):
         tr = tiny_corpus.all_trajectories()[0]
-        white = _dense_whitened(tr, tiny_model)
+        dense = extract_dense(preprocess(tr, tiny_model.preprocess_cfg), tiny_model.patch_cfg)
+        white = apply_whitening(tiny_model.whitening, dense)
         perm = np.random.default_rng(3).permutation(len(white))
         a = encode(tiny_model.ae, white).mean(axis=0)
         b = encode(tiny_model.ae, white[perm]).mean(axis=0)
