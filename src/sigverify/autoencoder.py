@@ -23,6 +23,8 @@ from .optimize import minimize_lbfgs
 RHO_CLAMP = 1e-8
 # values squared at a time by _sum_squares: its one buffer is 512 KiB
 SQUARE_BLOCK = 1 << 16
+# fixed limit: a user model holds a hidden x hidden covariance, 32 MiB at it
+MAX_HIDDEN = 2048
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,8 @@ class AeConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.hidden < 1:
-            raise ValueError("hidden must be at least 1")
+        if not 1 <= self.hidden <= MAX_HIDDEN:
+            raise ValueError(f"hidden must be in [1, {MAX_HIDDEN}], got {self.hidden}")
         if not 0 < self.sparsity_target < 1:
             raise ValueError("sparsity_target must lie strictly inside (0, 1)")
         for name in ("weight_decay", "sparsity_weight"):
@@ -50,6 +52,8 @@ class AeConfig:
             raise ValueError("memory must be at least 1")
         if not 0 < self.grad_tol < np.inf:
             raise ValueError("grad_tol must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass

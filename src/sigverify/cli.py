@@ -17,6 +17,7 @@ Exit codes: 0 success (or: signature accepted), 2 signature rejected,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -27,8 +28,8 @@ import numpy as np
 from .container import bounded, format_value, parse_value
 from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser_for,
                       save_corpus)
-from .descriptor import (CONFIG_GROUPS, config_fields, config_group, describe, load_model,
-                         save_model, train_descriptor)
+from .descriptor import (CONFIG_GROUPS, config_group, describe, load_model, save_model,
+                         train_descriptor)
 from .evaluation import format_report, roc_csv, run_experiment, scores_csv
 from .oneclass import (USER_MODEL_FIELDS, calibrate_threshold, fit_user_model,
                        load_user_model, save_user_model, score, verify)
@@ -41,10 +42,10 @@ def _layout(text: str) -> str:
 
 # key -> (type, default): every config dataclass field under its group
 # prefix, then the run keys no dataclass owns (none is stored in a model)
-DEFAULTS = {f"{prefix}.{name}": (kind, default) for prefix in CONFIG_GROUPS
-            for name, kind, default in config_fields(prefix)}
+DEFAULTS = {f"{prefix}.{f.name}": (f.type, f.default) for prefix, cls in CONFIG_GROUPS.items()
+            for f in dataclasses.fields(cls)}
 DEFAULTS.update({
-    "seed": (int, 0),
+    "seed": (bounded(int, lambda v: v >= 0), 0),
     "corpus.layout": (_layout, "canonical"),
     "oneclass.reg": (USER_MODEL_FIELDS["reg"], 0.9),
     "eval.folds": (bounded(int, lambda v: v >= 2), 4),
@@ -70,6 +71,8 @@ def _build_config(args) -> dict:
             if line:
                 settings.append((line, f"{path}:{i}: expected 'key = value', got {line!r}"))
     settings += [(item, f"--set expects key=value, got {item!r}") for item in args.set or []]
+    if args.seed is not None:  # --seed N is the last --set seed=N
+        settings.append((f"seed={args.seed}", None))
     values = {key: default for key, (_, default) in DEFAULTS.items()}
     for setting, malformed in settings:
         key, sep, raw = setting.partition("=")
@@ -82,8 +85,6 @@ def _build_config(args) -> dict:
             values[key] = parse_value(raw.strip(), DEFAULTS[key][0])
         except ValueError as exc:
             raise ValueError(f"bad value for {key}: {exc}") from None
-    if args.seed is not None:
-        values["seed"] = args.seed
     for key in sorted(values):
         print(f"config {key} = {format_value(values[key])}", file=sys.stderr)
     return values
@@ -151,7 +152,6 @@ def cmd_enroll(args, cfg) -> int:
     model = load_model(Path(args.model))
     corpus = _load_corpus_arg(args, cfg)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     enrolled, skipped, failed = 0, 0, 0
     for uid in corpus.user_ids():
         genuine = corpus.users[uid].genuine
@@ -164,18 +164,21 @@ def cmd_enroll(args, cfg) -> int:
             if not genuine:
                 raise ValueError("no genuine signatures")
             values = np.array([describe(t, model).values for t in genuine])
+            if len(np.unique(values, axis=0)) < 2:  # a model that rejects all but these
+                raise ValueError("enrollment needs at least two distinct genuine signatures")
             user_model = fit_user_model(values, reg=cfg["oneclass.reg"], user_id=uid)
             calibrate_threshold(user_model, score(user_model, values))
+            out.mkdir(parents=True, exist_ok=True)  # only for a model to write
             save_user_model(user_model, target)
             enrolled += 1
             print(f"enrolled {uid}: {len(values)} genuine signatures, "
                   f"threshold {user_model.threshold:.6f}")
         except (ValueError, OSError) as exc:
             failed += 1
-            _warn(f"could not enroll {uid}: {exc}")
+            _warn(f"could not enroll {uid} with {args.model}: {exc}")
     print(f"enrolled {enrolled} users into {out} ({skipped} already present)")
     if enrolled == 0 and skipped == 0:
-        raise ValueError(f"no user could be enrolled ({failed} failures)")
+        raise ValueError(f"no user could be enrolled with {args.model} ({failed} failures)")
     return 0
 
 
@@ -214,8 +217,11 @@ def cmd_evaluate(args, cfg) -> int:
     model = load_model(Path(args.model))
     corpus = _load_corpus_arg(args, cfg)
     started = time.perf_counter()
-    report = run_experiment(corpus, model, k=cfg["eval.folds"],
-                            reg=cfg["oneclass.reg"], seed=cfg["seed"])
+    try:
+        report = run_experiment(corpus, model, k=cfg["eval.folds"],
+                                reg=cfg["oneclass.reg"], seed=cfg["seed"])
+    except ValueError as exc:
+        raise ValueError(f"cannot evaluate {args.corpus} with {args.model}: {exc}") from None
     _warn(*report.warnings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # only once the experiment succeeded

@@ -32,9 +32,10 @@ import numpy as np
 
 MAGIC = b"SIGC"
 CONTAINER_VERSION = 1
-# fixed size limit, far above a model file of any sensible config (the
-# default descriptor model is under 1 MiB); a larger file is never read
-MAX_CONTAINER_BYTES = 256 * 2**20
+# fixed size limit, above any model file that loads (the largest descriptor
+# model the size limits admit is about 155 MiB, the default one under 1 MiB);
+# a larger file is never read, and reading takes about twice a file's size
+MAX_CONTAINER_BYTES = 192 * 2**20
 
 
 class ContainerError(ValueError):

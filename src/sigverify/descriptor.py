@@ -23,6 +23,9 @@ from .preprocess import PreprocessConfig, preprocess
 from .whitening import WhitenConfig, WhiteningTransform, _fit_centring, apply_whitening
 
 MODEL_VERSION = 1
+# fixed limit on the float64 values of any one array that describing a signature
+# holds (64 MiB; see _check_dense_size).  Canvas 1024 at the default patch fits.
+MAX_DENSE_VALUES = 2**23
 
 
 @dataclass
@@ -46,6 +49,19 @@ class DescriptorModel:
         return self.ae.config.hidden
 
 
+def _check_dense_size(pre: PreprocessConfig, patch: PatchConfig, ae: AeConfig) -> None:
+    """Refuse sizes with an array over ``MAX_DENSE_VALUES`` values: the dense patches,
+    their encoding, the whitening basis and the encoder weights (whitened width at
+    most patch.dim) all fit in max(dense grid, patch.dim) x max(patch.dim, ae.hidden)."""
+    grid = ((pre.canvas - patch.size) // patch.stride + 1) ** 2
+    if max(grid, patch.dim) * max(patch.dim, ae.hidden) > MAX_DENSE_VALUES:
+        raise ValueError(
+            f"preprocess.canvas {pre.canvas}, patch.size {patch.size}, patch.stride "
+            f"{patch.stride} and ae.hidden {ae.hidden} are too large: max({grid} dense "
+            f"patches, patch.dim {patch.dim}) times max(patch.dim, ae.hidden) is over the "
+            f"limit of {MAX_DENSE_VALUES} values")
+
+
 def train_descriptor(unlabeled: list[Trajectory],
                      pre_cfg: PreprocessConfig = PreprocessConfig(),
                      patch_cfg: PatchConfig = PatchConfig(),
@@ -61,6 +77,7 @@ def train_descriptor(unlabeled: list[Trajectory],
     """
     if not unlabeled:
         raise ValueError("need at least one unlabeled trajectory")
+    _check_dense_size(pre_cfg, patch_cfg, ae_cfg)
     raw = sample_training_patches((preprocess(t, pre_cfg) for t in unlabeled),
                                   patch_cfg, seed)
     transform = _fit_centring(raw, whiten_cfg)
@@ -104,39 +121,30 @@ def describe_baseline(traj: Trajectory, model: DescriptorModel) -> Descriptor:
 # the config dataclasses by key prefix: one schema for model metadata and CLI keys
 CONFIG_GROUPS = {"preprocess": PreprocessConfig, "patch": PatchConfig,
                  "whiten": WhitenConfig, "ae": AeConfig}
-
-
-def config_fields(prefix: str) -> tuple:
-    """(name, declared type, default) of each field of a config group."""
-    return tuple((f.name, f.type, f.default) for f in dataclasses.fields(CONFIG_GROUPS[prefix]))
+# each named once: the training record kept from an AutoencoderModel, and the
+# arrays of its whitening and its encoder
+_AE_STATE = ("final_cost", "n_iter", "converged", "line_search_failed")
+_WHITENING_ARRAYS = ("mean", "basis", "eigenvalues")
+_AE_ARRAYS = ("W1", "b1", "W2", "b2")
 
 
 def config_group(prefix: str, values):
     """The config dataclass of ``prefix`` built from flat ``prefix.name`` values."""
-    return CONFIG_GROUPS[prefix](**{name: values[f"{prefix}.{name}"]
-                                    for name, _, _ in config_fields(prefix)})
+    cls = CONFIG_GROUPS[prefix]
+    return cls(**{f.name: values[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
 
 
 def save_model(model: DescriptorModel, path) -> None:
     wt, ae = model.whitening, model.ae
-    meta = {
-        "kind": "descriptor",
-        "version": MODEL_VERSION,
-        "seed": model.seed,
-        "sources": ",".join(model.train_sources),
-        "whiten.full_rank_input": wt.full_rank_input,
-        "ae.final_cost": ae.final_cost,
-        "ae.n_iter": ae.n_iter,
-        "ae.converged": ae.converged,
-        "ae.line_search_failed": ae.line_search_failed,
-    }
-    groups = {"preprocess": model.preprocess_cfg, "patch": model.patch_cfg,
-              "whiten": wt.config, "ae": ae.config}
-    for prefix, obj in groups.items():
-        for name, _, _ in config_fields(prefix):
-            meta[f"{prefix}.{name}"] = getattr(obj, name)
-    arrays = {f"whitening.{n}": getattr(wt, n) for n in ("mean", "basis", "eigenvalues")}
-    arrays.update({f"ae.{n}": getattr(ae.params, n) for n in ("W1", "b1", "W2", "b2")})
+    configs = zip(CONFIG_GROUPS, (model.preprocess_cfg, model.patch_cfg, wt.config, ae.config))
+    meta = {"kind": "descriptor", "version": MODEL_VERSION, "seed": model.seed,
+            "sources": ",".join(model.train_sources),
+            "whiten.full_rank_input": wt.full_rank_input,
+            **{f"ae.{n}": getattr(ae, n) for n in _AE_STATE},
+            **{f"{prefix}.{f.name}": getattr(obj, f.name)
+               for prefix, obj in configs for f in dataclasses.fields(obj)}}
+    arrays = {f"whitening.{n}": getattr(wt, n) for n in _WHITENING_ARRAYS}
+    arrays.update({f"ae.{n}": getattr(ae.params, n) for n in _AE_ARRAYS})
     container.write_container(path, meta, arrays)
 
 
@@ -144,8 +152,8 @@ def save_model(model: DescriptorModel, path) -> None:
 MODEL_FIELDS = {"seed": int, "sources": lambda text: tuple(s for s in text.split(",") if s),
                 "whiten.full_rank_input": bool, "ae.final_cost": float, "ae.n_iter": int,
                 "ae.converged": bool, "ae.line_search_failed": bool,
-                **{f"{prefix}.{name}": kind for prefix in CONFIG_GROUPS
-                   for name, kind, _ in config_fields(prefix)}}
+                **{f"{prefix}.{f.name}": f.type for prefix, cls in CONFIG_GROUPS.items()
+                   for f in dataclasses.fields(cls)}}
 MODEL_SHAPES = {"whitening.basis": ("out", "in"), "whitening.mean": ("in",),
                 "whitening.eigenvalues": ("out",), "ae.W1": ("ae.hidden", "out"),
                 "ae.b1": ("ae.hidden",), "ae.W2": ("out", "ae.hidden"), "ae.b2": ("out",)}
@@ -160,21 +168,25 @@ def load_model(path) -> DescriptorModel:
             cfgs[prefix] = config_group(prefix, values)
         except ValueError as exc:  # a failed config check, such as stride <= size
             raise container.ContainerError(f"{path}: bad {prefix}.* metadata: {exc}") from None
-    patch, canvas, width = cfgs["patch"], cfgs["preprocess"].canvas, len(arrays["whitening.mean"])
+    transform = WhiteningTransform(
+        **{n: arrays[f"whitening.{n}"] for n in _WHITENING_ARRAYS},
+        config=cfgs["whiten"], full_rank_input=values["whiten.full_rank_input"])
+    patch, canvas, width = cfgs["patch"], cfgs["preprocess"].canvas, transform.input_dim
     if patch.size > canvas:
         raise container.ContainerError(f"{path}: patch.size {patch.size} exceeds "
                                        f"preprocess.canvas {canvas}")
     if width != patch.dim:
         raise container.ContainerError(f"{path}: array 'whitening.mean' has {width} entries, "
                                        f"patch.size {patch.size} needs {patch.dim}")
-    transform = WhiteningTransform(
-        **{n: arrays[f"whitening.{n}"] for n in ("mean", "basis", "eigenvalues")},
-        config=cfgs["whiten"], full_rank_input=values["whiten.full_rank_input"])
-    params = AeParams(**{n: arrays[f"ae.{n}"] for n in ("W1", "b1", "W2", "b2")})
-    ae = AutoencoderModel(
-        params=params, config=cfgs["ae"],
-        **{n: values[f"ae.{n}"]
-           for n in ("final_cost", "n_iter", "converged", "line_search_failed")})
+    if (out := transform.output_dim) > width:  # a fitted whitening never widens
+        raise container.ContainerError(f"{path}: array 'whitening.basis' has {out} rows, "
+                                       f"more than its {width} columns")
+    try:
+        _check_dense_size(cfgs["preprocess"], patch, cfgs["ae"])
+    except ValueError as exc:
+        raise container.ContainerError(f"{path}: {exc}") from None
+    ae = AutoencoderModel(params=AeParams(**{n: arrays[f"ae.{n}"] for n in _AE_ARRAYS}),
+                          config=cfgs["ae"], **{n: values[f"ae.{n}"] for n in _AE_STATE})
     return DescriptorModel(preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],
                            whitening=transform, ae=ae, seed=values["seed"],
                            train_sources=values["sources"])

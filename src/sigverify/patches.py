@@ -29,6 +29,8 @@ class PatchConfig:
                              f"size={self.size}")
         if self.train_count < 1:
             raise ValueError("train_count must be at least 1")
+        if self.oversample_factor < 1:
+            raise ValueError("oversample_factor must be at least 1")
         if not 0 <= self.blank_threshold < np.inf:
             raise ValueError("blank_threshold must be finite and non-negative")
 

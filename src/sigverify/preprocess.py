@@ -22,6 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 from ._lapack import dgtsv
 
+# fixed limits, far above a sensible config: a raster holds 2 canvas**2 values,
+# and smoothing gives spline_points_per_segment samples per input sample
+MAX_CANVAS = 1024
+MAX_SPLINE_POINTS = 16
+
 
 @dataclass(frozen=True)
 class PreprocessConfig:
@@ -31,10 +36,10 @@ class PreprocessConfig:
     cov_epsilon: float = 1e-9
 
     def __post_init__(self):
-        if self.canvas < 16:
-            raise ValueError(f"canvas must be at least 16, got {self.canvas}")
-        if self.spline_points_per_segment < 1:
-            raise ValueError("spline_points_per_segment must be at least 1")
+        if not 16 <= self.canvas <= MAX_CANVAS:
+            raise ValueError(f"canvas must be in [16, {MAX_CANVAS}], got {self.canvas}")
+        if not 1 <= self.spline_points_per_segment <= MAX_SPLINE_POINTS:
+            raise ValueError(f"spline_points_per_segment must be in [1, {MAX_SPLINE_POINTS}]")
         if not 0 < self.cov_epsilon < math.inf:
             raise ValueError("cov_epsilon must be finite and positive")
 

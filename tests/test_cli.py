@@ -32,16 +32,22 @@ def run_cli(*argv):
                           capture_output=True, text=True, env=env)
 
 
-def _verify_crafted(workspace, tmp_path, capsys, path, edit):
-    """``verify`` with copies of the workspace's models, ``path`` among them
-    re-written (with a valid digest) by ``edit(meta, arrays)``; any numpy
-    warning is an error.  Returns the exit code, stdout and stderr."""
+def _crafted(workspace, tmp_path, path, edit):
+    """Copies of the workspace's models, ``path`` among them re-written (with a
+    valid digest) by ``edit(meta, arrays)``.  Returns the descriptor model's copy."""
     from sigverify import container
     shutil.copytree(workspace / "users", tmp_path / "users")
     shutil.copy(workspace / "model.sig", tmp_path / "model.sig")
     meta, arrays = container.read_container(tmp_path / path)
     edit(meta, arrays)
     container.write_container(tmp_path / path, meta, arrays)
+    return tmp_path / "model.sig"
+
+
+def _verify_crafted(workspace, tmp_path, capsys, path, edit):
+    """``verify`` with ``_crafted``'s models; any numpy warning is an error.
+    Returns the exit code, stdout and stderr."""
+    _crafted(workspace, tmp_path, path, edit)
     sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -143,6 +149,13 @@ class TestConfigHandling:
         assert "config seed = 42" in err
         assert "config synth.users = 3" in err
 
+    def test_a_negative_seed_flag_fails_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["synth", "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: bad value for seed: '-1' is out of range"]
+        assert not out.exists()
+
     def test_missing_config_file_fails(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "c"),
                      "--config", str(tmp_path / "none.cfg")])
@@ -162,7 +175,8 @@ class TestConfigHandling:
         ("synth.users = many\nsynth.genuine\n", [],
          "bad value for synth.users: invalid literal for int() with base 10: 'many'"),
         ("nope = 1\n", ["seed"], "unknown configuration key 'nope'"),
-        ("", ["eval.folds=1", "seed"], "bad value for eval.folds: '1' is out of range")])
+        ("", ["eval.folds=1", "seed"], "bad value for eval.folds: '1' is out of range"),
+        ("", ["seed=-1"], "bad value for seed: '-1' is out of range")])
     def test_a_bad_setting_is_one_exact_error_line(self, tmp_path, capsys, text, sets, error):
         cfg, out = tmp_path / "run.cfg", tmp_path / "c"
         if text is not None:
@@ -240,18 +254,40 @@ class TestLearnDescriptor:
         assert f"\nerror: {name} must be finite" in capsys.readouterr().err
         assert not model.exists()
 
+    @pytest.mark.parametrize("setting, error", [
+        ("ae.grad_tol=inf", "grad_tol must be finite and positive"),
+        ("ae.seed=-1", "seed must be non-negative"),
+        ("patch.oversample_factor=0", "oversample_factor must be at least 1"),
+        ("patch.oversample_factor=-3", "oversample_factor must be at least 1"),
+        ("preprocess.canvas=1025", "canvas must be in [16, 1024], got 1025"),
+        ("preprocess.spline_points_per_segment=17",
+         "spline_points_per_segment must be in [1, 16]"),
+        ("ae.hidden=2049", "hidden must be in [1, 2048], got 2049")])
     def test_bad_config_fails_before_the_corpus_is_read(self, workspace, tmp_path,
-                                                         capsys):
+                                                         capsys, setting, error):
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace / "corpus", corpus)
         (corpus / "user000" / "genuine" / "bad.txt").write_text("not a signature\n")
         model = tmp_path / "model.sig"
-        code = main(["learn-descriptor", "--corpus", str(corpus), "--out", str(model),
-                     "--set", "ae.grad_tol=inf"] + FAST)
+        code = main(["learn-descriptor", "--corpus", str(corpus), "--out", str(model)]
+                    + FAST + ["--set", setting])
         assert code == 1
         err = capsys.readouterr().err
-        assert "\nerror: grad_tol must be finite and positive\n" in err
+        assert f"\nerror: {error}\n" in err
         assert "warning: skipped" not in err, err
+        assert not model.exists()
+
+    def test_a_dense_grid_over_the_limit_fails_before_training(self, workspace, tmp_path,
+                                                               capsys):
+        model = tmp_path / "model.sig"
+        code = main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
+                     "--out", str(model), "--set", "preprocess.canvas=1024",
+                     "--set", "patch.stride=1"] + FAST)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: preprocess.canvas 1024, patch.size 10, patch.stride 1 and ae.hidden 8 "
+            "are too large: max(1030225 dense patches, patch.dim 200) times max(patch.dim, "
+            "ae.hidden) is over the limit of 8388608 values")
         assert not model.exists()
 
     def test_rank_deficient_whitening_is_a_warning_line(self, workspace, tmp_path, capsys):
@@ -304,21 +340,30 @@ class TestEnroll:
         code = main(["enroll", "--model", str(workspace / "model.sig"),
                      "--corpus", str(corpus), "--out", str(tmp_path / "users")])
         assert code == 0
-        assert ("warning: could not enroll user\nid=x: cannot store metadata "
-                "'user_id'='user\\nid=x'") in capsys.readouterr().err
+        assert (f"warning: could not enroll user\nid=x with {workspace / 'model.sig'}: "
+                "cannot store metadata 'user_id'='user\\nid=x'") in capsys.readouterr().err
         assert [f.name for f in (tmp_path / "users").iterdir()] == ["user000.usermodel"]
 
+    # one genuine signature, or identical copies of it, gives a threshold of 0,
+    # or (three copies: the mean rounds off the copies) a covariance near 0
+    @pytest.mark.parametrize("copies, reason", [
+        (0, "no genuine signatures"),
+        *((n, "enrollment needs at least two distinct genuine signatures") for n in (1, 2, 3))])
     def test_a_user_without_genuine_signatures_is_not_enrolled(self, workspace, tmp_path,
-                                                               capsys):
+                                                               capsys, copies, reason):
         corpus = tmp_path / "corpus"
         shutil.copytree(workspace / "corpus" / "user000", corpus / "user000")
         shutil.copytree(workspace / "corpus" / "user001" / "forgery",
                         corpus / "user001" / "forgery")
+        (corpus / "user001" / "genuine").mkdir()
+        for i in range(copies):
+            shutil.copy(workspace / "corpus" / "user001" / "genuine" / "000.txt",
+                        corpus / "user001" / "genuine" / f"{i:03d}.txt")
         code = main(["enroll", "--model", str(workspace / "model.sig"),
                      "--corpus", str(corpus), "--out", str(tmp_path / "users")])
         assert code == 0
-        assert ("warning: could not enroll user001: no genuine signatures"
-                in capsys.readouterr().err)
+        assert (f"warning: could not enroll user001 with {workspace / 'model.sig'}: "
+                f"{reason}\n" in capsys.readouterr().err)
         assert [f.name for f in (tmp_path / "users").iterdir()] == ["user000.usermodel"]
 
     def test_a_corpus_with_no_enrollable_user_fails(self, workspace, tmp_path, capsys):
@@ -329,8 +374,22 @@ class TestEnroll:
                      "--corpus", str(corpus), "--out", str(tmp_path / "users")])
         assert code == 1
         assert capsys.readouterr().err.splitlines()[-1] == (
-            "error: no user could be enrolled (1 failures)")
-        assert not any((tmp_path / "users").iterdir())
+            f"error: no user could be enrolled with {workspace / 'model.sig'} (1 failures)")
+        assert not (tmp_path / "users").exists()
+
+    def test_a_model_giving_non_finite_descriptors_is_named_and_leaves_no_output(
+            self, workspace, tmp_path, capsys):
+        model = _crafted(workspace, tmp_path, "model.sig", _overflowing_whitening)
+        out = tmp_path / "enrolled"
+        code = main(["enroll", "--model", str(model), "--corpus", str(workspace / "corpus"),
+                     "--out", str(out)])
+        assert code == 1
+        err = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("config ")]
+        assert err == [f"warning: could not enroll user{i:03d} with {model}: the descriptor "
+                       "model gives a non-finite descriptor" for i in range(4)] + [
+            f"error: no user could be enrolled with {model} (4 failures)"]
+        assert not out.exists()
 
     def test_svc2004_corpus_enrolls_and_verifies_like_its_canonical_copy(
             self, workspace, tmp_path, capsys):
@@ -553,7 +612,20 @@ class TestEvaluate:
                      "--corpus", str(workspace / "corpus"), "--out", str(out),
                      "--set", "eval.folds=50"])
         assert code == 1
-        assert "error: no user produced a reportable score set" in capsys.readouterr().err
+        assert (f"error: cannot evaluate {workspace / 'corpus'} with {workspace / 'model.sig'}: "
+                "no user produced a reportable score set") in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_model_giving_non_finite_descriptors_is_named(self, workspace, tmp_path,
+                                                              capsys):
+        model = _crafted(workspace, tmp_path, "model.sig", _overflowing_whitening)
+        corpus, out = workspace / "corpus", tmp_path / "report"
+        code = main(["evaluate", "--model", str(model), "--corpus", str(corpus),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: cannot evaluate {corpus} with {model}: the descriptor model gives a "
+            "non-finite descriptor")
         assert not out.exists()
 
     @pytest.mark.parametrize("folds, kept, warned", [(3, 3, False), (5, 4, True)])

@@ -11,20 +11,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sigverify import (AeConfig, AeParams, PatchConfig, PreprocessConfig,
-                       WhitenConfig, calibrate_threshold, container, describe, load_model,
-                       load_user_model, save_model, save_user_model, verify)
+                       WhitenConfig, calibrate_threshold, container, describe, descriptor,
+                       load_model, load_user_model, save_model, save_user_model,
+                       train_descriptor, verify)
 from sigverify.cli import _build_config
 from sigverify.container import ContainerError
-from sigverify.descriptor import CONFIG_GROUPS, MODEL_FIELDS, MODEL_SHAPES, config_group
+from sigverify.autoencoder import MAX_HIDDEN
+from sigverify.descriptor import (CONFIG_GROUPS, MAX_DENSE_VALUES, MODEL_FIELDS, MODEL_SHAPES,
+                                  config_group)
+from sigverify.preprocess import MAX_CANVAS, MAX_SPLINE_POINTS
 from sigverify.oneclass import USER_MODEL_FIELDS, USER_MODEL_SHAPES, fit_user_model, score
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-ints = st.integers(min_value=-2**63, max_value=2**63)
+seeds = st.integers(min_value=0, max_value=2**63)
 non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
                      allow_infinity=False)
@@ -33,30 +37,34 @@ unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_ma
 
 @st.composite
 def configs(draw):
-    # the whitening is built patch.dim = 2 size**2 wide, so size stays small;
-    # load_model refuses a patch larger than the canvas
-    size = draw(st.integers(1, 100))
+    # the whitening is built patch.dim = 2 size**2 wide; load_model refuses a
+    # patch larger than the canvas, and max(dense grid, patch.dim) times
+    # max(patch.dim, ae.hidden) over MAX_DENSE_VALUES (so size is at most 38)
+    size = draw(st.integers(1, 38))
+    canvas, stride = draw(st.integers(max(16, size), MAX_CANVAS)), draw(st.integers(1, size))
+    hidden, dim = draw(st.integers(1, 64)), 2 * size**2
+    grid = ((canvas - size) // stride + 1) ** 2
+    assume(max(grid, dim) * max(dim, hidden) <= MAX_DENSE_VALUES)
     groups = {
-        "preprocess": dict(canvas=draw(st.integers(max(16, size), 10**6)),
-                           smooth=draw(st.booleans()),
-                           spline_points_per_segment=draw(st.integers(1, 10**6)),
+        "preprocess": dict(canvas=canvas, smooth=draw(st.booleans()),
+                           spline_points_per_segment=draw(st.integers(1, MAX_SPLINE_POINTS)),
                            cov_epsilon=draw(positive)),
-        "patch": dict(size=size, stride=draw(st.integers(1, size)),
+        "patch": dict(size=size, stride=stride,
                       train_count=draw(st.integers(1, 10**9)),
                       skip_blank=draw(st.booleans()),
                       blank_threshold=draw(non_negative),
-                      oversample_factor=draw(ints)),
+                      oversample_factor=draw(st.integers(1, 2**63))),
         "whiten": dict(epsilon=draw(non_negative),
                        retained_variance=draw(st.one_of(unit_open, st.just(1.0))),
                        mode=draw(st.sampled_from(["pca", "zca"]))),
         # the stored weights are resized to hidden, so it stays small
-        "ae": dict(hidden=draw(st.integers(1, 64)),
+        "ae": dict(hidden=hidden,
                    weight_decay=draw(non_negative),
                    sparsity_weight=draw(non_negative),
                    sparsity_target=draw(unit_open),
                    max_iter=draw(st.integers(0, 10**6)),
                    memory=draw(st.integers(1, 10**6)),
-                   grad_tol=draw(positive), seed=draw(ints)),
+                   grad_tol=draw(positive), seed=draw(seeds)),
     }
     for prefix, values in groups.items():  # every field of every group is drawn
         assert set(values) == {f.name for f in dataclasses.fields(CONFIG_GROUPS[prefix])}
@@ -278,6 +286,101 @@ class TestBadModelArrays:
         _rewrite_array(f, "mean", np.array([0.2, value]))
         with pytest.raises(ContainerError, match=re.escape(f"{f}: array 'mean' is not finite")):
             load_user_model(f)
+
+
+def _resized(hidden, size=10, out=1):
+    """Edit for ``_rewrite_model``: ``ae.hidden`` and ``patch.size`` set, and
+    the whitening ``out`` components wide, every array sized to match."""
+    def edit(meta, arrays):
+        meta.update({"ae.hidden": str(hidden), "patch.size": str(size)})
+        dim = 2 * size * size
+        arrays.update({"whitening.mean": np.zeros(dim), "whitening.basis": np.zeros((out, dim)),
+                       "whitening.eigenvalues": np.ones(out),
+                       "ae.W1": np.zeros((hidden, out)), "ae.b1": np.zeros(hidden),
+                       "ae.W2": np.zeros((out, hidden)), "ae.b2": np.zeros(out)})
+    return edit
+
+
+def _rewrite_model(tiny_model, directory, settings, edit=None):
+    """``tiny_model`` saved with its metadata updated by ``settings``, then
+    ``edit(meta, arrays)``, under a valid digest."""
+    f = directory / "model.sig"
+    save_model(tiny_model, f)
+    meta, arrays = container.read_container(f)
+    meta.update(settings)
+    if edit is not None:
+        edit(meta, arrays)
+    container.write_container(f, meta, arrays)
+    return f
+
+
+def _too_large(canvas, size, stride, hidden, grid):
+    return (f"preprocess.canvas {canvas}, patch.size {size}, patch.stride {stride} and "
+            f"ae.hidden {hidden} are too large: max({grid} dense patches, patch.dim "
+            f"{2 * size * size}) times max(patch.dim, ae.hidden) is over the limit of "
+            "8388608 values")
+
+
+class TestSizeLimits:
+    """Each size a descriptor model sets is bounded: the raster side, the spline
+    count, the encoding width, and the arrays that the dense patch grid, the
+    patch width and the encoding width make together."""
+
+    @pytest.mark.parametrize("prefix, name, limit", [
+        ("preprocess", "canvas", MAX_CANVAS),
+        ("preprocess", "spline_points_per_segment", MAX_SPLINE_POINTS),
+        ("ae", "hidden", MAX_HIDDEN)])
+    def test_dataclass_refuses_a_size_over_its_limit(self, prefix, name, limit):
+        assert getattr(CONFIG_GROUPS[prefix](**{name: limit}), name) == limit
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be in [")
+                           + f".*, {limit}\\](, got {limit + 1})?$"):
+            CONFIG_GROUPS[prefix](**{name: limit + 1})
+
+    @pytest.mark.parametrize("settings, edit, error", [
+        ({"preprocess.canvas": "100000"}, None,
+         "bad preprocess.* metadata: canvas must be in [16, 1024], got 100000"),
+        ({"preprocess.spline_points_per_segment": "1000000"}, None,
+         "bad preprocess.* metadata: spline_points_per_segment must be in [1, 16]"),
+        ({}, _resized(200_000), "bad ae.* metadata: hidden must be in [1, 2048], got 200000"),
+        ({"preprocess.canvas": "512", "patch.stride": "2", "patch.skip_blank": "false"}, None,
+         _too_large(512, 10, 2, 8, 63504)),
+        ({"preprocess.canvas": "1024", "patch.stride": "1"}, None,
+         _too_large(1024, 10, 1, 8, 1030225)),
+        ({"preprocess.canvas": "400"}, _resized(2048), _too_large(400, 10, 5, 2048, 6241)),
+        ({"preprocess.canvas": "1024", "patch.stride": "32"}, _resized(8, size=64),
+         _too_large(1024, 64, 32, 8, 961)),
+        ({}, _resized(8, out=201), "array 'whitening.basis' has 201 rows, more than its "
+         "200 columns")],
+        ids=["canvas", "spline", "hidden", "grid", "stride1", "grid-hidden", "patch-dim",
+             "basis"])
+    def test_a_model_over_a_limit_fails_at_load_naming_file_and_keys(
+            self, tiny_model, tmp_path, settings, edit, error):
+        f = _rewrite_model(tiny_model, tmp_path, settings, edit)
+        with pytest.raises(ContainerError, match="^" + re.escape(f"{f}: {error}") + "$"):
+            load_model(f)
+
+    @pytest.mark.parametrize("settings, edit", [
+        ({"preprocess.canvas": "1024"}, None),  # 41209 patches x 200
+        ({"preprocess.canvas": "325"}, _resized(2048)),  # 4096 patches x 2048: the limit
+        ({"preprocess.canvas": "977", "patch.stride": "15"},  # 4096 x 2048 again
+         _resized(2048, size=32))], ids=["canvas", "hidden", "patch-dim"])
+    def test_the_largest_legal_sizes_load(self, tiny_model, tmp_path, settings, edit):
+        model = load_model(_rewrite_model(tiny_model, tmp_path, settings, edit))
+        assert model.preprocess_cfg.canvas == int(settings["preprocess.canvas"])
+
+    @pytest.mark.parametrize("pre_cfg, patch_cfg, ae_cfg", [
+        (PreprocessConfig(canvas=512), PatchConfig(stride=2, skip_blank=False), AeConfig()),
+        (PreprocessConfig(canvas=400), PatchConfig(), AeConfig(hidden=2048)),
+        (PreprocessConfig(), PatchConfig(size=39), AeConfig())])
+    def test_training_refuses_the_sizes_before_preprocessing(
+            self, tiny_corpus, monkeypatch, pre_cfg, patch_cfg, ae_cfg):
+        def no_preprocess(*args):
+            raise AssertionError("the pool was preprocessed")
+        monkeypatch.setattr(descriptor, "preprocess", no_preprocess)
+        with pytest.raises(ValueError, match=" are too large: .* over the limit of "
+                           f"{MAX_DENSE_VALUES} values$"):
+            train_descriptor(tiny_corpus.all_trajectories(), pre_cfg, patch_cfg,
+                             ae_cfg=ae_cfg)
 
 
 # each model file kind: its loader and the schema that loader reads
