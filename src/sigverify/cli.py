@@ -49,9 +49,9 @@ DEFAULTS.update({
     "corpus.layout": (_layout, "canonical"),
     "oneclass.reg": (USER_MODEL_FIELDS["reg"], 0.9),
     "eval.folds": (bounded(int, lambda v: v >= 2), 4),
-    "synth.users": (int, 10),
-    "synth.genuine": (int, 10),
-    "synth.forgery": (int, 5),
+    "synth.users": (bounded(int, lambda v: v >= 1), 10),
+    "synth.genuine": (bounded(int, lambda v: v >= 1), 10),
+    "synth.forgery": (bounded(int, lambda v: v >= 0), 5),
 })
 
 
@@ -116,8 +116,8 @@ def _load_corpus_arg(args, cfg):
 
 
 def cmd_learn_descriptor(args, cfg) -> int:
-    # a bad config value fails here, before any file is touched; the groups
-    # come in train_descriptor's argument order
+    # a bad config value fails here, before any file is touched, and a bad size
+    # in train_descriptor, before the pool is preprocessed; groups in its argument order
     groups = [config_group(prefix, cfg) for prefix in CONFIG_GROUPS]
     out = Path(args.out)
     if out.exists() and not args.force:

@@ -24,7 +24,7 @@ from .whitening import WhitenConfig, WhiteningTransform, _fit_centring, apply_wh
 
 MODEL_VERSION = 1
 # fixed limit on the float64 values of any one array that describing a signature
-# holds (64 MiB; see _check_dense_size).  Canvas 1024 at the default patch fits.
+# holds (64 MiB; see _check_sizes).  Canvas 1024 at the default patch fits.
 MAX_DENSE_VALUES = 2**23
 
 
@@ -49,10 +49,13 @@ class DescriptorModel:
         return self.ae.config.hidden
 
 
-def _check_dense_size(pre: PreprocessConfig, patch: PatchConfig, ae: AeConfig) -> None:
-    """Refuse sizes with an array over ``MAX_DENSE_VALUES`` values: the dense patches,
-    their encoding, the whitening basis and the encoder weights (whitened width at
-    most patch.dim) all fit in max(dense grid, patch.dim) x max(patch.dim, ae.hidden)."""
+def _check_sizes(pre: PreprocessConfig, patch: PatchConfig, ae: AeConfig) -> None:
+    """Refuse a patch larger than the canvas, and sizes with an array over
+    ``MAX_DENSE_VALUES`` values: the dense patches, their encoding, the whitening
+    basis and the encoder weights (whitened width at most patch.dim) all fit in
+    max(dense grid, patch.dim) x max(patch.dim, ae.hidden)."""
+    if patch.size > pre.canvas:
+        raise ValueError(f"patch.size {patch.size} exceeds preprocess.canvas {pre.canvas}")
     grid = ((pre.canvas - patch.size) // patch.stride + 1) ** 2
     if max(grid, patch.dim) * max(patch.dim, ae.hidden) > MAX_DENSE_VALUES:
         raise ValueError(
@@ -77,7 +80,7 @@ def train_descriptor(unlabeled: list[Trajectory],
     """
     if not unlabeled:
         raise ValueError("need at least one unlabeled trajectory")
-    _check_dense_size(pre_cfg, patch_cfg, ae_cfg)
+    _check_sizes(pre_cfg, patch_cfg, ae_cfg)
     raw = sample_training_patches((preprocess(t, pre_cfg) for t in unlabeled),
                                   patch_cfg, seed)
     transform = _fit_centring(raw, whiten_cfg)
@@ -129,9 +132,13 @@ _AE_ARRAYS = ("W1", "b1", "W2", "b2")
 
 
 def config_group(prefix: str, values):
-    """The config dataclass of ``prefix`` built from flat ``prefix.name`` values."""
+    """The config dataclass of ``prefix`` built from flat ``prefix.name`` values;
+    a refusal names the group."""
     cls = CONFIG_GROUPS[prefix]
-    return cls(**{f.name: values[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+    try:
+        return cls(**{f.name: values[f"{prefix}.{f.name}"] for f in dataclasses.fields(cls)})
+    except ValueError as exc:  # a failed config check, such as stride <= size
+        raise ValueError(f"bad {prefix}.* setting: {exc}") from None
 
 
 def save_model(model: DescriptorModel, path) -> None:
@@ -150,8 +157,9 @@ def save_model(model: DescriptorModel, path) -> None:
 
 # the descriptor model file schema (see container.read_model)
 MODEL_FIELDS = {"seed": int, "sources": lambda text: tuple(s for s in text.split(",") if s),
-                "whiten.full_rank_input": bool, "ae.final_cost": float, "ae.n_iter": int,
-                "ae.converged": bool, "ae.line_search_failed": bool,
+                "whiten.full_rank_input": bool,
+                **{f"ae.{f.name}": f.type for f in dataclasses.fields(AutoencoderModel)
+                   if f.name in _AE_STATE},
                 **{f"{prefix}.{f.name}": f.type for prefix, cls in CONFIG_GROUPS.items()
                    for f in dataclasses.fields(cls)}}
 MODEL_SHAPES = {"whitening.basis": ("out", "in"), "whitening.mean": ("in",),
@@ -162,29 +170,21 @@ MODEL_SHAPES = {"whitening.basis": ("out", "in"), "whitening.mean": ("in",),
 def load_model(path) -> DescriptorModel:
     values, arrays = container.read_model(path, "descriptor", MODEL_VERSION,
                                           MODEL_FIELDS, MODEL_SHAPES)
-    cfgs = {}
-    for prefix in CONFIG_GROUPS:
-        try:
-            cfgs[prefix] = config_group(prefix, values)
-        except ValueError as exc:  # a failed config check, such as stride <= size
-            raise container.ContainerError(f"{path}: bad {prefix}.* metadata: {exc}") from None
+    try:  # one check path with training: each config group, then the sizes
+        cfgs = {prefix: config_group(prefix, values) for prefix in CONFIG_GROUPS}
+        _check_sizes(cfgs["preprocess"], cfgs["patch"], cfgs["ae"])
+    except ValueError as exc:
+        raise container.ContainerError(f"{path}: {exc}") from None
     transform = WhiteningTransform(
         **{n: arrays[f"whitening.{n}"] for n in _WHITENING_ARRAYS},
         config=cfgs["whiten"], full_rank_input=values["whiten.full_rank_input"])
-    patch, canvas, width = cfgs["patch"], cfgs["preprocess"].canvas, transform.input_dim
-    if patch.size > canvas:
-        raise container.ContainerError(f"{path}: patch.size {patch.size} exceeds "
-                                       f"preprocess.canvas {canvas}")
+    patch, width = cfgs["patch"], transform.input_dim
     if width != patch.dim:
         raise container.ContainerError(f"{path}: array 'whitening.mean' has {width} entries, "
                                        f"patch.size {patch.size} needs {patch.dim}")
     if (out := transform.output_dim) > width:  # a fitted whitening never widens
         raise container.ContainerError(f"{path}: array 'whitening.basis' has {out} rows, "
                                        f"more than its {width} columns")
-    try:
-        _check_dense_size(cfgs["preprocess"], patch, cfgs["ae"])
-    except ValueError as exc:
-        raise container.ContainerError(f"{path}: {exc}") from None
     ae = AutoencoderModel(params=AeParams(**{n: arrays[f"ae.{n}"] for n in _AE_ARRAYS}),
                           config=cfgs["ae"], **{n: values[f"ae.{n}"] for n in _AE_STATE})
     return DescriptorModel(preprocess_cfg=cfgs["preprocess"], patch_cfg=cfgs["patch"],

@@ -176,7 +176,10 @@ class TestConfigHandling:
          "bad value for synth.users: invalid literal for int() with base 10: 'many'"),
         ("nope = 1\n", ["seed"], "unknown configuration key 'nope'"),
         ("", ["eval.folds=1", "seed"], "bad value for eval.folds: '1' is out of range"),
-        ("", ["seed=-1"], "bad value for seed: '-1' is out of range")])
+        ("", ["seed=-1"], "bad value for seed: '-1' is out of range"),
+        ("", ["synth.users=0"], "bad value for synth.users: '0' is out of range"),
+        ("", ["synth.genuine=0"], "bad value for synth.genuine: '0' is out of range"),
+        ("", ["synth.forgery=-1"], "bad value for synth.forgery: '-1' is out of range")])
     def test_a_bad_setting_is_one_exact_error_line(self, tmp_path, capsys, text, sets, error):
         cfg, out = tmp_path / "run.cfg", tmp_path / "c"
         if text is not None:
@@ -250,19 +253,23 @@ class TestLearnDescriptor:
         code = main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
                      "--out", str(model), "--set", f"{key}={value}"] + FAST)
         assert code == 1
-        name = key.split(".")[1]
-        assert f"\nerror: {name} must be finite" in capsys.readouterr().err
+        prefix, name = key.split(".")
+        assert (f"\nerror: bad {prefix}.* setting: {name} must be finite"
+                in capsys.readouterr().err)
         assert not model.exists()
 
     @pytest.mark.parametrize("setting, error", [
-        ("ae.grad_tol=inf", "grad_tol must be finite and positive"),
-        ("ae.seed=-1", "seed must be non-negative"),
-        ("patch.oversample_factor=0", "oversample_factor must be at least 1"),
-        ("patch.oversample_factor=-3", "oversample_factor must be at least 1"),
-        ("preprocess.canvas=1025", "canvas must be in [16, 1024], got 1025"),
+        ("ae.grad_tol=inf", "bad ae.* setting: grad_tol must be finite and positive"),
+        ("ae.seed=-1", "bad ae.* setting: seed must be non-negative"),
+        ("patch.oversample_factor=0",
+         "bad patch.* setting: oversample_factor must be at least 1"),
+        ("patch.oversample_factor=-3",
+         "bad patch.* setting: oversample_factor must be at least 1"),
+        ("preprocess.canvas=1025", "bad preprocess.* setting: canvas must be in [16, 1024], "
+         "got 1025"),
         ("preprocess.spline_points_per_segment=17",
-         "spline_points_per_segment must be in [1, 16]"),
-        ("ae.hidden=2049", "hidden must be in [1, 2048], got 2049")])
+         "bad preprocess.* setting: spline_points_per_segment must be in [1, 16]"),
+        ("ae.hidden=2049", "bad ae.* setting: hidden must be in [1, 2048], got 2049")])
     def test_bad_config_fails_before_the_corpus_is_read(self, workspace, tmp_path,
                                                          capsys, setting, error):
         corpus = tmp_path / "corpus"
@@ -289,6 +296,27 @@ class TestLearnDescriptor:
             "are too large: max(1030225 dense patches, patch.dim 200) times max(patch.dim, "
             "ae.hidden) is over the limit of 8388608 values")
         assert not model.exists()
+
+    # one check path: the error line of learn-descriptor is the message of
+    # load_model on the workspace model re-digested with the same settings,
+    # less the model file's name
+    @pytest.mark.parametrize("settings", [
+        {"ae.seed": "-1"}, {"preprocess.canvas": "16", "patch.size": "17"},
+        {"preprocess.canvas": "1024", "patch.stride": "1"}],
+        ids=["dataclass", "size-over-canvas", "dense-grid"])
+    def test_training_and_loading_refuse_a_setting_alike(self, workspace, tmp_path, capsys,
+                                                         settings):
+        model = tmp_path / "new.sig"
+        sets = [arg for item in settings.items() for arg in ("--set", "=".join(item))]
+        assert main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
+                     "--out", str(model)] + FAST + sets) == 1
+        trained = capsys.readouterr().err.splitlines()[-1]
+        assert trained.startswith("error: ") and not model.exists()
+        crafted = _crafted(workspace, tmp_path, "model.sig",
+                           lambda meta, arrays: meta.update(settings))
+        with pytest.raises(sigverify.container.ContainerError) as refused:
+            sigverify.load_model(crafted)
+        assert str(refused.value) == f"{crafted}: " + trained.removeprefix("error: ")
 
     def test_rank_deficient_whitening_is_a_warning_line(self, workspace, tmp_path, capsys):
         # 150 patches of dimension 2 * 10 * 10 = 200

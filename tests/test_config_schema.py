@@ -128,7 +128,7 @@ class TestNonFiniteConfigFloats:
         _rewrite(f, key, value)
         prefix, name = key.split(".")
         with pytest.raises(ContainerError, match=re.escape(
-                f"{f}: bad {prefix}.* metadata: {name} must be finite")):
+                f"{f}: bad {prefix}.* setting: {name} must be finite")):
             load_model(f)
 
 
@@ -248,7 +248,7 @@ class TestBadModelArrays:
         _rewrite(f, "patch.size", "10")
         _rewrite(f, "patch.stride", "50")
         with pytest.raises(ContainerError,
-                           match=re.escape(f"{f}: bad patch.* metadata: need 1 <= stride")):
+                           match=re.escape(f"{f}: bad patch.* setting: need 1 <= stride")):
             load_model(f)
 
     @pytest.mark.parametrize("key", ["mean", "covariance"])
@@ -338,10 +338,10 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("settings, edit, error", [
         ({"preprocess.canvas": "100000"}, None,
-         "bad preprocess.* metadata: canvas must be in [16, 1024], got 100000"),
+         "bad preprocess.* setting: canvas must be in [16, 1024], got 100000"),
         ({"preprocess.spline_points_per_segment": "1000000"}, None,
-         "bad preprocess.* metadata: spline_points_per_segment must be in [1, 16]"),
-        ({}, _resized(200_000), "bad ae.* metadata: hidden must be in [1, 2048], got 200000"),
+         "bad preprocess.* setting: spline_points_per_segment must be in [1, 16]"),
+        ({}, _resized(200_000), "bad ae.* setting: hidden must be in [1, 2048], got 200000"),
         ({"preprocess.canvas": "512", "patch.stride": "2", "patch.skip_blank": "false"}, None,
          _too_large(512, 10, 2, 8, 63504)),
         ({"preprocess.canvas": "1024", "patch.stride": "1"}, None,
@@ -368,17 +368,20 @@ class TestSizeLimits:
         model = load_model(_rewrite_model(tiny_model, tmp_path, settings, edit))
         assert model.preprocess_cfg.canvas == int(settings["preprocess.canvas"])
 
-    @pytest.mark.parametrize("pre_cfg, patch_cfg, ae_cfg", [
-        (PreprocessConfig(canvas=512), PatchConfig(stride=2, skip_blank=False), AeConfig()),
-        (PreprocessConfig(canvas=400), PatchConfig(), AeConfig(hidden=2048)),
-        (PreprocessConfig(), PatchConfig(size=39), AeConfig())])
+    @pytest.mark.parametrize("pre_cfg, patch_cfg, ae_cfg, error", [
+        (PreprocessConfig(canvas=512), PatchConfig(stride=2, skip_blank=False), AeConfig(),
+         _too_large(512, 10, 2, 64, 63504)),
+        (PreprocessConfig(canvas=400), PatchConfig(), AeConfig(hidden=2048),
+         _too_large(400, 10, 5, 2048, 6241)),
+        (PreprocessConfig(), PatchConfig(size=39), AeConfig(), _too_large(101, 39, 5, 64, 169)),
+        (PreprocessConfig(canvas=16), PatchConfig(size=17), AeConfig(),
+         "patch.size 17 exceeds preprocess.canvas 16")])
     def test_training_refuses_the_sizes_before_preprocessing(
-            self, tiny_corpus, monkeypatch, pre_cfg, patch_cfg, ae_cfg):
+            self, tiny_corpus, monkeypatch, pre_cfg, patch_cfg, ae_cfg, error):
         def no_preprocess(*args):
             raise AssertionError("the pool was preprocessed")
         monkeypatch.setattr(descriptor, "preprocess", no_preprocess)
-        with pytest.raises(ValueError, match=" are too large: .* over the limit of "
-                           f"{MAX_DENSE_VALUES} values$"):
+        with pytest.raises(ValueError, match="^" + re.escape(error) + "$"):
             train_descriptor(tiny_corpus.all_trajectories(), pre_cfg, patch_cfg,
                              ae_cfg=ae_cfg)
 
@@ -573,8 +576,10 @@ class TestCliSchema:
 
     @pytest.mark.parametrize("key, accepted, refused", [
         ("oneclass.reg", ["0", "1", "0.5"], ["-0.1", "1.5", "nan", "inf"]),
-        ("eval.folds", ["2", "10"], ["1", "0", "-3"])])
-    def test_one_class_and_fold_keys_are_range_checked(self, key, accepted, refused):
+        ("eval.folds", ["2", "10"], ["1", "0", "-3"]),
+        ("synth.users", ["1"], ["0", "-1"]), ("synth.genuine", ["1"], ["0"]),
+        ("synth.forgery", ["0"], ["-1"])])
+    def test_bounded_run_keys_are_range_checked(self, key, accepted, refused):
         for raw in accepted:
             _run_config(f"{key}={raw}")
         for raw in refused:
