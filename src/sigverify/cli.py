@@ -28,8 +28,8 @@ import numpy as np
 from .container import bounded, format_value, parse_value
 from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser_for,
                       save_corpus)
-from .descriptor import (CONFIG_GROUPS, config_group, describe, load_model, save_model,
-                         train_descriptor)
+from .descriptor import (CONFIG_GROUPS, check_sizes, config_group, describe, load_model,
+                         save_model, train_descriptor)
 from .evaluation import format_report, roc_csv, run_experiment, scores_csv
 from .oneclass import (USER_MODEL_FIELDS, calibrate_threshold, fit_user_model,
                        load_user_model, save_user_model, score, verify)
@@ -116,16 +116,16 @@ def _load_corpus_arg(args, cfg):
 
 
 def cmd_learn_descriptor(args, cfg) -> int:
-    # a bad config value fails here, before any file is touched, and a bad size
-    # in train_descriptor, before the pool is preprocessed; groups in its argument order
-    groups = [config_group(prefix, cfg) for prefix in CONFIG_GROUPS]
+    # a bad config value or size fails here, before any file is touched
+    pre, patch, whiten, ae = (config_group(prefix, cfg) for prefix in CONFIG_GROUPS)
+    check_sizes(pre, patch, ae)
     out = Path(args.out)
     if out.exists() and not args.force:
         raise ValueError(f"model file {out} already exists (use --force to overwrite)")
     corpus = _load_corpus_arg(args, cfg)
     unlabeled = corpus.all_trajectories()
     started = time.perf_counter()
-    model = train_descriptor(unlabeled, *groups, seed=cfg["seed"])
+    model = train_descriptor(unlabeled, pre, patch, whiten, ae, seed=cfg["seed"])
     elapsed = time.perf_counter() - started
     out.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, out)

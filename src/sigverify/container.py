@@ -86,7 +86,7 @@ def write_container(path, metadata: dict, arrays: dict) -> None:
         chunks.append(struct.pack("<H", len(name_bytes)))
         chunks.append(name_bytes)
         chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape) if arr.ndim else b"")
+        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
         chunks.append(arr.tobytes())
     payload = b"".join(chunks)
     digest = hashlib.sha256(payload).digest()
@@ -153,7 +153,7 @@ def read_container(path):
         if name in arrays:
             raise ContainerError(f"{path}: array {name!r} is stored twice")
         (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}Q") if ndim else ()
+        shape = r.unpack(f"<{ndim}Q")
         count = math.prod(shape)  # a Python int: cannot wrap
         if 8 * count > len(payload) - r.pos:
             raise ContainerError(f"{path}: array {name!r} of shape {shape} needs "

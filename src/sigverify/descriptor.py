@@ -24,7 +24,7 @@ from .whitening import WhitenConfig, WhiteningTransform, _fit_centring, apply_wh
 
 MODEL_VERSION = 1
 # fixed limit on the float64 values of any one array that describing a signature
-# holds (64 MiB; see _check_sizes).  Canvas 1024 at the default patch fits.
+# holds (64 MiB; see check_sizes).  Canvas 1024 at the default patch fits.
 MAX_DENSE_VALUES = 2**23
 
 
@@ -49,7 +49,7 @@ class DescriptorModel:
         return self.ae.config.hidden
 
 
-def _check_sizes(pre: PreprocessConfig, patch: PatchConfig, ae: AeConfig) -> None:
+def check_sizes(pre: PreprocessConfig, patch: PatchConfig, ae: AeConfig) -> None:
     """Refuse a patch larger than the canvas, and sizes with an array over
     ``MAX_DENSE_VALUES`` values: the dense patches, their encoding, the whitening
     basis and the encoder weights (whitened width at most patch.dim) all fit in
@@ -80,7 +80,7 @@ def train_descriptor(unlabeled: list[Trajectory],
     """
     if not unlabeled:
         raise ValueError("need at least one unlabeled trajectory")
-    _check_sizes(pre_cfg, patch_cfg, ae_cfg)
+    check_sizes(pre_cfg, patch_cfg, ae_cfg)
     raw = sample_training_patches((preprocess(t, pre_cfg) for t in unlabeled),
                                   patch_cfg, seed)
     transform = _fit_centring(raw, whiten_cfg)
@@ -172,7 +172,7 @@ def load_model(path) -> DescriptorModel:
                                           MODEL_FIELDS, MODEL_SHAPES)
     try:  # one check path with training: each config group, then the sizes
         cfgs = {prefix: config_group(prefix, values) for prefix in CONFIG_GROUPS}
-        _check_sizes(cfgs["preprocess"], cfgs["patch"], cfgs["ae"])
+        check_sizes(cfgs["preprocess"], cfgs["patch"], cfgs["ae"])
     except ValueError as exc:
         raise container.ContainerError(f"{path}: {exc}") from None
     transform = WhiteningTransform(

@@ -175,13 +175,13 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
 
     Every trajectory is described once, into one stacked array of each
     user's genuine descriptors and one of their skilled forgeries.  Each
-    user is evaluated in one pass: per fold, a model fitted on the training
-    rows scores, in one solve, the test genuine rows and the user's forgery
-    block (skilled forgeries and every other user's genuine rows, built
-    once), bit for bit as per-signature scoring; the scores pool across
-    folds into the ROC curve kept on the user's result.  The report carries
-    per-user EER/AUC, their means, the forgery-type subsets, a secondary
-    EER with one global pooled threshold, and every score, fold-major.
+    user has one block, built once: their genuine rows, their skilled
+    forgeries, then every other user's genuine rows.  Per fold, a model
+    fitted on the training rows scores the whole block in one solve, bit
+    for bit as per-signature scoring; the test, skilled and random rows'
+    scores pool across folds into the user's ROC curve.  The report
+    carries per-user EER/AUC, their means, the forgery-type subsets, a
+    secondary EER with one global pooled threshold, and every score, fold-major.
 
     Nothing is printed or logged: each condition met is one message in
     ``report.warnings``, or in the ValueError raised if no user is reportable.
@@ -207,13 +207,13 @@ def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
                  f"fewer than k={k}; excluded from the protocol" for uid in excluded]
     per_user, parts, pooled_gen, pooled_forg = {}, {}, [], []
     for uid in sorted(splits):
-        forgeries = np.concatenate([skilled[uid], *(genuine[o] for o in uids if o != uid)])
+        block = np.concatenate([genuine[uid], skilled[uid],
+                                *(genuine[o] for o in uids if o != uid)])
+        a, b = len(genuine[uid]), len(genuine[uid]) + len(skilled[uid])
         parts[uid] = []  # per fold: (genuine, skilled, random) scores
         for train_idx, test_idx in splits[uid]:
-            user_model = fit_user_model(genuine[uid][train_idx], reg=reg, user_id=uid)
-            scores = score(user_model, np.concatenate([genuine[uid][test_idx], forgeries]))
-            a, b = len(test_idx), len(test_idx) + len(skilled[uid])
-            parts[uid].append((scores[:a], scores[a:b], scores[b:]))
+            s = score(fit_user_model(genuine[uid][train_idx], reg=reg, user_id=uid), block)
+            parts[uid].append((s[test_idx], s[a:b], s[b:]))
         # each fold tests k - 1 genuine blocks of at least one row: only forg can be empty
         gen, skl, rnd = (np.concatenate(p) for p in zip(*parts[uid]))
         forg = np.concatenate([skl, rnd])

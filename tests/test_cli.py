@@ -269,7 +269,8 @@ class TestLearnDescriptor:
          "got 1025"),
         ("preprocess.spline_points_per_segment=17",
          "bad preprocess.* setting: spline_points_per_segment must be in [1, 16]"),
-        ("ae.hidden=2049", "bad ae.* setting: hidden must be in [1, 2048], got 2049")])
+        ("ae.hidden=2049", "bad ae.* setting: hidden must be in [1, 2048], got 2049"),
+        ("patch.size=200", "patch.size 200 exceeds preprocess.canvas 101")])
     def test_bad_config_fails_before_the_corpus_is_read(self, workspace, tmp_path,
                                                          capsys, setting, error):
         corpus = tmp_path / "corpus"

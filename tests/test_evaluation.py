@@ -387,16 +387,25 @@ class TestRunExperiment:
     def test_every_block_is_scored_through_score(self, corpus, monkeypatch):
         calls = []
 
-        def counting_score(model, rows):
-            calls.append(rows.shape)
+        def recording_score(model, rows):
+            calls.append((model.user_id, rows))
             return real(model, rows)
 
         real = evaluation.score
-        monkeypatch.setattr(evaluation, "score", counting_score)
+        monkeypatch.setattr(evaluation, "score", recording_score)
         run_experiment(corpus, FakeModel(), k=4, seed=0, describe_fn=stub_describe)
         splits, _ = evaluation.split_protocol(corpus, k=4, seed=0)
-        assert len(calls) == len(splits) * 4
-        assert all(len(shape) == 2 for shape in calls)  # one stack per (user, fold)
+        # one call per (user, fold), each on the user's one block: their genuine
+        # rows, their skilled forgeries, then every other user's genuine rows
+        assert [uid for uid, _ in calls] == [uid for uid in sorted(splits) for _ in range(4)]
+        n_genuine = sum(len(u.genuine) for u in corpus.users.values())
+        for uid in splits:
+            block, *rest = [rows for u, rows in calls if u == uid]
+            assert all(rows is block for rows in rest)
+            user = corpus.users[uid]
+            assert block.shape == (n_genuine + len(user.skilled_forgeries), 4)
+            genuine = np.array([stub_describe(t, None).values for t in user.genuine])
+            assert block[:len(genuine)].tobytes() == genuine.tobytes()
 
     def test_subset_rates_are_populated(self, report):
         for result in report.per_user.values():
