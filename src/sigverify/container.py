@@ -34,7 +34,7 @@ MAGIC = b"SIGC"
 CONTAINER_VERSION = 1
 # fixed size limit, above any model file that loads (the largest descriptor
 # model the size limits admit is about 155 MiB, the default one under 1 MiB);
-# a larger file is never read, and reading takes about twice a file's size
+# a larger file is never read, and reading holds a file once
 MAX_CONTAINER_BYTES = 192 * 2**20
 
 
@@ -70,102 +70,99 @@ def bounded(read, valid):
 
 
 def write_container(path, metadata: dict, arrays: dict) -> None:
-    chunks = [MAGIC, struct.pack("<I", CONTAINER_VERSION)]
     meta = {key: format_value(value) for key, value in metadata.items()}
     for key, value in meta.items():
         if "=" in key or "\n" in key + value:
             raise ValueError(f"cannot store metadata {key!r}={value!r}: a key may "
                              "hold no '=' or newline, a value no newline")
     meta_bytes = "".join(f"{k}={meta[k]}\n" for k in sorted(meta)).encode("utf-8")
-    chunks.append(struct.pack("<I", len(meta_bytes)))
-    chunks.append(meta_bytes)
-    chunks.append(struct.pack("<I", len(arrays)))
+    chunks = [MAGIC, struct.pack("<II", CONTAINER_VERSION, len(meta_bytes)), meta_bytes,
+              struct.pack("<I", len(arrays))]
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name], dtype="<f8")
         name_bytes = name.encode("utf-8")
-        chunks.append(struct.pack("<H", len(name_bytes)))
-        chunks.append(name_bytes)
-        chunks.append(struct.pack("<B", arr.ndim))
-        chunks.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        chunks.append(arr.tobytes())
-    payload = b"".join(chunks)
-    digest = hashlib.sha256(payload).digest()
-    Path(path).write_bytes(payload + digest)
-
-
-class _Reader:
-    def __init__(self, data: memoryview, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
-
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
-            raise ContainerError(f"{self.path}: truncated container")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def text(self, n: int, what: str) -> str:
-        try:
-            return str(self.take(n), "utf-8")
-        except UnicodeDecodeError:
-            raise ContainerError(f"{self.path}: {what} is not UTF-8 text") from None
+        chunks += [struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}Q", len(name_bytes),
+                               name_bytes, arr.ndim, *arr.shape),
+                   arr.view(np.uint8)]  # the values themselves, not a copy
+    digest = hashlib.sha256()
+    with Path(path).open("wb") as f:
+        for chunk in chunks:
+            digest.update(chunk)
+            f.write(chunk)
+        f.write(digest.digest())
 
 
 def read_container(path):
-    """Read and verify a container, returning (metadata, arrays)."""
+    """Read and verify a container, returning (metadata, arrays): writeable,
+    8-byte aligned, C-contiguous views of the one buffer the file is read into.
+    """
     path = Path(path)
     if (size := path.stat().st_size) > MAX_CONTAINER_BYTES:
         raise ContainerError(f"{path}: file is {size} bytes, over the limit "
                              f"of {MAX_CONTAINER_BYTES} bytes")
-    data = path.read_bytes()
-    if len(data) < len(MAGIC) + 4 + 32:
-        raise ContainerError(f"{path}: truncated container")
-    payload, digest = memoryview(data)[:-32], data[-32:]
-    if hashlib.sha256(payload).digest() != digest:
+    data = bytearray(size)  # a file that grew since the stat is read no further
+    with path.open("rb") as f:
+        if f.readinto(data) != size or size < len(MAGIC) + 4 + 32:
+            raise ContainerError(f"{path}: truncated container")
+    end = size - 32  # the payload's end: its SHA-256 digest follows
+    buf = memoryview(data)
+    if hashlib.sha256(buf[:end]).digest() != buf[end:]:
         raise ContainerError(f"{path}: payload checksum mismatch "
                              "(truncated or corrupted file)")
-    r = _Reader(payload, path)
-    if r.take(len(MAGIC)) != MAGIC:
+    pos = 0
+
+    def take(n: int) -> memoryview:  # the next n payload bytes
+        nonlocal pos
+        if pos + n > end:
+            raise ContainerError(f"{path}: truncated container")
+        pos += n
+        return buf[pos - n:pos]
+
+    def text(n: int, what: str) -> str:
+        try:
+            return str(take(n), "utf-8")
+        except UnicodeDecodeError:
+            raise ContainerError(f"{path}: {what} is not UTF-8 text") from None
+
+    if take(len(MAGIC)) != MAGIC:
         raise ContainerError(f"{path}: not a model container (bad magic)")
-    (fmt_version,) = r.unpack("<I")
+    fmt_version = int.from_bytes(take(4), "little")
     if fmt_version != CONTAINER_VERSION:
         raise ContainerError(f"{path}: container format version {fmt_version} "
                              f"is not the supported version {CONTAINER_VERSION}")
-    (meta_len,) = r.unpack("<I")
+    meta_len = int.from_bytes(take(4), "little")
     metadata = {}
-    for line in filter(None, r.text(meta_len, "metadata").split("\n")):
+    for line in filter(None, text(meta_len, "metadata").split("\n")):
         key, sep, value = line.partition("=")
         if not sep:
             raise ContainerError(f"{path}: metadata line {line!r} has no '='")
         if key in metadata:
             raise ContainerError(f"{path}: metadata key {key!r} is stored twice")
         metadata[key] = value
-    (n_arrays,) = r.unpack("<I")
+    n_arrays = int.from_bytes(take(4), "little")
     arrays = {}
     for _ in range(n_arrays):
-        (name_len,) = r.unpack("<H")
-        name = r.text(name_len, "an array name")
+        name_len = int.from_bytes(take(2), "little")
+        name = text(name_len, "an array name")
         if name in arrays:
             raise ContainerError(f"{path}: array {name!r} is stored twice")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}Q")
+        ndim = take(1)[0]
+        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
         count = math.prod(shape)  # a Python int: cannot wrap
-        if 8 * count > len(payload) - r.pos:
+        if 8 * count > end - pos:
             raise ContainerError(f"{path}: array {name!r} of shape {shape} needs "
-                                 f"{8 * count} bytes, only {len(payload) - r.pos} remain")
-        raw = r.take(8 * count)
+                                 f"{8 * count} bytes, only {end - pos} remain")
+        # move the values back to an 8-byte boundary (a memmove): into their own
+        # header of 3 or more bytes, already read, after the previous array's end
+        start = pos - pos % 8
+        buf[start:start + 8 * count] = take(8 * count)
         try:
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+            arrays[name] = np.frombuffer(data, "<f8", count, start).reshape(shape)
         except ValueError as exc:  # e.g. a zero-size shape with a huge dimension
             raise ContainerError(f"{path}: array {name!r} has unusable shape "
                                  f"{shape}: {exc}") from None
-    if r.pos != len(payload):
-        raise ContainerError(f"{path}: {len(payload) - r.pos} unexpected trailing bytes")
+    if pos != end:
+        raise ContainerError(f"{path}: {end - pos} unexpected trailing bytes")
     return metadata, arrays
 
 

@@ -26,6 +26,8 @@ from ._lapack import dgtsv
 # and smoothing gives spline_points_per_segment samples per input sample
 MAX_CANVAS = 1024
 MAX_SPLINE_POINTS = 16
+# pixels ``rasterize`` walks at once; an ordinary signature is one block
+PIXEL_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -230,15 +232,17 @@ def rasterize(x, y, t, pressure, pen_down, cfg: PreprocessConfig) -> SignatureIm
     maximum is 1 (for any trajectory with positive pen-down pressure)
     and the time channel holds (t - t_min) / (t_max - t_min).
 
-    Every pen-down sample i draws one walk (see ``_walk``, which walks
-    them all at once): to sample j = i + 1 when that is pen-down too, else
-    to itself, one pixel.  Pixel k of a walk with ``steps`` = max(pixels -
+    Every pen-down sample i draws one walk (see ``_walk``, which walks a
+    block of them at once): to sample j = i + 1 when that is pen-down too,
+    else to itself, one pixel.  Pixel k of a walk with ``steps`` = max(pixels -
     1, 1) gets ``v[i] + (k / steps) (v[j] - v[i])``, so its first pixel is
     sample i's own point with its own values.  Laid end to end, the walks
     are the drawing order: point i, the pixels of segment i -> i + 1,
     point i + 1, and so on; each pixel keeps its last write in that order.
     (A segment's last pixel and the next point share a pixel and may differ
-    in the last bit; the point, written later, wins.)
+    in the last bit; the point, written later, wins.)  A walk has at most
+    ``canvas`` pixels, so blocks of ``PIXEL_BUDGET // canvas`` walks, drawn
+    in order, bound the memory and keep the last write across blocks.
     """
     side = cfg.canvas
     if not (x.min() >= -1e-6 and y.min() >= -1e-6 and x.max() <= 100.0 + 1e-6
@@ -253,26 +257,28 @@ def rasterize(x, y, t, pressure, pen_down, cfg: PreprocessConfig) -> SignatureIm
     t_span = t_max - t_min
     tn = (t - t_min) / t_span if t_span > 0 else np.zeros(len(t))
 
-    i = np.flatnonzero(pen_down)
-    j = np.where(np.append(pen_down[1:], False)[i], i + 1, i)
-    pix_rows, pix_cols, lengths, walk, k = _walk(rows[i], cols[i], rows[j], cols[j])
-    where = pix_rows * side + pix_cols
-    # the last write to each pixel wins: the last of each run of a stable sort
-    order = np.argsort(where, kind="stable")
-    ordered = where[order]
-    ends = np.ones(len(order), dtype=bool)
-    ends[:-1] = ordered[1:] != ordered[:-1]
-    last = order[ends]
-    walk, k, where = walk[last], k[last], where[last]
-    s = k / np.maximum(lengths - 1, 1)[walk]
-    i, j = i[walk], j[walk]
-    drawn = pressure[i] + s * (pressure[j] - pressure[i])
-    peak = drawn.max(initial=0.0)  # the canvas maximum: every other pixel is 0
-    if peak > 0:
-        drawn /= peak
+    pen_i = np.flatnonzero(pen_down)
+    pen_j = np.where(np.append(pen_down[1:], False)[pen_i], pen_i + 1, pen_i)
     image = SignatureImage(pressure=np.zeros((side, side)), time=np.zeros((side, side)))
-    image.pressure.ravel()[where] = drawn
-    image.time.ravel()[where] = tn[i] + s * (tn[j] - tn[i])
+    block = PIXEL_BUDGET // side
+    for b in range(0, len(pen_i), block):
+        i, j = pen_i[b:b + block], pen_j[b:b + block]
+        pix_rows, pix_cols, lengths, walk, k = _walk(rows[i], cols[i], rows[j], cols[j])
+        where = pix_rows * side + pix_cols
+        # the last write to each pixel wins: the last of each run of a stable sort
+        order = np.argsort(where, kind="stable")
+        ordered = where[order]
+        ends = np.ones(len(order), dtype=bool)
+        ends[:-1] = ordered[1:] != ordered[:-1]
+        last = order[ends]
+        walk, k, where = walk[last], k[last], where[last]
+        s = k / np.maximum(lengths - 1, 1)[walk]
+        i, j = i[walk], j[walk]
+        image.pressure.ravel()[where] = pressure[i] + s * (pressure[j] - pressure[i])
+        image.time.ravel()[where] = tn[i] + s * (tn[j] - tn[i])
+    peak = image.pressure.max()  # undrawn pixels are +0.0 and stay so
+    if peak > 0:
+        image.pressure /= peak
     return image
 
 

@@ -21,14 +21,23 @@ NON_FINITE_KEYS = ["preprocess.cov_epsilon", "patch.blank_threshold", "whiten.ep
                    "ae.weight_decay", "ae.sparsity_weight", "ae.grad_tol"]
 SMALL = ["--set", "synth.users=4", "--set", "synth.genuine=6",
          "--set", "synth.forgery=2"]
+# the max RSS README states for `verify` of the zigzag below at canvas 1024:
+# it reads about 250 MB, and 1.3 GB if rasterize walks every pixel at once
+VERIFY_CEILING_MB = 400
+# runs its arguments as its only child, then prints the exit code and the
+# child's max RSS in KiB
+RSS_WRAPPER = ("import resource, subprocess, sys\n"
+               "code = subprocess.run(sys.argv[1:]).returncode\n"
+               "print(code, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
 
 
-def run_cli(*argv):
-    """``python -m sigverify.cli`` in a fresh interpreter, its output captured."""
+def run_cli(*argv, launcher=()):
+    """``python -m sigverify.cli`` in a fresh interpreter, its output captured;
+    ``launcher`` is a command line to run it under."""
     src = str(Path(sigverify.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "sigverify.cli", *argv],
+    return subprocess.run([*launcher, sys.executable, "-m", "sigverify.cli", *argv],
                           capture_output=True, text=True, env=env)
 
 
@@ -560,6 +569,22 @@ class TestVerify:
             f"error: {sig}: line 3: |x| and |y| must not exceed 1e+09, nor |t| 1e+18")
         assert all(line.startswith(("config ", "error: "))
                    for line in proc.stderr.splitlines()), proc.stderr
+
+    def test_the_worst_signature_at_the_largest_canvas_stays_under_the_ceiling(
+            self, workspace, tmp_path):
+        # one pen-down stroke of 20,000 samples, x zigzagging between 0 and 100:
+        # every segment crosses the canvas, at the largest canvas a model may have
+        sig = tmp_path / "zigzag.txt"
+        sig.write_text("x y t p d\n" + "".join(f"{100 * (i % 2)} {i / 400} {i} 1 1\n"
+                                               for i in range(20_000)))
+        model = _crafted(workspace, tmp_path, "model.sig",
+                         lambda meta, arrays: meta.update({"preprocess.canvas": "1024"}))
+        proc = run_cli("verify", "--model", str(model), "--user-models",
+                       str(tmp_path / "users"), "--user", "user000", str(sig),
+                       launcher=(sys.executable, "-c", RSS_WRAPPER))
+        code, max_rss_kib = map(int, proc.stdout.splitlines()[-1].split())
+        assert code in (0, 2), proc.stderr
+        assert max_rss_kib / 1024 < VERIFY_CEILING_MB, f"max RSS {max_rss_kib / 1024:.0f} MB"
 
     def test_unreadable_signature_fails(self, workspace, capsys):
         code = main(["verify", "--model", str(workspace / "model.sig"),

@@ -1,9 +1,15 @@
 import hashlib
 import re
 import struct
+import tempfile
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from sigverify import container
 from sigverify.container import (CONTAINER_VERSION, MAGIC, ContainerError,
@@ -52,6 +58,65 @@ class TestRoundTrip:
         assert np.array_equal(arrays["σ"], np.ones(2))
 
 
+# names of 0 to 16 UTF-8 bytes put an array's values at every offset mod 8
+NAMES = st.text(max_size=16).filter(lambda name: len(name.encode("utf-8")) <= 16)
+SPECIAL_BITS = [0x7FF8000000000000, 0xFFF0000000000001, 0x7FF0DEADBEEF0001,  # NaN payloads
+                0x8000000000000000, 0, 0x7FF0000000000000, 0xFFF0000000000000]  # -0, +0, +-inf
+BITS = st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1)
+VALUES = array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4).flatmap(
+    lambda shape: arrays(np.uint64, shape, elements=BITS)).map(lambda a: a.view(np.float64))
+
+
+class TestViews:
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(NAMES, VALUES, max_size=5), st.text(max_size=9).filter(
+        lambda value: "\n" not in value))
+    def test_arrays_come_back_bit_for_bit_as_aligned_writeable_views(self, arrays, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "m.bin"
+            write_container(f, {"k": value}, arrays)
+            meta, back = read_container(f)
+        assert meta == {"k": value} and set(back) == set(arrays)
+        for name, arr in arrays.items():
+            got, want = back[name], np.atleast_1d(arr)  # a 0-d array is stored as (1,)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert got.flags.aligned and got.flags.c_contiguous and got.flags.writeable
+            assert got.ctypes.data % 8 == 0
+        for fill, arr in enumerate(back.values()):  # views of one buffer, disjoint
+            arr[...] = fill
+        for fill, arr in enumerate(back.values()):
+            assert (arr == fill).all()
+
+
+class TestMemory:
+    # about 20 MB of values in two arrays
+    ARRAYS = {"a": np.arange(1_300_000.0).reshape(1000, 1300) / 3, "b": -np.arange(1_200_001.0)}
+
+    @staticmethod
+    def _traced_peak(call, *args):
+        tracemalloc.start()
+        try:
+            result = call(*args)
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    def test_a_read_holds_the_file_once(self, tmp_path):
+        f = tmp_path / "big.bin"
+        write_container(f, {"kind": "test"}, self.ARRAYS)
+        size = f.stat().st_size
+        peak, (_, arrays) = self._traced_peak(read_container, f)
+        assert peak <= 1.1 * size, f"a read peaked at {peak / size:.2f}x the file"
+        assert all(np.array_equal(arrays[k], v) for k, v in self.ARRAYS.items())
+
+    def test_a_write_copies_no_array(self, tmp_path):
+        f = tmp_path / "big.bin"
+        peak, _ = self._traced_peak(write_container, f, {"kind": "test"}, self.ARRAYS)
+        values = sum(arr.nbytes for arr in self.ARRAYS.values())
+        assert peak <= 0.1 * values, f"a write allocated {peak / values:.2f}x its arrays"
+
+
 class TestDeterminism:
     def test_same_payload_same_bytes(self, tmp_path, rng):
         meta, arrays = sample_payload(rng)
@@ -60,6 +125,18 @@ class TestDeterminism:
         write_container(f2, dict(reversed(meta.items())),
                         dict(reversed(arrays.items())))
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_a_fixed_container_keeps_its_bytes(self, tmp_path):
+        # the SHA-256 of every byte of one container, as written since format 1
+        f = tmp_path / "m.bin"
+        write_container(f, {"kind": "test", "alpha": 0.5, "flag": True, "user": "Renée",
+                            "count": 7},
+                        {"ae.W1": np.arange(12.0).reshape(3, 4) / 7,
+                         "b": np.array([-0.0, np.inf, -np.inf, 1e-310]),
+                         "empty": np.zeros((0, 3)),
+                         "σ": np.asfortranarray(np.arange(6.0).reshape(2, 3))})
+        assert hashlib.sha256(f.read_bytes()).hexdigest() == (
+            "d3b2c9821fc5caae9d5f43232e20ef98137185811f08d22cd83214df4e30aa88")
 
     def test_keys_are_stored_sorted(self, tmp_path):
         f = tmp_path / "m.bin"

@@ -6,7 +6,9 @@ kernels replaced.  Every property here requires bit-identical output:
 pixel walks and patch matrices.
 """
 
+import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,6 +126,20 @@ class TestRasterize:
     def test_matches_the_scalar_raster(self, traj, canvas):
         cfg = PreprocessConfig(canvas=canvas)
         assert_images_equal(rasterize(*columns(traj), cfg), ref.rasterize(traj, cfg))
+
+    @SETTINGS
+    @given(trajectories(), st.integers(16, 101), st.integers(1, 8))
+    def test_blocks_of_walks_match_the_scalar_raster(self, traj, canvas, walks):
+        # PIXEL_BUDGET patched down to a block of `walks` walks, down to one:
+        # the last write to a pixel still wins across blocks, byte for byte
+        cfg = PreprocessConfig(canvas=canvas)
+        whole = rasterize(*columns(traj), cfg)
+        with mock.patch.object(sys.modules["sigverify.preprocess"], "PIXEL_BUDGET",
+                               walks * canvas):
+            blocked = rasterize(*columns(traj), cfg)
+        assert_images_equal(blocked, ref.rasterize(traj, cfg))
+        for a, b in ((blocked.pressure, whole.pressure), (blocked.time, whole.time)):
+            assert a.tobytes() == b.tobytes()
 
     def test_all_pen_up_draws_nothing(self):
         traj = Trajectory([0.0, 100.0], [0.0, 100.0], [0.0, 1.0], [1.0, 1.0],
