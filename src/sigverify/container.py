@@ -79,11 +79,11 @@ def write_container(path, metadata: dict, arrays: dict) -> None:
     chunks = [MAGIC, struct.pack("<II", CONTAINER_VERSION, len(meta_bytes)), meta_bytes,
               struct.pack("<I", len(arrays))]
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+        arr = np.asarray(arrays[name], dtype="<f8", order="C")
         name_bytes = name.encode("utf-8")
         chunks += [struct.pack(f"<H{len(name_bytes)}sB{arr.ndim}Q", len(name_bytes),
                                name_bytes, arr.ndim, *arr.shape),
-                   arr.view(np.uint8)]  # the values themselves, not a copy
+                   arr.reshape(-1).view(np.uint8)]  # the values themselves, not a copy
     digest = hashlib.sha256()
     with Path(path).open("wb") as f:
         for chunk in chunks:

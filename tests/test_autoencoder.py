@@ -109,6 +109,16 @@ class TestForwardAndCost:
             assert np.allclose(a_one, a_batch[i])
             assert np.allclose(r_one, r_batch[i])
 
+    def test_cost_grad_takes_one_vector_as_a_batch_of_one(self, rng):
+        cfg = AeConfig(hidden=3, seed=1)
+        p = init_params(5, cfg)
+        x = rng.normal(size=5)
+        (c_one, g_one), (c_row, g_row) = cost_grad(p, x, cfg), cost_grad(p, x[None, :], cfg)
+        assert c_one == c_row and np.array_equal(g_one.pack(), g_row.pack())
+        for bad in (np.zeros((0, 5)), np.zeros((1, 1, 5))):
+            with pytest.raises(ValueError, match=r"non-empty 2-D array \(m, d\)"):
+                cost_grad(p, bad, cfg)
+
     def test_plain_reconstruction_cost_without_penalties(self, rng):
         cfg = AeConfig(hidden=3, weight_decay=0.0, sparsity_weight=0.0, seed=2)
         p = init_params(5, cfg)

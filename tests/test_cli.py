@@ -227,6 +227,22 @@ class TestLearnDescriptor:
         assert "warning: training stopped unconverged" in err
         assert "ae.max_iter=1" in err
 
+    def test_a_failed_line_search_warns_once(self, workspace, tmp_path, capsys, monkeypatch):
+        train = sigverify.cli.train_descriptor
+
+        def failing(*args, **kwargs):
+            model = train(*args, **kwargs)
+            model.ae.line_search_failed = True
+            return model
+
+        monkeypatch.setattr(sigverify.cli, "train_descriptor", failing)
+        assert main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
+                     "--out", str(tmp_path / "m.sig")] + FAST) == 0
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if not line.startswith("config ")]
+        assert warned == ["warning: line search failed before the iteration budget; "
+                          "the model is the last accepted iterate"]
+
     def test_prints_the_evaluation_count_and_final_gradient_norm(self, workspace, tmp_path,
                                                                    capsys):
         model = tmp_path / "m.sig"
@@ -291,7 +307,8 @@ class TestLearnDescriptor:
         assert code == 1
         err = capsys.readouterr().err
         assert f"\nerror: {error}\n" in err
-        assert "warning: skipped" not in err, err
+        # the junk file, had it been read, would give a "warning: skipped" line
+        assert all(line.startswith(("config ", "error: ")) for line in err.splitlines()), err
         assert not model.exists()
 
     def test_a_dense_grid_over_the_limit_fails_before_training(self, workspace, tmp_path,
@@ -666,8 +683,10 @@ class TestEvaluate:
                      "--corpus", str(workspace / "corpus"), "--out", str(out),
                      "--set", "eval.folds=50"])
         assert code == 1
+        err = capsys.readouterr().err
         assert (f"error: cannot evaluate {workspace / 'corpus'} with {workspace / 'model.sig'}: "
-                "no user produced a reportable score set") in capsys.readouterr().err
+                "no user produced a reportable score set") in err
+        assert all(line.startswith(("config ", "error: ")) for line in err.splitlines()), err
         assert not out.exists()
 
     def test_a_model_giving_non_finite_descriptors_is_named(self, workspace, tmp_path,
@@ -881,7 +900,9 @@ class TestConfigSchema:
             arrays[array][0] = value
         code, out, err = _verify_crafted(workspace, tmp_path, capsys, path, edit)
         assert code == 1 and out == ""
-        assert err.splitlines()[-1] == "error: " + error.format(file=tmp_path / path)
+        *config, last = err.splitlines()
+        assert last == "error: " + error.format(file=tmp_path / path)
+        assert all(line.startswith("config ") for line in config), err
 
     # metadata that contradicts the arrays fails at load, and a model whose
     # whitening overflows fails in describe: either error names the model file
@@ -896,9 +917,11 @@ class TestConfigSchema:
             self, workspace, tmp_path, capsys, edit, error):
         code, out, err = _verify_crafted(workspace, tmp_path, capsys, "model.sig", edit)
         assert code == 1 and out == ""
-        assert err.splitlines()[-1] == "error: " + error.format(
+        *config, last = err.splitlines()
+        assert last == "error: " + error.format(
             model=tmp_path / "model.sig",
             sig=workspace / "corpus" / "user000" / "genuine" / "000.txt")
+        assert all(line.startswith("config ") for line in config), err
 
     def test_an_overflowing_encoder_weight_still_decides_quietly(self, workspace,
                                                                 tmp_path, capsys):

@@ -78,9 +78,9 @@ class TestViews:
             meta, back = read_container(f)
         assert meta == {"k": value} and set(back) == set(arrays)
         for name, arr in arrays.items():
-            got, want = back[name], np.atleast_1d(arr)  # a 0-d array is stored as (1,)
-            assert got.shape == want.shape and got.dtype == np.float64
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            got = back[name]
+            assert got.shape == arr.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), arr.view(np.uint64))
             assert got.flags.aligned and got.flags.c_contiguous and got.flags.writeable
             assert got.ctypes.data % 8 == 0
         for fill, arr in enumerate(back.values()):  # views of one buffer, disjoint
@@ -164,10 +164,15 @@ class TestCorruptionDetection:
         with pytest.raises(ContainerError):
             read_container(f)
 
-    def test_tiny_file_is_caught(self, tmp_path):
+    # a 2-byte file, and a digest-valid one whose metadata length, 100, runs
+    # past the 4 payload bytes left
+    @pytest.mark.parametrize("body, digested", [
+        (b"SI", False), (MAGIC + struct.pack("<III", CONTAINER_VERSION, 100, 0), True)],
+        ids=["short", "metadata-past-payload"])
+    def test_tiny_file_is_caught(self, tmp_path, body, digested):
         f = tmp_path / "m.bin"
-        f.write_bytes(b"SI")
-        with pytest.raises(ContainerError, match="truncated"):
+        f.write_bytes(body + (hashlib.sha256(body).digest() if digested else b""))
+        with pytest.raises(ContainerError, match=re.escape(f"{f}: truncated container")):
             read_container(f)
 
     def test_wrong_magic_is_caught(self, tmp_path, rng):

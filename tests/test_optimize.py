@@ -99,6 +99,28 @@ class TestMinimizeLbfgs:
         assert res.converged
         assert np.allclose(res.x, [2.0])
 
+    # a (x - c)^2 + b x^4 + sin(s x), with cost ``wall`` and a NaN gradient past
+    # ``edge`` on the side ``side`` points to: the line search reads a trial step
+    # into that wall as costing inf, and the ripples make zoom move its bracket's
+    # high end to the low end
+    @pytest.mark.parametrize("a, c, b, s, edge, side, x0, wall", [
+        (1.68, 0.59, 0.07, 5.39, 1.41, 1, -2.27, np.nan),
+        (0.45, 1.32, 0.17, 5.81, 0.34, -1, 2.96, np.inf)], ids=["nan-wall", "inf-wall"])
+    def test_a_walled_rippled_objective_descends_deterministically(self, a, c, b, s, edge,
+                                                                   side, x0, wall):
+        def fun(x):
+            v = float(x[0])
+            if side * (v - edge) > 0:
+                return wall, np.array([np.nan])
+            return (a * (v - c) ** 2 + b * v ** 4 + np.sin(s * v),
+                    np.array([2 * a * (v - c) + 4 * b * v ** 3 + s * np.cos(s * v)]))
+
+        res, again = (minimize_lbfgs(fun, np.array([x0]), max_iter=50) for _ in range(2))
+        assert res.converged and side * (res.x[0] - edge) <= 0
+        assert all(new <= old for old, new in zip(res.cost_history, res.cost_history[1:]))
+        assert np.array_equal(again.x, res.x) and again.cost_history == res.cost_history
+        assert again.n_evals == res.n_evals
+
     def test_zero_dimensional_input_is_trivially_converged(self):
         res = minimize_lbfgs(lambda x: (0.0, np.zeros(0)), np.zeros(0))
         assert res.converged and res.n_iter == 0
