@@ -30,8 +30,8 @@ from .dataset import (ParseError, generate_synthetic_corpus, load_corpus, parser
                       save_corpus)
 from .descriptor import (CONFIG_GROUPS, check_sizes, config_group, describe, load_model,
                          save_model, train_descriptor)
-from .evaluation import format_report, roc_csv, run_experiment, scores_csv
-from .oneclass import (USER_MODEL_FIELDS, calibrate_threshold, fit_user_model,
+from .evaluation import DEFAULT_FOLDS, format_report, roc_csv, run_experiment, scores_csv
+from .oneclass import (DEFAULT_REG, USER_MODEL_FIELDS, calibrate_threshold, fit_user_model,
                        load_user_model, save_user_model, score, verify)
 
 
@@ -47,8 +47,8 @@ DEFAULTS = {f"{prefix}.{f.name}": (f.type, f.default) for prefix, cls in CONFIG_
 DEFAULTS.update({
     "seed": (bounded(int, lambda v: v >= 0), 0),
     "corpus.layout": (_layout, "canonical"),
-    "oneclass.reg": (USER_MODEL_FIELDS["reg"], 0.9),
-    "eval.folds": (bounded(int, lambda v: v >= 2), 4),
+    "oneclass.reg": (USER_MODEL_FIELDS["reg"], DEFAULT_REG),
+    "eval.folds": (bounded(int, lambda v: v >= 2), DEFAULT_FOLDS),
     "synth.users": (bounded(int, lambda v: v >= 1), 10),
     "synth.genuine": (bounded(int, lambda v: v >= 1), 10),
     "synth.forgery": (bounded(int, lambda v: v >= 0), 5),

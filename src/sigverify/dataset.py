@@ -320,8 +320,9 @@ def save_corpus(corpus: Corpus, root) -> list[Path]:
         for sub, trajs in (("genuine", sigs.genuine), ("forgery", sigs.skilled_forgeries)):
             d = root / uid / sub
             d.mkdir(parents=True, exist_ok=True)
+            width = max(3, len(str(len(trajs) - 1)))  # names sort in index order
             for i, traj in enumerate(trajs):
-                f = d / f"{i:03d}.txt"
+                f = d / f"{i:0{width}d}.txt"
                 f.write_text(format_canonical(traj))
                 written.append(f)
     return written

@@ -17,9 +17,10 @@ import numpy as np
 
 from .dataset import Corpus
 from .descriptor import DescriptorModel, describe
-from .oneclass import fit_user_model, score
+from .oneclass import DEFAULT_REG, fit_user_model, score
 
 LABELS = ("genuine", "skilled", "random")
+DEFAULT_FOLDS = 4  # k of the k-fold protocol
 
 
 @dataclass
@@ -83,7 +84,7 @@ def _user_rng(seed: int, user_id: str):
     return np.random.default_rng([seed, int.from_bytes(digest[:8], "little")])
 
 
-def split_protocol(corpus: Corpus, k: int = 4, seed: int = 0):
+def split_protocol(corpus: Corpus, k: int = DEFAULT_FOLDS, seed: int = 0):
     """Per-user train/test index pairs of every fold of the k-fold protocol.
 
     Each user's genuine signatures are shuffled once (deterministically
@@ -168,8 +169,8 @@ def _nanmean(values) -> float:
     return float(np.mean(values)) if values else float("nan")
 
 
-def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = 4,
-                   reg: float = 0.9, seed: int = 0,
+def run_experiment(corpus: Corpus, model: DescriptorModel, k: int = DEFAULT_FOLDS,
+                   reg: float = DEFAULT_REG, seed: int = 0,
                    describe_fn=None) -> EvalReport:
     """Full k-fold verification experiment over a labelled corpus.
 

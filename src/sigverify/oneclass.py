@@ -24,6 +24,7 @@ ZERO_VARIANCE_EPSILON = 1e-6
 # safety margin applied on top of the largest training score
 THRESHOLD_SLACK = 1.5
 USER_MODEL_VERSION = 1
+DEFAULT_REG = 0.9  # the shrinkage toward the isotropic covariance
 
 
 @dataclass
@@ -50,7 +51,7 @@ class UserModel:
         return len(self.mean)
 
 
-def fit_user_model(descriptors, reg: float = 0.9, user_id: str | None = None) -> UserModel:
+def fit_user_model(descriptors, reg: float = DEFAULT_REG, user_id: str | None = None) -> UserModel:
     """Fit the Gaussian model from one user's genuine descriptors.
 
     The covariance is ``(1 - reg) * S + reg * (trace(S) / dim) * I`` with

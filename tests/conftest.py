@@ -1,7 +1,10 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from sigverify import (AeConfig, PatchConfig, PreprocessConfig, WhitenConfig,
+from sigverify import (AeConfig, PatchConfig, PreprocessConfig, container,
                        generate_synthetic_corpus, train_descriptor)
 
 # one line per acceptance criterion, echoed after the test summary
@@ -31,6 +34,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def craft(source, target, edit):
+    """The model file ``source`` with ``edit(meta, arrays)`` applied, written
+    under a valid digest to ``target``, which is returned.
+
+    A crafted file is always a new file: a file re-written in place is
+    truncated first, and a truncation can cost a file system tens of
+    milliseconds where a new file costs hundredths of one."""
+    if Path(target).exists():
+        raise FileExistsError(f"{target}: a crafted model file is always a new file")
+    meta, arrays = container.read_container(source)
+    edit(meta, arrays)
+    container.write_container(target, meta, arrays)
+    return target
+
+
+def digested(body: bytes) -> bytes:
+    """Hand-built container bytes with their SHA-256 digest appended."""
+    return body + hashlib.sha256(body).digest()
 
 
 @pytest.fixture(scope="session")

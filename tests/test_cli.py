@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import sigverify
+from conftest import craft
 from sigverify.cli import COMMANDS, build_parser, main
 
 FAST = ["--set", "ae.hidden=8", "--set", "ae.max_iter=15",
@@ -42,14 +43,13 @@ def run_cli(*argv, launcher=()):
 
 
 def _crafted(workspace, tmp_path, path, edit):
-    """Copies of the workspace's models, ``path`` among them re-written (with a
-    valid digest) by ``edit(meta, arrays)``.  Returns the descriptor model's copy."""
-    from sigverify import container
-    shutil.copytree(workspace / "users", tmp_path / "users")
-    shutil.copy(workspace / "model.sig", tmp_path / "model.sig")
-    meta, arrays = container.read_container(tmp_path / path)
-    edit(meta, arrays)
-    container.write_container(tmp_path / path, meta, arrays)
+    """The workspace's models under ``tmp_path``: ``path`` crafted by
+    ``edit(meta, arrays)``, the others copied.  Returns the descriptor model."""
+    shutil.copytree(workspace / "users", tmp_path / "users",
+                    ignore=shutil.ignore_patterns(Path(path).name))
+    if path != "model.sig":
+        shutil.copy(workspace / "model.sig", tmp_path)
+    craft(workspace / path, tmp_path / path, edit)
     return tmp_path / "model.sig"
 
 
@@ -217,6 +217,14 @@ class TestLearnDescriptor:
                      "--out", str(workspace / "model.sig")] + FAST)
         assert code == 1
         assert "already exists" in capsys.readouterr().err
+
+    def test_force_overwrites_an_existing_model_as_a_fresh_run_would(self, workspace,
+                                                                     tmp_path):
+        model = tmp_path / "model.sig"
+        model.write_bytes(b"an older model")
+        assert main(["learn-descriptor", "--corpus", str(workspace / "corpus"), "--out",
+                     str(model), "--seed", "13", "--force"] + FAST) == 0
+        assert model.read_bytes() == (workspace / "model.sig").read_bytes()
 
     def test_unconverged_training_warns(self, workspace, tmp_path, capsys):
         code = main(["learn-descriptor", "--corpus", str(workspace / "corpus"),
@@ -830,59 +838,30 @@ class TestConfigSchema:
 
     def test_missing_model_metadata_is_named_in_the_error(self, workspace,
                                                           tmp_path, capsys):
-        from sigverify import container
-        meta, arrays = container.read_container(workspace / "model.sig")
-        del meta["ae.memory"]
-        model = tmp_path / "crafted.sig"
-        container.write_container(model, meta, arrays)
-        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
-        code = main(["verify", "--model", str(model),
-                     "--user-models", str(workspace / "users"),
-                     "--user", "user000", str(sig)])
+        code, _, err = _verify_crafted(workspace, tmp_path, capsys, "model.sig",
+                                       lambda meta, arrays: meta.pop("ae.memory"))
         assert code == 1
-        assert "metadata key 'ae.memory' is missing" in capsys.readouterr().err
+        assert "metadata key 'ae.memory' is missing" in err
 
     @pytest.mark.parametrize("path, array", [("model.sig", "ae.W1"),
                                              ("users/user000.usermodel", "mean")])
     def test_missing_model_array_is_named_in_the_error(self, workspace, tmp_path,
                                                        capsys, path, array):
-        import shutil
-
-        from sigverify import container
-        shutil.copytree(workspace / "users", tmp_path / "users")
-        shutil.copy(workspace / "model.sig", tmp_path / "model.sig")
-        meta, arrays = container.read_container(tmp_path / path)
-        del arrays[array]
-        container.write_container(tmp_path / path, meta, arrays)
-        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
-        code = main(["verify", "--model", str(tmp_path / "model.sig"),
-                     "--user-models", str(tmp_path / "users"),
-                     "--user", "user000", str(sig)])
+        code, _, err = _verify_crafted(workspace, tmp_path, capsys, path,
+                                       lambda meta, arrays: arrays.pop(array))
         assert code == 1
-        assert f"{tmp_path / path}: array {array!r} is missing" in capsys.readouterr().err
-
+        assert f"{tmp_path / path}: array {array!r} is missing" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_user_mean_is_named_in_the_error(self, workspace, tmp_path,
                                                         capsys, value):
-        import shutil
-
-        import numpy as np
-
-        from sigverify import container
-        users = tmp_path / "users"
-        shutil.copytree(workspace / "users", users)
-        meta, arrays = container.read_container(users / "user000.usermodel")
-        arrays["mean"] = arrays["mean"].copy()
-        arrays["mean"][0] = float(value)
-        container.write_container(users / "user000.usermodel", meta, arrays)
-        sig = workspace / "corpus" / "user000" / "genuine" / "000.txt"
-        code = main(["verify", "--model", str(workspace / "model.sig"),
-                     "--user-models", str(users), "--user", "user000", str(sig)])
+        def edit(meta, arrays):
+            arrays["mean"][0] = float(value)
+        code, _, err = _verify_crafted(workspace, tmp_path, capsys,
+                                       "users/user000.usermodel", edit)
         assert code == 1
-        err = capsys.readouterr().err
-        assert f"{users / 'user000.usermodel'}: array 'mean' is not finite" in err
-        assert np.isfinite(container.read_container(
+        assert f"{tmp_path / 'users' / 'user000.usermodel'}: array 'mean' is not finite" in err
+        assert np.isfinite(sigverify.container.read_container(
             workspace / "users" / "user000.usermodel")[1]["mean"]).all()
 
     # a digest-valid crafted file: a NaN encoder bias fails at load, naming the
@@ -935,16 +914,11 @@ class TestConfigSchema:
 
     def test_user_model_with_an_infinite_threshold_is_refused(self, workspace, tmp_path,
                                                               capsys):
-        import shutil
-
-        from sigverify import container
         users = tmp_path / "users"
-        shutil.copytree(workspace / "users", users)
-        meta, arrays = container.read_container(users / "user000.usermodel")
-        meta["threshold"] = "inf"
-        container.write_container(users / "user000.usermodel", meta, arrays)
+        _crafted(workspace, tmp_path, "users/user000.usermodel",
+                 lambda meta, arrays: meta.update({"threshold": "inf"}))
         sig = workspace / "corpus" / "user001" / "genuine" / "000.txt"
-        code = main(["verify", "--model", str(workspace / "model.sig"),
+        code = main(["verify", "--model", str(tmp_path / "model.sig"),
                      "--user-models", str(users), "--user", "user000", str(sig)])
         assert code == 1
         out, err = capsys.readouterr()

@@ -2,7 +2,6 @@
 
 import argparse
 import dataclasses
-import hashlib
 import re
 import struct
 import tempfile
@@ -14,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import craft, digested
 from sigverify import (AeConfig, AeParams, PatchConfig, PreprocessConfig,
                        WhitenConfig, calibrate_threshold, container, describe, descriptor,
                        load_model, load_user_model, save_model, save_user_model,
@@ -97,14 +97,36 @@ class TestModelMetadataRoundTrip:
         assert back.whitening.full_rank_input == tiny_model.whitening.full_rank_input
 
 
-def _rewrite(path, key, value):
-    """Re-write a valid container with one metadata entry changed or dropped."""
-    meta, arrays = container.read_container(path)
-    if value is None:
-        del meta[key]
-    else:
-        meta[key] = value
-    container.write_container(path, meta, arrays)
+@pytest.fixture(scope="module")
+def saved(tiny_model, tmp_path_factory):
+    """One saved file of each model kind, the source of every crafted file
+    here: ``tiny_model`` and a small user model."""
+    directory = tmp_path_factory.mktemp("saved")
+    save_model(tiny_model, directory / "model.sig")
+    user = fit_user_model(np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]), user_id="u")
+    user.threshold = 1.5
+    save_user_model(user, directory / "u.usermodel")
+    return {"descriptor": directory / "model.sig", "usermodel": directory / "u.usermodel"}
+
+
+def _set(key, value, table="meta"):
+    """Edit for ``craft``: the metadata entry ``key`` (the array, with
+    ``table="arrays"``) set to ``value``, or dropped when it is None."""
+    def edit(meta, arrays):
+        entries = arrays if table == "arrays" else meta
+        if value is None:
+            del entries[key]
+        else:
+            entries[key] = value
+    return edit
+
+
+def _load_once(load, path):
+    """``load(path)``, then ``path`` deleted, so the next file there is new."""
+    try:
+        return load(path)
+    finally:
+        path.unlink()
 
 
 # the config floats whose range checks must also reject NaN and infinity
@@ -122,10 +144,8 @@ class TestNonFiniteConfigFloats:
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize("key", NON_FINITE_KEYS)
-    def test_crafted_model_fails_closed(self, tiny_model, tmp_path, key, value):
-        f = tmp_path / "model.sig"
-        save_model(tiny_model, f)
-        _rewrite(f, key, value)
+    def test_crafted_model_fails_closed(self, saved, tmp_path, key, value):
+        f = craft(saved["descriptor"], tmp_path / "model.sig", _set(key, value))
         prefix, name = key.split(".")
         with pytest.raises(ContainerError, match=re.escape(
                 f"{f}: bad {prefix}.* setting: {name} must be finite")):
@@ -139,11 +159,8 @@ class TestBadModelMetadata:
         ("whiten.full_rank_input", "1"), ("ae.final_cost", "cheap"),
         ("ae.converged", None), ("patch.oversample_factor", "1.5"),
     ])
-    def test_descriptor_model_fails_closed_naming_the_key(self, tiny_model,
-                                                          tmp_path, key, value):
-        f = tmp_path / "model.sig"
-        save_model(tiny_model, f)
-        _rewrite(f, key, value)
+    def test_descriptor_model_fails_closed_naming_the_key(self, saved, tmp_path, key, value):
+        f = craft(saved["descriptor"], tmp_path / "model.sig", _set(key, value))
         with pytest.raises(ContainerError, match=re.escape(key)):
             load_model(f)
 
@@ -151,13 +168,8 @@ class TestBadModelMetadata:
         ("n_train", None), ("reg", "x"), ("version", None), ("version", "one"),
         ("threshold", "high"), ("threshold", None), ("user_id", None),
     ])
-    def test_user_model_fails_closed_naming_the_key(self, tmp_path, key, value):
-        f = tmp_path / "u.usermodel"
-        model = fit_user_model(np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]),
-                               user_id="u")
-        model.threshold = 1.5
-        save_user_model(model, f)
-        _rewrite(f, key, value)
+    def test_user_model_fails_closed_naming_the_key(self, saved, tmp_path, key, value):
+        f = craft(saved["usermodel"], tmp_path / "u.usermodel", _set(key, value))
         with pytest.raises(ContainerError, match=re.escape(key)):
             load_user_model(f)
 
@@ -166,9 +178,8 @@ class TestBadModelMetadata:
         ("threshold", "unset"),
         ("n_train", "0"), ("n_train", "-5"), ("reg", "7.5"), ("reg", "-0.1"),
     ])
-    def test_user_model_value_out_of_range_fails_closed(self, tmp_path, key, value):
-        f = _user_model_file(tmp_path)
-        _rewrite(f, key, value)
+    def test_user_model_value_out_of_range_fails_closed(self, saved, tmp_path, key, value):
+        f = craft(saved["usermodel"], tmp_path / "u.usermodel", _set(key, value))
         refusal = ("could not convert string to float: 'unset'" if value == "unset"
                    else f"{value!r} is out of range")
         with pytest.raises(ContainerError, match=re.escape(
@@ -178,39 +189,17 @@ class TestBadModelMetadata:
     @pytest.mark.parametrize("key, value", [
         ("threshold", "0.0"), ("n_train", "1"), ("reg", "0.0"), ("reg", "1.0"),
     ])
-    def test_user_model_values_at_the_bounds_load(self, tmp_path, key, value):
-        f = _user_model_file(tmp_path)
-        _rewrite(f, key, value)
+    def test_user_model_values_at_the_bounds_load(self, saved, tmp_path, key, value):
+        f = craft(saved["usermodel"], tmp_path / "u.usermodel", _set(key, value))
         assert getattr(load_user_model(f), key) == float(value)
-
-
-def _rewrite_array(path, key, value):
-    """Re-write a valid container with one array replaced or dropped."""
-    meta, arrays = container.read_container(path)
-    if value is None:
-        del arrays[key]
-    else:
-        arrays[key] = value
-    container.write_container(path, meta, arrays)
-
-
-def _user_model_file(tmp_path):
-    f = tmp_path / "u.usermodel"
-    model = fit_user_model(np.array([[0.1, 0.2], [0.3, 0.1], [0.2, 0.4]]),
-                           user_id="u")
-    model.threshold = 1.5
-    save_user_model(model, f)
-    return f
 
 
 class TestBadModelArrays:
     @pytest.mark.parametrize("key", ["whitening.mean", "whitening.basis",
                                      "whitening.eigenvalues", "ae.W1", "ae.b1",
                                      "ae.W2", "ae.b2"])
-    def test_missing_descriptor_array_is_named(self, tiny_model, tmp_path, key):
-        f = tmp_path / "model.sig"
-        save_model(tiny_model, f)
-        _rewrite_array(f, key, None)
+    def test_missing_descriptor_array_is_named(self, saved, tmp_path, key):
+        f = craft(saved["descriptor"], tmp_path / "model.sig", _set(key, None, "arrays"))
         with pytest.raises(ContainerError, match=re.escape(f"{f}: array {key!r} is missing")):
             load_model(f)
 
@@ -224,37 +213,32 @@ class TestBadModelArrays:
         ("whitening.mean", lambda h, o, i: (i + 1,)),
         ("whitening.eigenvalues", lambda h, o, i: (o, 1)),
     ])
-    def test_mis_shaped_descriptor_array_is_named(self, tiny_model, tmp_path,
+    def test_mis_shaped_descriptor_array_is_named(self, tiny_model, saved, tmp_path,
                                                   key, shape_of):
-        f = tmp_path / "model.sig"
-        save_model(tiny_model, f)
         dims = (tiny_model.hidden, tiny_model.whitening.output_dim,
                 tiny_model.whitening.input_dim)
-        _rewrite_array(f, key, np.zeros(shape_of(*dims)))
+        f = craft(saved["descriptor"], tmp_path / "model.sig",
+                  _set(key, np.zeros(shape_of(*dims)), "arrays"))
         with pytest.raises(ContainerError, match=re.escape(f"{f}: array {key!r} has shape")):
             load_model(f)
 
-    def test_hidden_that_disagrees_with_the_weights_fails_closed(self, tiny_model,
+    def test_hidden_that_disagrees_with_the_weights_fails_closed(self, tiny_model, saved,
                                                                  tmp_path):
-        f = tmp_path / "model.sig"
-        save_model(tiny_model, f)
-        _rewrite(f, "ae.hidden", str(tiny_model.hidden + 1))
+        f = craft(saved["descriptor"], tmp_path / "model.sig",
+                  _set("ae.hidden", str(tiny_model.hidden + 1)))
         with pytest.raises(ContainerError, match="array 'ae.W1' has shape"):
             load_model(f)
 
-    def test_config_check_failure_names_file_and_key(self, tiny_model, tmp_path):
-        f = tmp_path / "model.sig"
-        save_model(tiny_model, f)
-        _rewrite(f, "patch.size", "10")
-        _rewrite(f, "patch.stride", "50")
+    def test_config_check_failure_names_file_and_key(self, saved, tmp_path):
+        f = craft(saved["descriptor"], tmp_path / "model.sig",
+                  lambda meta, arrays: meta.update({"patch.size": "10", "patch.stride": "50"}))
         with pytest.raises(ContainerError,
                            match=re.escape(f"{f}: bad patch.* setting: need 1 <= stride")):
             load_model(f)
 
     @pytest.mark.parametrize("key", ["mean", "covariance"])
-    def test_missing_user_model_array_is_named(self, tmp_path, key):
-        f = _user_model_file(tmp_path)
-        _rewrite_array(f, key, None)
+    def test_missing_user_model_array_is_named(self, saved, tmp_path, key):
+        f = craft(saved["usermodel"], tmp_path / "u.usermodel", _set(key, None, "arrays"))
         with pytest.raises(ContainerError, match=re.escape(f"{f}: array {key!r} is missing")):
             load_user_model(f)
 
@@ -264,9 +248,8 @@ class TestBadModelArrays:
         ("covariance", np.ones((2, 3)), "covariance"),
         ("covariance", np.ones(4), "covariance"),
     ])
-    def test_mean_and_covariance_must_agree(self, tmp_path, key, value, named):
-        f = _user_model_file(tmp_path)
-        _rewrite_array(f, key, value)
+    def test_mean_and_covariance_must_agree(self, saved, tmp_path, key, value, named):
+        f = craft(saved["usermodel"], tmp_path / "u.usermodel", _set(key, value, "arrays"))
         with pytest.raises(ContainerError, match=re.escape(f"{f}: array {named!r} has shape")):
             load_user_model(f)
 
@@ -274,24 +257,28 @@ class TestBadModelArrays:
         (np.array([[1.0, 2.0], [2.0, 1.0]]), "covariance is not finite positive definite"),
         (np.array([[1.0, 0.0], [0.0, np.nan]]), "array 'covariance' is not finite"),
         (np.array([[1.0, np.inf], [0.0, 1.0]]), "array 'covariance' is not finite")])
-    def test_unusable_covariance_fails_closed(self, tmp_path, covariance, error):
-        f = _user_model_file(tmp_path)
-        _rewrite_array(f, "covariance", covariance)
+    def test_unusable_covariance_fails_closed(self, saved, tmp_path, covariance, error):
+        f = craft(saved["usermodel"], tmp_path / "u.usermodel",
+                  _set("covariance", covariance, "arrays"))
         with pytest.raises(ContainerError, match=re.escape(f"{f}: {error}")):
             load_user_model(f)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_user_mean_fails_closed(self, tmp_path, value):
-        f = _user_model_file(tmp_path)
-        _rewrite_array(f, "mean", np.array([0.2, value]))
+    def test_non_finite_user_mean_fails_closed(self, saved, tmp_path, value):
+        f = craft(saved["usermodel"], tmp_path / "u.usermodel",
+                  _set("mean", np.array([0.2, value]), "arrays"))
         with pytest.raises(ContainerError, match=re.escape(f"{f}: array 'mean' is not finite")):
             load_user_model(f)
 
 
-def _resized(hidden, size=10, out=1):
-    """Edit for ``_rewrite_model``: ``ae.hidden`` and ``patch.size`` set, and
-    the whitening ``out`` components wide, every array sized to match."""
+def _resized(settings, hidden=None, size=10, out=1):
+    """Edit for ``craft``: the metadata updated by ``settings``; given
+    ``hidden``, also ``ae.hidden`` and ``patch.size`` set and the whitening
+    ``out`` components wide, every array sized to match."""
     def edit(meta, arrays):
+        meta.update(settings)
+        if hidden is None:
+            return
         meta.update({"ae.hidden": str(hidden), "patch.size": str(size)})
         dim = 2 * size * size
         arrays.update({"whitening.mean": np.zeros(dim), "whitening.basis": np.zeros((out, dim)),
@@ -299,19 +286,6 @@ def _resized(hidden, size=10, out=1):
                        "ae.W1": np.zeros((hidden, out)), "ae.b1": np.zeros(hidden),
                        "ae.W2": np.zeros((out, hidden)), "ae.b2": np.zeros(out)})
     return edit
-
-
-def _rewrite_model(tiny_model, directory, settings, edit=None):
-    """``tiny_model`` saved with its metadata updated by ``settings``, then
-    ``edit(meta, arrays)``, under a valid digest."""
-    f = directory / "model.sig"
-    save_model(tiny_model, f)
-    meta, arrays = container.read_container(f)
-    meta.update(settings)
-    if edit is not None:
-        edit(meta, arrays)
-    container.write_container(f, meta, arrays)
-    return f
 
 
 def _too_large(canvas, size, stride, hidden, grid):
@@ -336,37 +310,37 @@ class TestSizeLimits:
                            + f".*, {limit}\\](, got {limit + 1})?$"):
             CONFIG_GROUPS[prefix](**{name: limit + 1})
 
-    @pytest.mark.parametrize("settings, edit, error", [
-        ({"preprocess.canvas": "100000"}, None,
+    @pytest.mark.parametrize("edit, error", [
+        (_resized({"preprocess.canvas": "100000"}),
          "bad preprocess.* setting: canvas must be in [16, 1024], got 100000"),
-        ({"preprocess.spline_points_per_segment": "1000000"}, None,
+        (_resized({"preprocess.spline_points_per_segment": "1000000"}),
          "bad preprocess.* setting: spline_points_per_segment must be in [1, 16]"),
-        ({}, _resized(200_000), "bad ae.* setting: hidden must be in [1, 2048], got 200000"),
-        ({"preprocess.canvas": "512", "patch.stride": "2", "patch.skip_blank": "false"}, None,
+        (_resized({}, 200_000), "bad ae.* setting: hidden must be in [1, 2048], got 200000"),
+        (_resized({"preprocess.canvas": "512", "patch.stride": "2", "patch.skip_blank": "false"}),
          _too_large(512, 10, 2, 8, 63504)),
-        ({"preprocess.canvas": "1024", "patch.stride": "1"}, None,
+        (_resized({"preprocess.canvas": "1024", "patch.stride": "1"}),
          _too_large(1024, 10, 1, 8, 1030225)),
-        ({"preprocess.canvas": "400"}, _resized(2048), _too_large(400, 10, 5, 2048, 6241)),
-        ({"preprocess.canvas": "1024", "patch.stride": "32"}, _resized(8, size=64),
+        (_resized({"preprocess.canvas": "400"}, 2048), _too_large(400, 10, 5, 2048, 6241)),
+        (_resized({"preprocess.canvas": "1024", "patch.stride": "32"}, 8, size=64),
          _too_large(1024, 64, 32, 8, 961)),
-        ({}, _resized(8, out=201), "array 'whitening.basis' has 201 rows, more than its "
+        (_resized({}, 8, out=201), "array 'whitening.basis' has 201 rows, more than its "
          "200 columns")],
         ids=["canvas", "spline", "hidden", "grid", "stride1", "grid-hidden", "patch-dim",
              "basis"])
     def test_a_model_over_a_limit_fails_at_load_naming_file_and_keys(
-            self, tiny_model, tmp_path, settings, edit, error):
-        f = _rewrite_model(tiny_model, tmp_path, settings, edit)
+            self, saved, tmp_path, edit, error):
+        f = craft(saved["descriptor"], tmp_path / "model.sig", edit)
         with pytest.raises(ContainerError, match="^" + re.escape(f"{f}: {error}") + "$"):
             load_model(f)
 
-    @pytest.mark.parametrize("settings, edit", [
-        ({"preprocess.canvas": "1024"}, None),  # 41209 patches x 200
-        ({"preprocess.canvas": "325"}, _resized(2048)),  # 4096 patches x 2048: the limit
-        ({"preprocess.canvas": "977", "patch.stride": "15"},  # 4096 x 2048 again
-         _resized(2048, size=32))], ids=["canvas", "hidden", "patch-dim"])
-    def test_the_largest_legal_sizes_load(self, tiny_model, tmp_path, settings, edit):
-        model = load_model(_rewrite_model(tiny_model, tmp_path, settings, edit))
-        assert model.preprocess_cfg.canvas == int(settings["preprocess.canvas"])
+    @pytest.mark.parametrize("canvas, edit", [
+        (1024, _resized({"preprocess.canvas": "1024"})),  # 41209 patches x 200
+        (325, _resized({"preprocess.canvas": "325"}, 2048)),  # 4096 patches x 2048: the limit
+        (977, _resized({"preprocess.canvas": "977", "patch.stride": "15"},  # 4096 x 2048 again
+                       2048, size=32))], ids=["canvas", "hidden", "patch-dim"])
+    def test_the_largest_legal_sizes_load(self, saved, tmp_path, canvas, edit):
+        model = load_model(craft(saved["descriptor"], tmp_path / "model.sig", edit))
+        assert model.preprocess_cfg.canvas == canvas
 
     @pytest.mark.parametrize("pre_cfg, patch_cfg, ae_cfg, error", [
         (PreprocessConfig(canvas=512), PatchConfig(stride=2, skip_blank=False), AeConfig(),
@@ -391,42 +365,31 @@ SCHEMAS = {"descriptor": (load_model, MODEL_FIELDS, MODEL_SHAPES),
            "usermodel": (load_user_model, USER_MODEL_FIELDS, USER_MODEL_SHAPES)}
 
 
-def _saved(kind, tiny_model, directory):
-    if kind == "usermodel":
-        return _user_model_file(directory)
-    save_model(tiny_model, directory / "model.sig")
-    return directory / "model.sig"
-
-
 class TestModelFileSchema:
     @pytest.mark.parametrize("kind", SCHEMAS)
-    def test_the_writer_writes_exactly_what_the_schema_reads(self, tiny_model,
-                                                            tmp_path, kind):
+    def test_the_writer_writes_exactly_what_the_schema_reads(self, saved, tmp_path, kind):
         load, fields, shapes = SCHEMAS[kind]
-        f = _saved(kind, tiny_model, tmp_path)
-        meta, arrays = container.read_container(f)
+        meta, arrays = container.read_container(saved[kind])
         assert set(meta) == {"kind", "version", *fields}
         assert set(arrays) == set(shapes)
-        original = f.read_bytes()
+        f = tmp_path / "crafted"
         for key in meta:
-            _rewrite(f, key, None)
+            craft(saved[kind], f, _set(key, None))
             named = "found kind=None" if key == "kind" else f"metadata key {key!r} is missing"
             with pytest.raises(ContainerError,
                                match=re.escape(f"{f}: ") + ".*" + re.escape(named)):
-                load(f)
-            f.write_bytes(original)
+                _load_once(load, f)
         for key in arrays:
-            _rewrite_array(f, key, None)
+            craft(saved[kind], f, _set(key, None, "arrays"))
             with pytest.raises(ContainerError,
                                match=re.escape(f"{f}: array {key!r} is missing")):
-                load(f)
-            f.write_bytes(original)
+                _load_once(load, f)
 
     @pytest.mark.parametrize("kind", SCHEMAS)
-    def test_any_flipped_byte_is_refused(self, tiny_model, tmp_path, kind):
+    def test_any_flipped_byte_is_refused(self, saved, tmp_path, kind):
         load = SCHEMAS[kind][0]
-        f = _saved(kind, tiny_model, tmp_path)
-        original = f.read_bytes()
+        f = tmp_path / "flipped"
+        original = saved[kind].read_bytes()
         n = len(original)
         # the header and metadata, any byte, and the digest
         at = st.one_of(st.integers(0, min(n, 1024) - 1), st.integers(0, n - 1),
@@ -439,28 +402,25 @@ class TestModelFileSchema:
             raw[at] ^= mask
             f.write_bytes(bytes(raw))
             with pytest.raises(ContainerError):
-                load(f)
+                _load_once(load, f)
 
         flipped_byte_is_refused()
 
     @pytest.mark.parametrize("kind", SCHEMAS)
-    def test_a_non_finite_array_element_is_refused(self, tiny_model, tmp_path, kind):
+    def test_a_non_finite_array_element_is_refused(self, saved, tmp_path, kind):
         load, _, shapes = SCHEMAS[kind]
-        f = _saved(kind, tiny_model, tmp_path)
-        _, arrays = container.read_container(f)
+        g = tmp_path / f"crafted-{kind}"
 
         @settings(max_examples=60, deadline=None)
         @given(key=st.sampled_from(sorted(shapes)), at=st.integers(0, 2**31),
                bad=st.sampled_from([np.nan, np.inf, -np.inf]))
         def non_finite_element_is_refused(key, at, bad):
-            value = arrays[key].copy()
-            value.flat[at % value.size] = bad
-            g = tmp_path / f"crafted-{kind}"
-            g.write_bytes(f.read_bytes())
-            _rewrite_array(g, key, value)  # a valid digest: only the value is wrong
+            def edit(meta, arrays):  # a valid digest: only the value is wrong
+                arrays[key].flat[at % arrays[key].size] = bad
+            craft(saved[kind], g, edit)
             with pytest.raises(ContainerError, match=re.escape(
                     f"{g}: array {key!r} is not finite")):
-                load(g)
+                _load_once(load, g)
 
         non_finite_element_is_refused()
 
@@ -483,10 +443,10 @@ class TestReDigestedMutation:
         files = {"descriptor": tmp_path / "model.sig", "usermodel": tmp_path / "u.usermodel"}
         save_model(tiny_model, files["descriptor"])
         save_user_model(user, files["usermodel"])
-        f = files[kind]
-        raw = f.read_bytes()
-        meta, arrays = container.read_container(f)
+        raw = files[kind].read_bytes()
+        _, arrays = container.read_container(files[kind])
         (meta_len,) = struct.unpack_from("<I", raw, 8)
+        f = tmp_path / f"mutated-{kind}"  # loaded in place of files[kind]
 
         @settings(max_examples=150, deadline=None)
         @given(data=st.data())
@@ -494,10 +454,12 @@ class TestReDigestedMutation:
             how = data.draw(st.sampled_from(["metadata character", "payload byte", "float"]))
             if how == "float":
                 key = data.draw(st.sampled_from(sorted(arrays)))
-                value = arrays[key].copy()
-                value.flat[data.draw(st.integers(0, value.size - 1))] = data.draw(
-                    st.sampled_from(EXTREMES))
-                container.write_container(f, meta, {**arrays, key: value})
+                bad = data.draw(st.sampled_from(EXTREMES))
+                at = data.draw(st.integers(0, arrays[key].size - 1))
+
+                def edit(meta, arrays):
+                    arrays[key].flat[at] = bad
+                craft(files[kind], f, edit)
             else:
                 payload = bytearray(raw[:-32])
                 if how == "metadata character":
@@ -506,13 +468,16 @@ class TestReDigestedMutation:
                 else:
                     at = data.draw(st.integers(0, len(payload) - 1))
                     payload[at] = data.draw(st.integers(0, 255))
-                f.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+                f.write_bytes(digested(bytes(payload)))
+            paths = {**files, kind: f}
             try:
-                descriptor_model = load_model(files["descriptor"])
-                user_model = load_user_model(files["usermodel"])
+                descriptor_model = load_model(paths["descriptor"])
+                user_model = load_user_model(paths["usermodel"])
             except ContainerError as exc:
                 assert str(f) in str(exc)
                 return
+            finally:
+                f.unlink()
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 try:
@@ -525,18 +490,14 @@ class TestReDigestedMutation:
 
 
 class TestModelHeader:
-    def test_user_model_version_mismatch_names_file_and_versions(self, tmp_path):
-        f = _user_model_file(tmp_path)
-        _rewrite(f, "version", "2")
+    def test_user_model_version_mismatch_names_file_and_versions(self, saved, tmp_path):
+        f = craft(saved["usermodel"], tmp_path / "u.usermodel", _set("version", "2"))
         with pytest.raises(ContainerError, match=re.escape(
                 f"{f}: user model version 2 does not match supported version 1")):
             load_user_model(f)
 
-    def test_descriptor_model_version_mismatch_names_file_and_versions(self, tiny_model,
-                                                                     tmp_path):
-        f = tmp_path / "model.sig"
-        save_model(tiny_model, f)
-        _rewrite(f, "version", "2")
+    def test_descriptor_model_version_mismatch_names_file_and_versions(self, saved, tmp_path):
+        f = craft(saved["descriptor"], tmp_path / "model.sig", _set("version", "2"))
         with pytest.raises(ContainerError, match=re.escape(
                 f"{f}: descriptor model version 2 does not match supported version 1")):
             load_model(f)

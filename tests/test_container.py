@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import digested
 from sigverify import container
 from sigverify.container import (CONTAINER_VERSION, MAGIC, ContainerError,
                                  read_container, write_container)
@@ -152,67 +153,61 @@ class TestCorruptionDetection:
         write_container(f, meta, arrays)
         raw = bytearray(f.read_bytes())
         raw[len(raw) // 2] ^= 0xFF
-        f.write_bytes(bytes(raw))
+        g = tmp_path / "flipped.bin"
+        g.write_bytes(bytes(raw))
         with pytest.raises(ContainerError, match="checksum"):
-            read_container(f)
+            read_container(g)
 
     def test_truncated_file_is_caught(self, tmp_path, rng):
         meta, arrays = sample_payload(rng)
         f = tmp_path / "m.bin"
         write_container(f, meta, arrays)
-        f.write_bytes(f.read_bytes()[:-40])
+        g = tmp_path / "truncated.bin"
+        g.write_bytes(f.read_bytes()[:-40])
         with pytest.raises(ContainerError):
-            read_container(f)
+            read_container(g)
 
     # a 2-byte file, and a digest-valid one whose metadata length, 100, runs
     # past the 4 payload bytes left
-    @pytest.mark.parametrize("body, digested", [
-        (b"SI", False), (MAGIC + struct.pack("<III", CONTAINER_VERSION, 100, 0), True)],
+    @pytest.mark.parametrize("raw", [
+        b"SI", digested(MAGIC + struct.pack("<III", CONTAINER_VERSION, 100, 0))],
         ids=["short", "metadata-past-payload"])
-    def test_tiny_file_is_caught(self, tmp_path, body, digested):
+    def test_tiny_file_is_caught(self, tmp_path, raw):
         f = tmp_path / "m.bin"
-        f.write_bytes(body + (hashlib.sha256(body).digest() if digested else b""))
+        f.write_bytes(raw)
         with pytest.raises(ContainerError, match=re.escape(f"{f}: truncated container")):
             read_container(f)
 
     def test_wrong_magic_is_caught(self, tmp_path, rng):
-        import hashlib
-        body = b"NOPE" + b"\x00" * 12
         f = tmp_path / "m.bin"
-        f.write_bytes(body + hashlib.sha256(body).digest())
+        f.write_bytes(digested(b"NOPE" + b"\x00" * 12))
         with pytest.raises(ContainerError, match="magic"):
             read_container(f)
 
     def test_unsupported_version_is_caught(self, tmp_path, rng):
-        import hashlib
-        import struct
         body = MAGIC + struct.pack("<I", CONTAINER_VERSION + 9)
         body += struct.pack("<I", 0) + struct.pack("<I", 0)
         f = tmp_path / "m.bin"
-        f.write_bytes(body + hashlib.sha256(body).digest())
+        f.write_bytes(digested(body))
         with pytest.raises(ContainerError, match="version"):
             read_container(f)
 
     def test_trailing_garbage_is_caught(self, tmp_path):
-        import hashlib
-        import struct
         body = MAGIC + struct.pack("<I", CONTAINER_VERSION)
         body += struct.pack("<I", 0) + struct.pack("<I", 0) + b"junk"
         f = tmp_path / "m.bin"
-        f.write_bytes(body + hashlib.sha256(body).digest())
+        f.write_bytes(digested(body))
         with pytest.raises(ContainerError, match="trailing"):
             read_container(f)
 
     @staticmethod
     def _one_array_container(path, shape):
         # a digest-valid container whose single array declares ``shape``
-        import hashlib
-        import struct
         body = MAGIC + struct.pack("<I", CONTAINER_VERSION)
         body += struct.pack("<I", 0) + struct.pack("<I", 1)
         body += struct.pack("<H", 1) + b"a" + struct.pack("<B", len(shape))
         body += struct.pack(f"<{len(shape)}Q", *shape)
-        path.write_bytes(body + hashlib.sha256(body).digest())
+        path.write_bytes(digested(body))
 
     def test_wrapping_element_count_is_caught(self, tmp_path):
         # 2**62 * 4 wraps a 64-bit element count to 0
@@ -247,7 +242,6 @@ class TestCorruptionDetection:
 
 class TestByteLayout:
     def test_header_fields_sit_at_documented_offsets(self, tmp_path):
-        import struct
         f = tmp_path / "m.bin"
         write_container(f, {"k": "v"}, {"a": np.array([1.0, 2.0])})
         raw = f.read_bytes()
@@ -284,7 +278,7 @@ def _crafted(path, meta: bytes, names=()):
     body += struct.pack("<I", len(meta)) + meta + struct.pack("<I", len(names))
     for name in names:
         body += struct.pack("<H", len(name)) + name + struct.pack("<BQ", 1, 0)
-    path.write_bytes(body + hashlib.sha256(body).digest())
+    path.write_bytes(digested(body))
 
 
 class TestMalformedText:

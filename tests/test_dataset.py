@@ -1,4 +1,5 @@
 import io
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -205,6 +206,18 @@ class TestCorpusIo:
             assert len(a.skilled_forgeries) == len(b.skilled_forgeries)
             for ta, tb in zip(a.genuine, b.genuine):
                 assert np.array_equal(ta.x, tb.x) and np.array_equal(ta.t, tb.t)
+
+    def test_over_a_thousand_signatures_load_in_the_order_saved(self):
+        # names padded to the largest index: 1000.txt would sort before 101.txt.
+        # The files are deleted at once, while that is cheap: once written back
+        # to an ext4 file system mounted discard, they took 2.4 s to delete
+        corpus = generate_synthetic_corpus(seed=0, n_users=1, n_genuine=1001, n_forgery=0)
+        with tempfile.TemporaryDirectory() as root:
+            save_corpus(corpus, root)
+            back = load_corpus(root)
+        (uid,) = corpus.user_ids()
+        assert ([format_canonical(t) for t in back.users[uid].genuine]
+                == [format_canonical(t) for t in corpus.users[uid].genuine])
 
     def test_bad_file_is_skipped_with_warning(self, tmp_path, tiny_corpus):
         save_corpus(tiny_corpus, tmp_path / "c")

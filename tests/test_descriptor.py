@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import craft
 from sigverify import (AeConfig, PatchConfig, PreprocessConfig, Trajectory, WhitenConfig,
                        apply_whitening, describe, describe_baseline, extract_dense,
                        fit_whitening, generate_synthetic_corpus, load_model, preprocess,
@@ -163,11 +164,8 @@ class TestModelFile:
             load_model(f)
 
     def test_unsupported_model_version_is_rejected(self, tiny_model, tmp_path):
-        from sigverify import container
-        f = tmp_path / "model.sig"
-        save_model(tiny_model, f)
-        meta, arrays = container.read_container(f)
-        meta["version"] = "99"
-        container.write_container(f, meta, arrays)
+        save_model(tiny_model, tmp_path / "model.sig")
+        f = craft(tmp_path / "model.sig", tmp_path / "crafted.sig",
+                  lambda meta, arrays: meta.update({"version": "99"}))
         with pytest.raises(ContainerError, match="version 99"):
             load_model(f)
